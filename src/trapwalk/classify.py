@@ -189,7 +189,7 @@ def trapped_weight(coin, initial_coin_state, grid_n: int = 256) -> float:
     c = require_unitary(coin)
     psi = np.asarray(initial_coin_state, dtype=np.complex128).reshape(4)
     nrm = np.linalg.norm(psi)
-    if abs(nrm - 1.0) > 1e-12:
+    if not (abs(nrm - 1.0) <= 1e-12):
         raise ValueError(f"initial coin state must be normalized, |psi| = {nrm!r}")
     spectrum = detect_point_spectrum(c)
     if not spectrum:
@@ -238,7 +238,8 @@ def classify_coin(coin, rank_tol: float = RANK_TOL, n_samples: int = 8,
     amplitude matrix A and maps rank 4/3/2 to Type I/IIa/IIb.  Coins whose
     constant eigenvalues carry multiplicity two or more are direct sums of
     one-dimensional trapping coins and are reported as DirectSumDegenerate.
-    Parameter recovery is attempted for non-degenerate Type I/IIa coins.
+    Parameter recovery is attempted for every family unless the coin is
+    fully trapped; ``params`` stays None when it fails.
     """
     c = require_unitary(coin)
     spectrum, margin = _point_spectrum(c, n_samples, seed, CLUSTER_TOL)
@@ -269,7 +270,7 @@ def classify_coin(coin, rank_tol: float = RANK_TOL, n_samples: int = 8,
 
     variant = _iib_variant(c) if family == "TypeIIb" else None
     params = None
-    if not fully and family in ("TypeI", "TypeIIa"):
+    if not fully:
         try:
             params = recover_parameters(cells[0], family, coin=c)
         except (ValueError, ArithmeticError):
@@ -292,14 +293,21 @@ def recover_parameters(cell: _coins.AmplitudeCell, family: str,
     The gauge fixes the phase of the first amplitude to zero.  For the
     rank-3 family the cell does not determine the extra rotation angle
     ``eta``, so the coin itself is required: ``eta`` is read off the
-    structured product form by a Frobenius projection.
+    structured product form by a Frobenius projection.  The rank-2 family
+    is read off the coin's unitary 2x2 block and trapping swap, so it
+    requires the coin too.
 
     Raises
     ------
     ValueError
         If the cell violates the magnitude pattern of the requested family,
-        or if ``family='TypeIIa'`` and no coin is supplied.
+        if a rank-2 coin is in neither sector arrangement, or if
+        ``family`` is 'TypeIIa' or 'TypeIIb' and no coin is supplied.
     """
+    if family == "TypeIIb":
+        if coin is None:
+            raise ValueError("recovering the rank-2 family requires the coin")
+        return _recover_iib(coin)
     amps = cell.amplitudes
     # Align the global phase with the first non-negligible amplitude.
     idx = int(np.argmax(np.abs(amps) > 1e-9))
@@ -350,7 +358,37 @@ def recover_parameters(cell: _coins.AmplitudeCell, family: str,
         return _coins.TypeIIaParams(delta1, delta2, delta3, eta,
                                     phi_d, phi_e, phi_f, phi_g, phi_h)
 
-    raise ValueError(f"parameter recovery supports TypeI and TypeIIa, not {family!r}")
+    raise ValueError(f"parameter recovery supports TypeI, TypeIIa and TypeIIb, not {family!r}")
+
+
+def _recover_iib(coin) -> _coins.TypeIIbParams:
+    """Rank-2 parameters from the coin's unitary 2x2 block and trapping swap.
+
+    The block e^{i phi} [[e^{i alpha} cos delta, e^{-i beta} sin delta],
+    [-e^{i beta} sin delta, e^{-i alpha} cos delta]] has determinant
+    e^{2i phi}, which fixes phi in [0, pi); the family's double cover
+    (phi - pi, alpha + pi, beta + pi) makes that choice free.  Phases
+    multiplying a vanishing cos or sin are set to zero.
+    """
+    variant = _iib_variant(coin)
+    if variant is None:
+        raise ValueError("rank-2 coin is in neither sector arrangement")
+    c = np.asarray(coin)
+    if variant == 1:
+        block = c[np.ix_([0, 3], [0, 3])]
+        swap_phase = {"gamma": float(np.angle(c[2, 1]))}
+    else:
+        block = c[np.ix_([1, 2], [1, 2])]
+        swap_phase = {"phi_f": float(np.angle(c[3, 0]))}
+    det = block[0, 0] * block[1, 1] - block[0, 1] * block[1, 0]
+    phi = (float(np.angle(det)) / 2.0) % math.pi
+    cos_delta = min(abs(block[0, 0]), 1.0)
+    delta = math.acos(cos_delta)
+    unphase = np.exp(-1j * phi)
+    alpha = float(np.angle(block[0, 0] * unphase)) if cos_delta > 1e-9 else 0.0
+    beta = float(np.angle(-block[1, 0] * unphase)) if math.sin(delta) > 1e-9 else 0.0
+    return _coins.TypeIIbParams(variant=variant, delta=delta, phi=phi,
+                                alpha=alpha, beta=beta, **swap_phase)
 
 
 def _recover_eta(coin, delta1, delta2, delta3, phi_d, phi_e, phi_f, phi_g, phi_h) -> float:

@@ -125,10 +125,7 @@ def _cmd_escape(args) -> int:
 
 
 def _parse_initial(text: str) -> np.ndarray:
-    pairs = json.loads(text)
-    if len(pairs) != 4:
-        raise TrapwalkError("initial state needs exactly four [re, im] pairs")
-    return np.array([complex(p[0], p[1]) for p in pairs])
+    return _coins.complex_from_pairs(json.loads(text), 4, "initial state")
 
 
 def _run_simulation(coin, initial, steps, snapshot_times, outdir, floor=0.0):
@@ -159,26 +156,9 @@ def _dispersion_from_coin(coin) -> "_spectral.DispersionSpec":
         raise TrapwalkError("coin is not trapping; no trapping dispersion to report")
     if result.fully_trapped:
         raise TrapwalkError("fully trapped coin: the spectrum is flat, no dispersion")
-    if result.family in ("TypeI", "TypeIIa") and result.params is not None:
-        return _spectral.dispersion_spec(result.params)
-    if result.family == "TypeIIb" and result.variant is not None:
-        c = np.asarray(coin)
-        if result.variant == 1:
-            block = [c[0, 0], c[0, 3], c[3, 0], c[3, 3]]
-        else:
-            block = [c[1, 1], c[1, 2], c[2, 1], c[2, 2]]
-        det = block[0] * block[3] - block[1] * block[2]
-        phi = (float(np.angle(det)) / 2.0) % math.pi
-        cos_delta = min(abs(block[0]), 1.0)
-        delta = math.acos(cos_delta)
-        alpha = float(np.angle(block[0] * np.exp(-1j * phi))) if cos_delta > 1e-9 else 0.0
-        kind = "1d_x" if result.variant == 1 else "1d_y"
-        rho = math.cos(delta)
-        offset = math.pi - alpha
-        if kind == "1d_x":
-            return _spectral.DispersionSpec(kind, phi, rho, 0.0, offset, 0.0)
-        return _spectral.DispersionSpec(kind, phi, 0.0, rho, 0.0, offset)
-    raise TrapwalkError(f"cannot derive a dispersion for family {result.family}")
+    if result.params is None:
+        raise TrapwalkError(f"cannot derive a dispersion for family {result.family}")
+    return _spectral.dispersion_spec(result.params)
 
 
 def _resolve_spec(args) -> "_spectral.DispersionSpec":
@@ -193,16 +173,11 @@ def _cmd_spectrum(args) -> int:
     spec = _resolve_spec(args)
     n = args.grid
     ks = -math.pi + 2.0 * math.pi * (np.arange(n) + 0.5) / n
+    kx, ky = (k.ravel() for k in np.meshgrid(ks, ks, indexing="ij"))
+    columns = (kx, ky, _spectral.omega(spec, kx, ky),
+               *_spectral.group_velocity(spec, kx, ky), _spectral.hessian_det(spec, kx, ky))
     lines = ["kx,ky,omega,vx,vy,detH"]
-    for kx in (float(k) for k in ks):
-        for ky in (float(k) for k in ks):
-            om = float(_spectral.omega(spec, kx, ky))
-            try:
-                vx, vy = _spectral.group_velocity(spec, kx, ky)
-                det_h = _spectral.hessian_det(spec, kx, ky)
-                lines.append(f"{kx!r},{ky!r},{om!r},{float(vx)!r},{float(vy)!r},{float(det_h)!r}")
-            except TrapwalkError:
-                lines.append(f"{kx!r},{ky!r},{om!r},nan,nan,nan")
+    lines.extend(",".join(map(repr, row)) for row in zip(*(c.tolist() for c in columns)))
     _emit("\n".join(lines), args.output)
     return 0
 

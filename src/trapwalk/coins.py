@@ -51,6 +51,7 @@ __all__ = [
     "params_to_dict",
     "params_from_dict",
     "coin_to_json",
+    "complex_from_pairs",
     "coin_from_json",
     "write_coin_json",
     "read_coin_json",
@@ -616,16 +617,33 @@ def coin_to_json(coin, family: str | None = None, params: FamilyParams | None = 
     return json.dumps(doc, indent=2)
 
 
+def complex_from_pairs(pairs, n: int, what: str) -> np.ndarray:
+    """Complex vector from a parsed JSON list of ``n`` [re, im] number pairs.
+
+    Raises ValueError for any other shape or a non-numeric entry.
+    """
+    def is_number(x):
+        return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+    if not isinstance(pairs, list) or len(pairs) != n:
+        raise ValueError(f"{what} needs exactly {n} [re, im] pairs")
+    for p in pairs:
+        if not (isinstance(p, list) and len(p) == 2 and all(map(is_number, p))):
+            raise ValueError(f"{what}: expected an [re, im] pair of numbers, got {p!r}")
+    return np.array([complex(re, im) for re, im in pairs], dtype=np.complex128)
+
+
 def coin_from_json(text: str) -> np.ndarray:
     doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise ValueError("coin JSON must be an object with a 'matrix' field")
     basis = doc.get("basis")
     if basis is not None and tuple(basis) != COIN_BASIS:
         raise ValueError(f"unsupported basis order {basis!r}; expected {list(COIN_BASIS)}")
     mat = doc["matrix"]
-    return np.array(
-        [[complex(entry[0], entry[1]) for entry in row] for row in mat],
-        dtype=np.complex128,
-    )
+    if not isinstance(mat, list) or len(mat) != 4:
+        raise ValueError("coin matrix must be a list of four rows")
+    return np.array([complex_from_pairs(row, 4, "coin matrix row") for row in mat])
 
 
 def write_coin_json(path, coin, family: str | None = None, params: FamilyParams | None = None):

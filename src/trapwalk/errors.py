@@ -7,7 +7,6 @@ __all__ = [
     "NotTrappingError",
     "DegenerateMinorError",
     "KernelInconsistencyError",
-    "SingularPointError",
 ]
 
 
@@ -33,7 +32,3 @@ class DegenerateMinorError(TrapwalkError, ArithmeticError):
 
 class KernelInconsistencyError(TrapwalkError, ArithmeticError):
     """Kernel extraction found no usable solution; signals a tolerance failure."""
-
-
-class SingularPointError(TrapwalkError, ValueError):
-    """Dispersion derivative requested at a band edge where it is singular."""

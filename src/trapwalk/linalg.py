@@ -1,14 +1,11 @@
 """Minimal dense complex linear algebra for 4x4 and small stacked systems.
 
-Eigen-decomposition of unitary matrices goes through the complex Schur form,
-which keeps eigenvectors orthonormal for degenerate spectra (plain ``eig``
-does not).  Rank and kernel computations use singular values.
+Rank and kernel computations use singular values.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import schur
 
 from .errors import NotUnitaryError
 
@@ -18,7 +15,6 @@ __all__ = [
     "as_complex_matrix",
     "unitarity_defect",
     "require_unitary",
-    "eig_unitary4",
     "numerical_rank",
     "fix_vector_phase",
 ]
@@ -63,36 +59,6 @@ def fix_vector_phase(v: np.ndarray) -> np.ndarray:
     idx = int(np.argmax(mags > 1e-8 * top))
     phase = v[idx] / abs(v[idx])
     return v * phase.conj()
-
-
-def eig_unitary4(m, tol: float = UNITARITY_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Eigen-decomposition of a unitary 4x4 matrix.
-
-    Returns
-    -------
-    (eigenvalues, eigenvectors)
-        ``eigenvalues`` has shape (4,), sorted by principal angle;
-        ``eigenvectors[:, i]`` is the orthonormal eigenvector for
-        ``eigenvalues[i]`` with its first nonzero component made real
-        nonnegative.
-
-    Raises
-    ------
-    NotUnitaryError
-        If the unitarity defect of ``m`` exceeds ``tol``.
-    """
-    a = require_unitary(m, tol)
-    if a.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 matrix, got {a.shape}")
-    t, z = schur(a, output="complex")
-    # A unitary matrix is normal: its Schur form is diagonal up to round-off,
-    # so the Schur basis is an orthonormal eigenbasis.
-    vals = np.diag(t).copy()
-    order = np.argsort(np.angle(vals))
-    vals = vals[order]
-    vecs = z[:, order]
-    vecs = np.column_stack([fix_vector_phase(vecs[:, i]) for i in range(4)])
-    return vals, vecs
 
 
 def numerical_rank(m, tol: float = RANK_TOL) -> tuple[int, np.ndarray]:

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import coins as _coins
-from .errors import SingularPointError
 from .linalg import require_unitary
 
 __all__ = [
@@ -133,35 +132,36 @@ def omega(spec: DispersionSpec, kx, ky):
     return -np.arccos(np.clip(_band_argument(spec, kx, ky), -1.0, 1.0))
 
 
-def group_velocity(spec: DispersionSpec, kx: float, ky: float) -> tuple[float, float]:
-    """Gradient of omega with respect to (kx, ky).
+def _edge_gap(u):
+    """1 - u^2, NaN at band edges where the derivatives of omega diverge."""
+    return np.where(np.abs(u) >= 1.0 - _EDGE_TOL, np.nan, 1.0 - u * u)
 
-    Raises
-    ------
-    SingularPointError
-        At band edges, where the arccos argument reaches +-1 and the
-        derivative diverges.
+
+def group_velocity(spec: DispersionSpec, kx, ky):
+    """Gradient (vx, vy) of omega; broadcasts over array momenta.
+
+    Both components are NaN at band edges, where the arccos argument
+    reaches +-1 and the derivative diverges.
     """
-    u = float(_band_argument(spec, kx, ky))
-    if abs(u) >= 1.0 - _EDGE_TOL:
-        raise SingularPointError(f"band edge at k = ({kx}, {ky}); group velocity singular")
-    den = math.sqrt(1.0 - u * u)
-    vx = spec.rho_x * math.sin(kx + spec.phi_x) / den
-    vy = spec.rho_y * math.sin(ky + spec.phi_y) / den
+    den = np.sqrt(_edge_gap(_band_argument(spec, kx, ky)))
+    vx = spec.rho_x * np.sin(np.asarray(kx) + spec.phi_x) / den
+    vy = spec.rho_y * np.sin(np.asarray(ky) + spec.phi_y) / den
     return vx, vy
 
 
-def hessian_det(spec: DispersionSpec, kx: float, ky: float) -> float:
-    """Determinant of the Hessian of omega; zero on the caustics."""
-    u = float(_band_argument(spec, kx, ky))
-    if abs(u) >= 1.0 - _EDGE_TOL:
-        raise SingularPointError(f"band edge at k = ({kx}, {ky}); Hessian singular")
+def hessian_det(spec: DispersionSpec, kx, ky):
+    """Determinant of the Hessian of omega; zero on the caustics, NaN at band edges.
+
+    Broadcasts over array momenta.
+    """
+    gap = _edge_gap(_band_argument(spec, kx, ky))
     rx, ry = spec.rho_x, spec.rho_y
-    cx = math.cos(kx + spec.phi_x)
-    cy = math.cos(ky + spec.phi_y)
+    cx = np.cos(np.asarray(kx) + spec.phi_x)
+    cy = np.cos(np.asarray(ky) + spec.phi_y)
     num = (rx * rx * ry * ry * (cx * cx + cy * cy)
            + rx * ry * (rx * rx + ry * ry - 1.0) * cx * cy)
-    return -num / (1.0 - u * u) ** 2
+    # float_power squares through C pow, exactly as scalar ``** 2`` does.
+    return -num / np.float_power(gap, 2)
 
 
 @dataclass(frozen=True)

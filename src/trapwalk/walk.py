@@ -70,7 +70,7 @@ def initial_state(coin_state) -> WalkState:
     """
     psi = np.asarray(coin_state, dtype=np.complex128).reshape(4)
     nrm = float(np.linalg.norm(psi))
-    if abs(nrm - 1.0) > 1e-12:
+    if not (abs(nrm - 1.0) <= 1e-12):
         raise ValueError(f"initial coin state must have unit norm, got {nrm!r}")
     field = np.zeros((4, 3, 3), dtype=np.complex128)
     field[:, 1, 1] = psi

@@ -6,7 +6,7 @@ import pytest
 from trapwalk import classify, coins, walk
 from trapwalk.errors import NotTrappingError
 
-from conftest import DRAWERS, draw_type_i, draw_type_iia, hadamard_tensor_coin
+from conftest import DRAWERS, draw_type_i, draw_type_iia, draw_type_iib, hadamard_tensor_coin
 
 QUARTER = np.pi / 4
 GROVER_PARAMS = coins.TypeIIaParams(QUARTER, QUARTER, QUARTER, np.pi)
@@ -222,6 +222,11 @@ def test_trapped_weight_requires_normalized_state():
         classify.trapped_weight(coins.grover_coin(), np.array([1, 1, 0, 0], dtype=complex))
 
 
+def test_trapped_weight_rejects_nan_state():
+    with pytest.raises(ValueError):
+        classify.trapped_weight(coins.grover_coin(), np.array([np.nan, 0, 0, 0], dtype=complex))
+
+
 def test_escaping_states_decay(rng):
     # Unique escaping state of a rank-3 coin: its origin average keeps
     # falling with the horizon (the t = 2 revival alone sets the scale).
@@ -268,6 +273,26 @@ def test_recover_rank3_roundtrip(rng):
         recovered = classify.recover_parameters(cell, "TypeIIa", coin=coin)
         rebuilt = coins.coin_type_iia(recovered)
         assert np.max(np.abs(rebuilt - coin)) < 1e-9
+
+
+def test_recover_quasi_1d_roundtrip_through_classify(rng):
+    seen = set()
+    for _ in range(40):
+        coin = coins.coin_type_iib(draw_type_iib(rng))
+        res = classify.classify_coin(coin)
+        assert res.family == "TypeIIb" and isinstance(res.params, coins.TypeIIbParams)
+        assert res.params.variant == res.variant
+        seen.add(res.variant)
+        assert np.max(np.abs(coins.coin_for(res.params) - coin)) < 1e-12
+    assert seen == {1, 2}
+
+
+def test_recover_quasi_1d_requires_coin():
+    cell, _ = coins.stationary_cell(coins.TypeIIbParams(variant=1, delta=0.7))
+    with pytest.raises(ValueError):
+        classify.recover_parameters(cell, "TypeIIb")
+    with pytest.raises(ValueError):
+        classify.recover_parameters(cell, "TypeIIb", coin=coins.grover_coin())
 
 
 def test_recover_rejects_mismatched_cell():

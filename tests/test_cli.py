@@ -135,6 +135,34 @@ def test_spectrum_from_quasi_1d_coin(tmp_path):
     assert all(len(s) == 1 for s in by_kx.values())
 
 
+def _read_spectrum(path):
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    return rows[0], [r[:2] for r in rows[1:]], np.array([[float(v) for v in r[2:]] for r in rows[1:]])
+
+
+@pytest.mark.parametrize("params", [
+    coins.TypeIIbParams(variant=1, delta=0.7, phi=0.8, alpha=0.2, beta=0.4, gamma=1.0),
+    coins.TypeIIbParams(variant=2, delta=0.4, phi=2.1, alpha=2.6, beta=5.0, phi_f=0.3),
+])
+def test_spectrum_from_quasi_1d_coin_matches_parameters(tmp_path, params):
+    coin_path = tmp_path / "coin.json"
+    coins.write_coin_json(coin_path, coins.coin_type_iib(params))
+    from_coin, from_params = tmp_path / "coin.csv", tmp_path / "params.csv"
+    assert run("spectrum", "-i", str(coin_path), "--grid", "32", "-o", str(from_coin)) == 0
+    assert run("spectrum", "--family", "IIb", "--variant", str(params.variant),
+               "--delta", repr(params.delta), "--phi", repr(params.phi),
+               "--alpha", repr(params.alpha), "--beta", repr(params.beta),
+               "--gamma", repr(params.gamma), "--phi-f", repr(params.phi_f),
+               "--grid", "32", "-o", str(from_params)) == 0
+    head_c, ks_c, vals_c = _read_spectrum(from_coin)
+    head_p, ks_p, vals_p = _read_spectrum(from_params)
+    assert head_c == head_p and ks_c == ks_p
+    np.testing.assert_array_equal(np.isnan(vals_c), np.isnan(vals_p))
+    finite = ~np.isnan(vals_c)
+    assert np.max(np.abs(vals_c[finite] - vals_p[finite])) <= 1e-15
+
+
 def test_areasweep_csv(tmp_path):
     out = tmp_path / "sweep.csv"
     assert run("areasweep", "--n", "10", "-o", str(out)) == 0
@@ -182,3 +210,44 @@ def test_error_json_on_missing_file(capsys):
     assert status == 1
     err = json.loads(capsys.readouterr().err)
     assert "message" in err
+
+
+def _assert_json_error(capsys, status):
+    assert status == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert set(err) == {"error", "message"}
+
+
+def test_error_json_on_non_pair_matrix_entries(tmp_path, capsys):
+    coin_path = tmp_path / "coin.json"
+    coin_path.write_text(json.dumps({"matrix": [[1, 0], [0, 1]]}))
+    _assert_json_error(capsys, run("classify", "-i", str(coin_path)))
+
+
+def test_error_json_on_short_matrix_entry(tmp_path, capsys):
+    doc = json.loads(coins.coin_to_json(coins.grover_coin()))
+    doc["matrix"][2][1] = [1]
+    coin_path = tmp_path / "coin.json"
+    coin_path.write_text(json.dumps(doc))
+    _assert_json_error(capsys, run("classify", "-i", str(coin_path)))
+
+
+def test_error_json_on_non_numeric_initial_state(tmp_path, capsys):
+    coin_path = tmp_path / "coin.json"
+    coins.write_coin_json(coin_path, coins.grover_coin())
+    status = run("simulate", "-i", str(coin_path), "--initial",
+                 '[["nan",0],[0,0],[0,0],[0,0]]', "--steps", "2",
+                 "--outdir", str(tmp_path / "run"))
+    _assert_json_error(capsys, status)
+
+
+def test_error_json_on_nan_initial_state(tmp_path, capsys):
+    coin_path = tmp_path / "coin.json"
+    coins.write_coin_json(coin_path, coins.grover_coin())
+    status = run("simulate", "-i", str(coin_path), "--initial",
+                 "[[NaN,0],[0,0],[0,0],[0,0]]", "--steps", "2",
+                 "--outdir", str(tmp_path / "run"))
+    _assert_json_error(capsys, status)
+    assert not (tmp_path / "run" / "trajectory.csv").exists()

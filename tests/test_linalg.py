@@ -3,7 +3,6 @@ import pytest
 
 from trapwalk import linalg
 from trapwalk.coins import balance_matrices, grover_coin, stationary_cell
-from trapwalk.errors import NotUnitaryError
 
 from conftest import draw_type_i, draw_type_iib, random_unitary
 
@@ -27,52 +26,6 @@ def test_unitarity_defect_rejects_nonfinite():
     bad[0, 0] = np.nan
     with pytest.raises(ValueError):
         linalg.unitarity_defect(bad)
-
-
-def test_eig_identity():
-    vals, vecs = linalg.eig_unitary4(np.eye(4))
-    assert np.allclose(vals, 1.0)
-    assert np.allclose(vecs.conj().T @ vecs, np.eye(4), atol=1e-12)
-
-
-def test_eig_momentum_shift_at_zero():
-    # the momentum shift at k = 0 is the identity
-    shift = np.diag(np.exp(1j * np.array([0.0, 0.0, 0.0, 0.0])))
-    vals, _ = linalg.eig_unitary4(shift)
-    assert np.allclose(vals, 1.0)
-
-
-def test_eig_grover_spectrum():
-    # rank-one update 2|s><s| - I: eigenvalue +1 on |s>, -1 on its complement
-    vals, vecs = linalg.eig_unitary4(grover_coin())
-    assert np.allclose(sorted(vals.real), [-1, -1, -1, 1], atol=1e-12)
-    assert np.max(np.abs(vals.imag)) < 1e-12
-    assert np.allclose(vecs.conj().T @ vecs, np.eye(4), atol=1e-9)
-
-
-def test_eig_requires_unitary():
-    with pytest.raises(NotUnitaryError):
-        linalg.eig_unitary4(np.ones((4, 4)))
-
-
-def test_eig_reconstruction_and_residual(rng):
-    for _ in range(25):
-        m = random_unitary(rng)
-        vals, vecs = linalg.eig_unitary4(m)
-        assert np.max(np.abs(np.abs(vals) - 1.0)) < 1e-9
-        rebuilt = (vecs * vals) @ vecs.conj().T
-        assert np.max(np.abs(m - rebuilt)) < 1e-8
-        for i in range(4):
-            assert np.linalg.norm(m @ vecs[:, i] - vals[i] * vecs[:, i]) < 1e-9
-
-
-def test_eig_phase_convention(rng):
-    m = random_unitary(rng)
-    _, vecs = linalg.eig_unitary4(m)
-    for i in range(4):
-        v = vecs[:, i]
-        lead = v[np.abs(v) > 1e-8 * np.abs(v).max()][0]
-        assert abs(lead.imag) < 1e-12 and lead.real >= 0
 
 
 def _amplitude_matrix(params):

@@ -3,7 +3,6 @@ import pytest
 from scipy.integrate import quad
 
 from trapwalk import classify, coins, spectral
-from trapwalk.errors import SingularPointError
 from trapwalk.linalg import unitarity_defect
 
 from conftest import DRAWERS, draw_type_i
@@ -113,10 +112,27 @@ def test_group_velocity_caustic_values():
 
 def test_group_velocity_singular_at_band_edge():
     grover = spectral.dispersion_spec(coins.TypeIIaParams(QUARTER, QUARTER, QUARTER, np.pi))
-    with pytest.raises(SingularPointError):
-        spectral.group_velocity(grover, 0.0, 0.0)
-    with pytest.raises(SingularPointError):
-        spectral.hessian_det(grover, 0.0, 0.0)
+    vx, vy = spectral.group_velocity(grover, 0.0, 0.0)
+    assert np.isnan(vx) and np.isnan(vy)
+    assert np.isnan(spectral.hessian_det(grover, 0.0, 0.0))
+
+
+def test_derivatives_broadcast_like_scalar_calls(rng):
+    grover = spectral.dispersion_spec(coins.TypeIIaParams(QUARTER, QUARTER, QUARTER, np.pi))
+    ks = np.vstack([[0.0, 0.0], rng.uniform(-np.pi, np.pi, (40, 2))])
+    for spec in (grover, spectral.dispersion_spec(FIG2_PARAMS)):
+        vx, vy = spectral.group_velocity(spec, ks[:, 0], ks[:, 1])
+        det_h = spectral.hessian_det(spec, ks[:, 0], ks[:, 1])
+        assert vx.shape == vy.shape == det_h.shape == (len(ks),)
+        for i, (kx, ky) in enumerate(ks):
+            sx, sy = spectral.group_velocity(spec, kx, ky)
+            np.testing.assert_array_equal([vx[i], vy[i], det_h[i]],
+                                          [sx, sy, spectral.hessian_det(spec, kx, ky)])
+    vx, vy = spectral.group_velocity(grover, ks[:, 0], ks[:, 1])
+    det_h = spectral.hessian_det(grover, ks[:, 0], ks[:, 1])
+    # only k = (0, 0) sits on the Grover band edge
+    assert np.isnan(vx[0]) and np.isnan(vy[0]) and np.isnan(det_h[0])
+    assert np.isfinite(vx[1:]).all() and np.isfinite(det_h[1:]).all()
 
 
 def _fd_gradient(spec, kx, ky, h=1e-4):
@@ -213,9 +229,8 @@ def test_velocities_stay_inside_region(rng):
     count = 0
     while count < 3000:
         kx, ky = rng.uniform(-np.pi, np.pi, 2)
-        try:
-            vx, vy = spectral.group_velocity(spec, kx, ky)
-        except SingularPointError:
+        vx, vy = spectral.group_velocity(spec, kx, ky)
+        if np.isnan(vx):
             continue
         count += 1
         m1 = (vx / region.a1) ** 2 + (vy / region.b1) ** 2

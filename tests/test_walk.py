@@ -34,6 +34,11 @@ def test_initial_state_rejects_unnormalized():
 
 # ------------------------------------------------------------------------ steps
 
+def test_initial_state_rejects_nan():
+    with pytest.raises(ValueError):
+        walk.initial_state(np.array([np.nan, 0, 0, 0], dtype=complex))
+
+
 def test_single_step_places_coin_column():
     c = coins.grover_coin()
     state = walk.step(walk.initial_state(np.array([1, 0, 0, 0], dtype=complex)), c)
