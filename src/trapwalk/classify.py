@@ -37,18 +37,19 @@ CLUSTER_TOL = 1e-8
 _DEFAULT_SEED = 20210507
 
 
-def _sample_momenta(n_samples: int, seed: int) -> list[tuple[float, float]]:
+def _sample_momenta(n_samples: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """k = (0, 0) followed by ``n_samples`` pseudo-random momentum pairs."""
     rng = np.random.default_rng(seed)
-    ks = [(0.0, 0.0)]
-    ks.extend((float(kx), float(ky)) for kx, ky in rng.uniform(-np.pi, np.pi, (n_samples, 2)))
-    return ks
+    ks = np.vstack([np.zeros((1, 2)), rng.uniform(-np.pi, np.pi, (n_samples, 2))])
+    return ks[:, 0], ks[:, 1]
 
 
-def _point_spectrum(coin, n_samples: int, seed: int, tol: float):
-    """Constant eigenvalues with minimal multiplicities, plus the cluster margin."""
-    c = require_unitary(coin)
-    samples = [np.linalg.eigvals(momentum_operator(c, kx, ky))
-               for kx, ky in _sample_momenta(n_samples, seed)]
+def _point_spectrum(c, n_samples: int, seed: int, tol: float):
+    """Constant eigenvalues with minimal multiplicities, plus the cluster margin.
+
+    ``c`` must be a checked unitary coin.
+    """
+    samples = np.linalg.eigvals(momentum_operator(c, *_sample_momenta(n_samples, seed)))
     # Cluster the first sample into candidates.
     candidates: list[list[complex]] = []
     for lam in samples[0]:
@@ -62,23 +63,14 @@ def _point_spectrum(coin, n_samples: int, seed: int, tol: float):
     margin = math.inf
     for group in candidates:
         center = group[0] / abs(group[0])
-        mult = len(group)
-        alive = True
-        for ev in samples[1:]:
-            dist = np.abs(ev - center)
-            count = int(np.sum(dist < tol))
-            if count == 0:
-                alive = False
-                break
-            mult = min(mult, count)
-        if not alive:
+        dist = np.abs(samples - center)
+        counts = np.sum(dist[1:] < tol, axis=1)
+        if not counts.all():
             continue
-        for ev in samples:
-            dist = np.abs(ev - center)
-            outside = dist[dist >= tol]
-            if outside.size:
-                margin = min(margin, float(outside.min()))
-        results.append((complex(center), mult))
+        outside = dist[dist >= tol]
+        if outside.size:
+            margin = min(margin, float(outside.min()))
+        results.append((complex(center), min(len(group), int(counts.min()))))
 
     def _canonical_angle(lam: complex) -> float:
         ang = float(np.angle(lam)) % (2 * np.pi)
@@ -106,7 +98,7 @@ def detect_point_spectrum(coin, n_samples: int = 8, seed: int = _DEFAULT_SEED,
     """
     if n_samples < 4:
         raise ValueError("need at least 4 momentum samples")
-    spectrum, _ = _point_spectrum(coin, n_samples, seed, tol)
+    spectrum, _ = _point_spectrum(require_unitary(coin), n_samples, seed, tol)
     return spectrum
 
 
@@ -143,18 +135,21 @@ def _seed_phases(eigenphases) -> list[complex]:
     return out
 
 
-def _all_cells(coin, eigenphases) -> list[_coins.AmplitudeCell]:
-    """Localized cells of every seed eigenphase, chiral partners included."""
-    cells = []
-    for lam in _seed_phases(eigenphases):
-        for cell in _laurent.localized_cells(coin, lam):
-            cells.append(cell)
-            cells.append(cell.chiral_partner())
-    return cells
+def _flat_bands(c, n_samples: int, seed: int):
+    """Point spectrum, cluster margin and the localized cells of each chiral pair.
+
+    ``c`` must be a checked unitary coin.  ``seed_cells`` maps each seed
+    eigenphase to its cells; since S(k + pi) = -S(k), the cells at the
+    partner eigenphase -lam are exactly their chiral partners.
+    """
+    spectrum, margin = _point_spectrum(c, n_samples, seed, CLUSTER_TOL)
+    seed_cells = {lam: _laurent.localized_cells(c, lam) for lam in _seed_phases(spectrum)}
+    return spectrum, margin, seed_cells
 
 
-def _escaping_from_cells(cells, rank_tol: float) -> np.ndarray:
-    columns = [_coins.balance_matrices(cell).a for cell in cells]
+def _escaping_from_cells(seed_cells, rank_tol: float) -> np.ndarray:
+    columns = [_coins.balance_matrices(cc).a for cells in seed_cells.values()
+               for cell in cells for cc in (cell, cell.chiral_partner())]
     _, kernel = numerical_rank(np.hstack(columns), rank_tol)
     return kernel
 
@@ -171,11 +166,10 @@ def escaping_subspace(coin, rank_tol: float = RANK_TOL) -> np.ndarray:
     NotTrappingError
         If the coin has no constant eigenvalue.
     """
-    c = require_unitary(coin)
-    spectrum = detect_point_spectrum(c)
+    spectrum, _, seed_cells = _flat_bands(require_unitary(coin), 8, _DEFAULT_SEED)
     if not spectrum:
         raise NotTrappingError("coin is not trapping; every coin state escapes")
-    return _escaping_from_cells(_all_cells(c, spectrum), rank_tol)
+    return _escaping_from_cells(seed_cells, rank_tol)
 
 
 def trapped_weight(coin, initial_coin_state, grid_n: int = 256) -> float:
@@ -191,18 +185,21 @@ def trapped_weight(coin, initial_coin_state, grid_n: int = 256) -> float:
     nrm = np.linalg.norm(psi)
     if not (abs(nrm - 1.0) <= 1e-12):
         raise ValueError(f"initial coin state must be normalized, |psi| = {nrm!r}")
-    spectrum = detect_point_spectrum(c)
+    spectrum, _, seed_cells = _flat_bands(c, 8, _DEFAULT_SEED)
     if not spectrum:
         raise NotTrappingError("coin is not trapping")
+    # The partner band's cells are the chiral partners of the seed band's.
+    bands = [group for cells in seed_cells.values()
+             for group in (cells, [cell.chiral_partner() for cell in cells])]
     k = -np.pi + 2.0 * np.pi * (np.arange(grid_n) + 0.5) / grid_n
     x = np.exp(1j * k)[:, None] * np.ones(grid_n)[None, :]
     y = np.exp(1j * k)[None, :] * np.ones(grid_n)[:, None]
     x = x.ravel()
     y = y.ravel()
     weight = 0.0
-    for lam, _ in spectrum:
+    for cells in bands:
         band = np.zeros((4, 4), dtype=np.complex128)
-        for cell in _laurent.localized_cells(c, lam):
+        for cell in cells:
             xi = cell.local_states()
             # Ansatz eigenvector at each momentum, normalized per point.
             vec = (xi[0, 0][None, :] + x[:, None] * xi[1, 0][None, :]
@@ -242,7 +239,7 @@ def classify_coin(coin, rank_tol: float = RANK_TOL, n_samples: int = 8,
     fully trapped; ``params`` stays None when it fails.
     """
     c = require_unitary(coin)
-    spectrum, margin = _point_spectrum(c, n_samples, seed, CLUSTER_TOL)
+    spectrum, margin, seed_cells = _flat_bands(c, n_samples, seed)
     marginal = margin < 10 * CLUSTER_TOL
     if not spectrum:
         return ClassificationResult(
@@ -251,10 +248,7 @@ def classify_coin(coin, rank_tol: float = RANK_TOL, n_samples: int = 8,
     total_mult = sum(m for _, m in spectrum)
     fully = total_mult >= 4
     phases = tuple(spectrum)
-    cells_by_seed = {lam: _laurent.localized_cells(c, lam) for lam in _seed_phases(spectrum)}
-    all_cells = [cc for group in cells_by_seed.values()
-                 for cell in group for cc in (cell, cell.chiral_partner())]
-    esc_dim = _escaping_from_cells(all_cells, rank_tol).shape[1]
+    esc_dim = _escaping_from_cells(seed_cells, rank_tol).shape[1]
 
     if any(m >= 2 for _, m in spectrum):
         return ClassificationResult(
@@ -262,7 +256,7 @@ def classify_coin(coin, rank_tol: float = RANK_TOL, n_samples: int = 8,
             escaping_dim=esc_dim, fully_trapped=fully, marginal=marginal,
         )
 
-    cells = next(iter(cells_by_seed.values()))
+    cells = next(iter(seed_cells.values()))
     rank, _ = numerical_rank(_coins.balance_matrices(cells[0]).a, rank_tol)
     family = _FAMILY_BY_RANK.get(rank)
     if family is None:

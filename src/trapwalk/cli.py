@@ -170,8 +170,10 @@ def _resolve_spec(args) -> "_spectral.DispersionSpec":
 
 
 def _cmd_spectrum(args) -> int:
-    spec = _resolve_spec(args)
     n = args.grid
+    if n < 1:
+        raise ValueError(f"--grid must be at least 1, got {n}")
+    spec = _resolve_spec(args)
     ks = -math.pi + 2.0 * math.pi * (np.arange(n) + 0.5) / n
     kx, ky = (k.ravel() for k in np.meshgrid(ks, ks, indexing="ij"))
     columns = (kx, ky, _spectral.omega(spec, kx, ky),

@@ -69,13 +69,16 @@ _TWO_PI = 2.0 * math.pi
 
 
 def _wrap_phase(x: float) -> float:
-    """Reduce a phase to [0, 2*pi)."""
-    return float(x) % _TWO_PI
+    """Reduce a phase to [0, 2*pi); non-finite input is a domain error."""
+    x = float(x)
+    if not math.isfinite(x):
+        raise ParameterDomainError(f"angles must be finite, got {x!r}")
+    return x % _TWO_PI
 
 
 def _wrap_signed(x: float) -> float:
     """Reduce an angle to (-pi, pi]."""
-    y = float(x) % _TWO_PI
+    y = _wrap_phase(x)
     if y > math.pi:
         y -= _TWO_PI
     return y
@@ -620,7 +623,8 @@ def coin_to_json(coin, family: str | None = None, params: FamilyParams | None = 
 def complex_from_pairs(pairs, n: int, what: str) -> np.ndarray:
     """Complex vector from a parsed JSON list of ``n`` [re, im] number pairs.
 
-    Raises ValueError for any other shape or a non-numeric entry.
+    Raises ValueError for any other shape, a non-numeric entry, or an
+    integer too large for a float.
     """
     def is_number(x):
         return isinstance(x, (int, float)) and not isinstance(x, bool)
@@ -630,7 +634,10 @@ def complex_from_pairs(pairs, n: int, what: str) -> np.ndarray:
     for p in pairs:
         if not (isinstance(p, list) and len(p) == 2 and all(map(is_number, p))):
             raise ValueError(f"{what}: expected an [re, im] pair of numbers, got {p!r}")
-    return np.array([complex(re, im) for re, im in pairs], dtype=np.complex128)
+    try:
+        return np.array([complex(re, im) for re, im in pairs], dtype=np.complex128)
+    except OverflowError:
+        raise ValueError(f"{what}: number too large for a float") from None
 
 
 def coin_from_json(text: str) -> np.ndarray:

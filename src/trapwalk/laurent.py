@@ -359,7 +359,7 @@ def _stacked_kernel(adjusted: np.ndarray, grid_n: int = 6) -> tuple[np.ndarray, 
         axis=2,
     )
     stacked = blocks.reshape(-1, 16)
-    _, s, vh = np.linalg.svd(stacked)
+    _, s, vh = np.linalg.svd(stacked, full_matrices=False)
     kernel = vh.conj().T[:, s < KERNEL_REL_TOL * s[0]]
     return kernel, s, dets
 

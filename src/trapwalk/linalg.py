@@ -68,8 +68,8 @@ def numerical_rank(m, tol: float = RANK_TOL) -> tuple[int, np.ndarray]:
     returns an orthonormal basis of the numerical kernel of ``m``'s adjoint
     (columns of the returned array; empty second axis for full row rank).
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not (0 < tol < 1):
+        raise ValueError(f"tol must lie in (0, 1), got {tol!r}")
     a = as_complex_matrix(m)
     u, s, _ = np.linalg.svd(a)
     if s.size == 0 or s[0] == 0.0:

@@ -40,11 +40,15 @@ __all__ = [
 _EDGE_TOL = 1e-12
 
 
-def momentum_operator(coin, kx: float, ky: float) -> np.ndarray:
-    """The 4x4 momentum-space walk operator S(kx, ky) C."""
+def momentum_operator(coin, kx, ky) -> np.ndarray:
+    """The momentum-space walk operator S(kx, ky) C, shape (..., 4, 4).
+
+    Array momenta broadcast against each other; scalars give one 4x4 matrix.
+    """
     c = require_unitary(coin)
-    phases = np.exp(1j * np.array([-kx, -ky, ky, kx]))
-    return phases[:, None] * c
+    kx, ky = np.broadcast_arrays(kx, ky)
+    phases = np.exp(1j * np.stack([-kx, -ky, ky, kx], axis=-1))
+    return phases[..., :, None] * c
 
 
 @dataclass(frozen=True)

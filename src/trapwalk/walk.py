@@ -136,12 +136,17 @@ def simulate(coin, initial: WalkState, steps: int,
     """Run the walk for ``steps`` steps from the given state.
 
     Records P(0, 0, t) for every step and keeps full distributions at the
-    requested snapshot times (time 0 snapshots refer to the initial state).
+    requested snapshot times, which must lie in [initial.t, initial.t + steps]
+    (time 0 snapshots refer to the initial state).
     """
     if steps < 1:
         raise ValueError("steps must be at least 1")
     c = require_unitary(coin)
     wanted = set(int(t) for t in snapshot_times)
+    outside = [t for t in sorted(wanted) if not initial.t <= t <= initial.t + steps]
+    if outside:
+        raise ValueError(f"snapshot times {outside} lie outside "
+                         f"[{initial.t}, {initial.t + steps}]")
     state = initial
     p_origin = np.zeros(steps + 1)
     p_origin[0] = state.origin_probability()

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from trapwalk import coins
+
+# Property tests replay the same examples on every run.
+settings.register_profile("trapwalk", derandomize=True, deadline=None)
+settings.load_profile("trapwalk")
 
 MARGIN = 0.05
 

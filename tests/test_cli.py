@@ -218,6 +218,7 @@ def _assert_json_error(capsys, status):
     assert len(lines) == 1
     err = json.loads(lines[0])
     assert set(err) == {"error", "message"}
+    return err
 
 
 def test_error_json_on_non_pair_matrix_entries(tmp_path, capsys):
@@ -248,6 +249,47 @@ def test_error_json_on_nan_initial_state(tmp_path, capsys):
     coins.write_coin_json(coin_path, coins.grover_coin())
     status = run("simulate", "-i", str(coin_path), "--initial",
                  "[[NaN,0],[0,0],[0,0],[0,0]]", "--steps", "2",
+                 "--outdir", str(tmp_path / "run"))
+    _assert_json_error(capsys, status)
+    assert not (tmp_path / "run" / "trajectory.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("region", "--family", "IIa", "--delta1", "0.3", "--delta2", "0.2", "--delta3", "0.2",
+     "--eta", "nan"),
+    ("spectrum", "--family", "I", "--delta1", "1.0", "--delta2", "0.5", "--phi-g", "nan",
+     "--grid", "4"),
+])
+def test_error_json_on_non_finite_angle(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    err = _assert_json_error(capsys, run(*argv, "-o", str(out)))
+    assert err["error"] == "ParameterDomainError"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_error_json_on_non_finite_rank_tol(tmp_path, capsys, tol):
+    coin_path = tmp_path / "coin.json"
+    coins.write_coin_json(coin_path, coins.grover_coin())
+    err = _assert_json_error(capsys, run("classify", "-i", str(coin_path), "--rank-tol", tol))
+    # the range check, not a misleading rank-0 classification failure
+    assert err["error"] == "ValueError" and "tol" in err["message"]
+
+
+@pytest.mark.parametrize("grid", ["0", "-3"])
+def test_error_json_on_empty_spectrum_grid(tmp_path, capsys, grid):
+    out = tmp_path / "spec.csv"
+    status = run("spectrum", "--family", "I", "--delta1", "1.0", "--delta2", "0.5",
+                 "--grid", grid, "-o", str(out))
+    _assert_json_error(capsys, status)
+    assert not out.exists()
+
+
+def test_error_json_on_snapshot_after_last_step(tmp_path, capsys):
+    coin_path = tmp_path / "coin.json"
+    coins.write_coin_json(coin_path, coins.grover_coin())
+    status = run("simulate", "-i", str(coin_path), "--initial",
+                 "[[1,0],[0,0],[0,0],[0,0]]", "--steps", "3", "--snapshots", "2,9",
                  "--outdir", str(tmp_path / "run"))
     _assert_json_error(capsys, status)
     assert not (tmp_path / "run" / "trajectory.csv").exists()

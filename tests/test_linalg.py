@@ -67,3 +67,9 @@ def test_rank_invariant_under_unitaries(rng):
 def test_rank_requires_positive_tol():
     with pytest.raises(ValueError):
         linalg.numerical_rank(np.eye(4), tol=0.0)
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf, 1.0])
+def test_rank_rejects_tol_outside_unit_interval(tol):
+    with pytest.raises(ValueError):
+        linalg.numerical_rank(np.eye(4), tol=tol)

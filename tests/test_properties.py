@@ -1,0 +1,108 @@
+"""Property tests of parsers, constructors and the exact invariants of a step."""
+
+import dataclasses
+import math
+
+import numpy as np
+from hypothesis import example, given, strategies as st
+
+from trapwalk import coins, walk
+from trapwalk.errors import ParameterDomainError
+
+from conftest import random_unitary
+
+QUARTER_RANGE = st.floats(0.0, math.pi / 2)
+PHASES = st.lists(st.floats(-50.0, 50.0), min_size=5, max_size=5)
+ETAS = st.floats(0.01, 3.1).flatmap(lambda x: st.sampled_from([x, -x]))
+
+TYPE_IIA = st.builds(lambda d1, d2, d3, eta, ph: coins.TypeIIaParams(d1, d2, d3, eta, *ph),
+                     st.floats(0.01, math.pi / 2 - 0.01), QUARTER_RANGE, QUARTER_RANGE,
+                     ETAS, PHASES)
+TYPE_IIB = st.builds(lambda v, d, ph: coins.TypeIIbParams(v, d, *ph),
+                     st.sampled_from([1, 2]), QUARTER_RANGE, PHASES)
+
+
+@st.composite
+def type_i_params(draw):
+    d1, d2 = draw(QUARTER_RANGE), draw(QUARTER_RANGE)
+    if d1 == d2:  # the family excludes the diagonal
+        d2 = 0.0 if d1 > 0.0 else 1.0
+    return coins.TypeIParams(d1, d2, *draw(PHASES))
+
+
+FAMILY_PARAMS = st.one_of(type_i_params(), TYPE_IIA, TYPE_IIB)
+
+
+@given(FAMILY_PARAMS)
+def test_coin_json_round_trip_is_bit_exact(params):
+    coin = coins.coin_for(params)
+    back = coins.coin_from_json(coins.coin_to_json(coin))
+    assert back.dtype == np.complex128
+    assert np.array_equal(back.view(np.uint64), coin.view(np.uint64))
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda children: (st.lists(children, max_size=5)
+                      | st.dictionaries(st.text(max_size=3), children, max_size=3)),
+    max_leaves=20,
+)
+NEAR_PAIRS = st.lists(st.lists(JSON_VALUES, max_size=3), min_size=3, max_size=5)
+
+
+@given(st.one_of(JSON_VALUES, NEAR_PAIRS))
+@example([[10 ** 400, 0], [0, 0], [0, 0], [0, 0]])
+@example([[1, 0], [0, 0], [0, 0], [0, True]])
+def test_complex_from_pairs_raises_only_value_error(value):
+    try:
+        out = coins.complex_from_pairs(value, 4, "state")
+    except ValueError:
+        return
+    assert out.shape == (4,) and out.dtype == np.complex128
+
+
+BASE_PARAMS = [
+    coins.TypeIParams(0.4, 0.9, 0.1, 0.2, 0.3, 0.4, 0.5),
+    coins.TypeIIaParams(0.4, 0.5, 0.6, 1.0, 0.1, 0.2, 0.3, 0.4, 0.5),
+    coins.TypeIIbParams(variant=2, delta=0.7, phi=0.3, alpha=0.2, beta=0.1, gamma=0.5,
+                        phi_f=0.6),
+]
+NUMERIC_FIELDS = [(base, f.name) for base in BASE_PARAMS
+                  for f in dataclasses.fields(base) if f.name != "variant"]
+
+
+@given(st.sampled_from(NUMERIC_FIELDS), st.sampled_from([math.nan, math.inf, -math.inf]))
+def test_non_finite_parameters_are_domain_errors(field, value):
+    base, name = field
+    try:
+        dataclasses.replace(base, **{name: value})
+    except ParameterDomainError:
+        return
+    raise AssertionError(f"{type(base).__name__}.{name} = {value} was accepted")
+
+
+@st.composite
+def walk_setups(draw):
+    if draw(st.booleans()):
+        coin = coins.coin_for(draw(FAMILY_PARAMS))
+    else:
+        coin = random_unitary(np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))))
+    parts = draw(st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8))
+    psi = np.array(parts[:4]) + 1j * np.array(parts[4:])
+    if np.linalg.norm(psi) < 1e-3:
+        psi = np.array([1, 0, 0, 0], dtype=complex)
+    return coin, psi / np.linalg.norm(psi), draw(st.integers(1, 12))
+
+
+@given(walk_setups())
+def test_step_conserves_norm_light_cone_and_parity(setup):
+    coin, psi, steps = setup
+    state = walk.initial_state(psi)
+    for _ in range(steps):
+        state = walk.step(state, coin)
+        assert abs(state.total_probability() - 1.0) <= 1e-12
+        coords = np.arange(state.field.shape[1]) - state.offset
+        xs, ys = np.meshgrid(coords, coords, indexing="ij")
+        assert not np.any(state.field[:, np.abs(xs) + np.abs(ys) > state.t])
+        if state.t % 2:
+            assert not np.any(state.amplitude(0, 0))

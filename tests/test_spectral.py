@@ -51,6 +51,20 @@ def test_momentum_operator_unitary(rng):
         assert unitarity_defect(spectral.momentum_operator(c, kx, ky)) < 1e-14
 
 
+def test_momentum_operator_broadcasts_like_scalar_calls(rng):
+    c = coins.coin_type_i(draw_type_i(rng))
+    kx = rng.uniform(-np.pi, np.pi, (3, 5))
+    ky = rng.uniform(-np.pi, np.pi, (3, 5))
+    ops = spectral.momentum_operator(c, kx, ky)
+    assert ops.shape == (3, 5, 4, 4)
+    scalar = np.array([[spectral.momentum_operator(c, float(a), float(b))
+                        for a, b in zip(row_x, row_y)] for row_x, row_y in zip(kx, ky)])
+    assert np.array_equal(ops, scalar)
+    # a scalar broadcasts against an array
+    row = spectral.momentum_operator(c, 0.0, ky[0])
+    assert np.array_equal(row, [spectral.momentum_operator(c, 0.0, float(b)) for b in ky[0]])
+
+
 # -------------------------------------------------------------- dispersion spec
 
 def test_dispersion_values_full_rank():

@@ -113,6 +113,14 @@ def test_simulate_trajectory_and_snapshots():
     assert traj.snapshots[6].prob.sum() == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("times", [(2, 9), (-1,)])
+def test_simulate_rejects_snapshot_times_outside_run(times):
+    with pytest.raises(ValueError):
+        walk.simulate(coins.grover_coin(),
+                      walk.initial_state(np.array([1, 0, 0, 0], dtype=complex)), 3,
+                      snapshot_times=times)
+
+
 def test_simulate_requires_steps():
     with pytest.raises(ValueError):
         walk.simulate(coins.grover_coin(),
