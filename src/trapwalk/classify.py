@@ -44,6 +44,21 @@ def _sample_momenta(n_samples: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     return ks[:, 0], ks[:, 1]
 
 
+def _cluster_center(group, others: np.ndarray, tol: float) -> complex:
+    """Unit-modulus center of a cluster of sample-0 eigenvalues.
+
+    A dispersive band can cross a flat band at k = 0 and join its cluster
+    first, so the center is the first member lying within ``tol / 100`` of
+    an eigenvalue at every other sample, else the first member.
+    """
+    if len(group) > 1:
+        for lam in group:
+            u = lam / abs(lam)
+            if (np.abs(others - u).min(axis=1) < tol / 100).all():
+                return u
+    return group[0] / abs(group[0])
+
+
 def _point_spectrum(c, n_samples: int, seed: int, tol: float):
     """Constant eigenvalues with minimal multiplicities, plus the cluster margin.
 
@@ -62,7 +77,7 @@ def _point_spectrum(c, n_samples: int, seed: int, tol: float):
     results = []
     margin = math.inf
     for group in candidates:
-        center = group[0] / abs(group[0])
+        center = _cluster_center(group, samples[1:], tol)
         dist = np.abs(samples - center)
         counts = np.sum(dist[1:] < tol, axis=1)
         if not counts.all():
@@ -200,11 +215,8 @@ def trapped_weight(coin, initial_coin_state, grid_n: int = 256) -> float:
     for cells in bands:
         band = np.zeros((4, 4), dtype=np.complex128)
         for cell in cells:
-            xi = cell.local_states()
             # Ansatz eigenvector at each momentum, normalized per point.
-            vec = (xi[0, 0][None, :] + x[:, None] * xi[1, 0][None, :]
-                   + y[:, None] * xi[0, 1][None, :]
-                   + (x * y)[:, None] * xi[1, 1][None, :])
+            vec = _coins._ansatz_vectors(cell, x, y)
             norms = np.linalg.norm(vec, axis=1)
             keep = norms > 1e-12
             unit = vec[keep] / norms[keep, None]
@@ -216,15 +228,6 @@ def trapped_weight(coin, initial_coin_state, grid_n: int = 256) -> float:
 
 
 _FAMILY_BY_RANK = {4: "TypeI", 3: "TypeIIa", 2: "TypeIIb"}
-
-
-def _iib_variant(coin, tol: float = 1e-8) -> int | None:
-    c = np.asarray(coin)
-    if (abs(c[1, 1]) < tol and abs(c[2, 2]) < tol and abs(abs(c[1, 2]) - 1.0) < tol):
-        return 1
-    if (abs(c[0, 0]) < tol and abs(c[3, 3]) < tol and abs(abs(c[0, 3]) - 1.0) < tol):
-        return 2
-    return None
 
 
 def classify_coin(coin, rank_tol: float = RANK_TOL, n_samples: int = 8,
@@ -262,7 +265,7 @@ def classify_coin(coin, rank_tol: float = RANK_TOL, n_samples: int = 8,
     if family is None:
         raise NotTrappingError(f"amplitude matrix has unexpected rank {rank}")
 
-    variant = _iib_variant(c) if family == "TypeIIb" else None
+    variant = _coins._iib_variant(c) if family == "TypeIIb" else None
     params = None
     if not fully:
         try:
@@ -278,6 +281,29 @@ def classify_coin(coin, rank_tol: float = RANK_TOL, n_samples: int = 8,
 
 def _phase_of(z: complex, mag: float, tol: float = 1e-9) -> float | None:
     return float(np.angle(z)) % (2 * np.pi) if mag > tol else None
+
+
+def _recover_phases(amps, guards) -> tuple[float, float, float, float, float]:
+    """Phases (phi_d, phi_e, phi_f, phi_g, phi_h) of a gauge-fixed cell.
+
+    ``guards`` holds, for each amplitude a..h, the magnitude that multiplies
+    its phase.  A phase whose guard vanishes is read off its partner
+    amplitude (phi_h from c, phi_d from b), or set to zero.
+    """
+    _, b, c, d, e, f, g, h = amps
+    _, gb, gc, gd, ge, gf, gg, gh = guards
+    phi_f = _phase_of(f, gf) or 0.0
+    phi_h = _phase_of(h, gh)
+    if phi_h is None:
+        arg_c = _phase_of(c, gc)
+        phi_h = (phi_f + arg_c) if arg_c is not None else 0.0
+    phi_e = _phase_of(e, ge) or 0.0
+    phi_g = _phase_of(g, gg) or 0.0
+    phi_d = _phase_of(d, gd)
+    if phi_d is None:
+        arg_b = _phase_of(b, gb)
+        phi_d = (arg_b - phi_e + phi_g) if arg_b is not None else 0.0
+    return phi_d, phi_e, phi_f, phi_g, phi_h
 
 
 def recover_parameters(cell: _coins.AmplitudeCell, family: str,
@@ -306,7 +332,7 @@ def recover_parameters(cell: _coins.AmplitudeCell, family: str,
     # Align the global phase with the first non-negligible amplitude.
     idx = int(np.argmax(np.abs(amps) > 1e-9))
     amps = amps * np.conj(amps[idx] / abs(amps[idx]))
-    a, b, c, d, e, f, g, h = amps
+    a, b, c, d, e = amps[:5]
 
     if family == "TypeI":
         if not (cell.is_full_rank_case() and not cell.is_rank_deficient_case()):
@@ -315,18 +341,8 @@ def recover_parameters(cell: _coins.AmplitudeCell, family: str,
         delta2 = math.atan2(abs(c), abs(d))
         s1, c1 = math.sin(delta1), math.cos(delta1)
         s2, c2 = math.sin(delta2), math.cos(delta2)
-        phi_f = _phase_of(f, s2) or 0.0
-        phi_h = _phase_of(h, s1)
-        if phi_h is None:
-            arg_c = _phase_of(c, s2)
-            phi_h = (phi_f + arg_c) if arg_c is not None else 0.0
-        phi_e = _phase_of(e, c2) or 0.0
-        phi_g = _phase_of(g, c1) or 0.0
-        phi_d = _phase_of(d, c2)
-        if phi_d is None:
-            arg_b = _phase_of(b, c1)
-            phi_d = (arg_b - phi_e + phi_g) if arg_b is not None else 0.0
-        return _coins.TypeIParams(delta1, delta2, phi_d, phi_e, phi_f, phi_g, phi_h)
+        phases = _recover_phases(amps, (s1, c1, s2, c2, c2, s2, c1, s1))
+        return _coins.TypeIParams(delta1, delta2, *phases)
 
     if family == "TypeIIa":
         if not cell.is_rank_deficient_case():
@@ -336,21 +352,9 @@ def recover_parameters(cell: _coins.AmplitudeCell, family: str,
         delta1 = math.atan2(math.hypot(abs(a), abs(c)), math.hypot(abs(b), abs(e)))
         delta3 = math.atan2(abs(a), abs(c))
         delta2 = math.atan2(abs(b), abs(e))
-        phi_f = _phase_of(f, abs(f)) or 0.0
-        phi_h = _phase_of(h, abs(h))
-        if phi_h is None:
-            arg_c = _phase_of(c, abs(c))
-            phi_h = (phi_f + arg_c) if arg_c is not None else 0.0
-        phi_e = _phase_of(e, abs(e)) or 0.0
-        phi_g = _phase_of(g, abs(g)) or 0.0
-        phi_d = _phase_of(d, abs(d))
-        if phi_d is None:
-            arg_b = _phase_of(b, abs(b))
-            phi_d = (arg_b - phi_e + phi_g) if arg_b is not None else 0.0
-        eta = _recover_eta(coin, delta1, delta2, delta3,
-                           phi_d, phi_e, phi_f, phi_g, phi_h)
-        return _coins.TypeIIaParams(delta1, delta2, delta3, eta,
-                                    phi_d, phi_e, phi_f, phi_g, phi_h)
+        phases = _recover_phases(amps, np.abs(amps))
+        eta = _recover_eta(coin, delta1, delta2, delta3, *phases)
+        return _coins.TypeIIaParams(delta1, delta2, delta3, eta, *phases)
 
     raise ValueError(f"parameter recovery supports TypeI, TypeIIa and TypeIIb, not {family!r}")
 
@@ -364,16 +368,13 @@ def _recover_iib(coin) -> _coins.TypeIIbParams:
     (phi - pi, alpha + pi, beta + pi) makes that choice free.  Phases
     multiplying a vanishing cos or sin are set to zero.
     """
-    variant = _iib_variant(coin)
+    c = np.asarray(coin)
+    variant = _coins._iib_variant(c)
     if variant is None:
         raise ValueError("rank-2 coin is in neither sector arrangement")
-    c = np.asarray(coin)
-    if variant == 1:
-        block = c[np.ix_([0, 3], [0, 3])]
-        swap_phase = {"gamma": float(np.angle(c[2, 1]))}
-    else:
-        block = c[np.ix_([1, 2], [1, 2])]
-        swap_phase = {"phi_f": float(np.angle(c[3, 0]))}
+    sector = _coins._IIB_SECTORS[variant]
+    lo, hi = sector.trapping
+    block = c[np.ix_(sector.unitary, sector.unitary)]
     det = block[0, 0] * block[1, 1] - block[0, 1] * block[1, 0]
     phi = (float(np.angle(det)) / 2.0) % math.pi
     cos_delta = min(abs(block[0, 0]), 1.0)
@@ -381,8 +382,8 @@ def _recover_iib(coin) -> _coins.TypeIIbParams:
     unphase = np.exp(-1j * phi)
     alpha = float(np.angle(block[0, 0] * unphase)) if cos_delta > 1e-9 else 0.0
     beta = float(np.angle(-block[1, 0] * unphase)) if math.sin(delta) > 1e-9 else 0.0
-    return _coins.TypeIIbParams(variant=variant, delta=delta, phi=phi,
-                                alpha=alpha, beta=beta, **swap_phase)
+    return _coins.TypeIIbParams(variant=variant, delta=delta, phi=phi, alpha=alpha, beta=beta,
+                                **{sector.phase: float(np.angle(c[hi, lo]))})
 
 
 def _recover_eta(coin, delta1, delta2, delta3, phi_d, phi_e, phi_f, phi_g, phi_h) -> float:
@@ -395,11 +396,7 @@ def _recover_eta(coin, delta1, delta2, delta3, phi_d, phi_e, phi_f, phi_g, phi_h
     probe = _coins.TypeIIaParams(delta1, delta2, delta3, math.pi,
                                  phi_d, phi_e, phi_f, phi_g, phi_h)
     k = _coins.escaping_state(probe)
-    swap = np.zeros((4, 4), dtype=np.complex128)
-    swap[3, 0] = np.exp(1j * phi_f)
-    swap[0, 3] = np.exp(-1j * phi_f)
-    swap[2, 1] = np.exp(1j * (phi_g - phi_e))
-    swap[1, 2] = np.exp(-1j * (phi_g - phi_e))
+    swap = _coins._structured_swap(phi_e, phi_f, phi_g)
     direction = swap @ np.outer(k, k.conj())
     xi = complex(np.vdot(direction, np.asarray(coin, dtype=complex) - swap)
                  / np.vdot(direction, direction))

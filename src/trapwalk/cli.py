@@ -7,11 +7,12 @@ module rejects the input.
 """
 
 import argparse
+import contextlib
 import json
 import math
 import os
+import pathlib
 import sys
-import tempfile
 
 # Honor the thread cap before numpy is first imported (the package's lazy
 # __init__ keeps it unloaded until the submodule imports below run).
@@ -36,22 +37,28 @@ _ANGLE_ARGS = ("delta", "delta1", "delta2", "delta3", "eta", "phi",
                "phi_g", "phi_h")
 
 
-def _atomic_write(path: str, text: str):
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-trapwalk-")
+def _atomic_write(path: str, write):
+    """Create ``path`` by calling ``write(tmp)`` on a sibling temp file, then renaming.
+
+    The temp file gets the mode a plain ``open`` would give (0o666 less the
+    umask) and is removed if writing or renaming fails.
+    """
+    directory = os.path.dirname(os.path.abspath(path))
+    tmp = os.path.join(directory, f".tmp-trapwalk-{os.urandom(8).hex()}")
+    os.close(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        write(tmp)
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
+        with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp)
         raise
 
 
 def _emit(text: str, path: str | None):
     if path:
-        _atomic_write(path, text if text.endswith("\n") else text + "\n")
+        text = text if text.endswith("\n") else text + "\n"
+        _atomic_write(path, lambda tmp: pathlib.Path(tmp).write_text(text, encoding="utf-8"))
     else:
         print(text)
 
@@ -92,14 +99,10 @@ def _family_params(args) -> _coins.FamilyParams:
     )
 
 
-_FAMILY_LABEL = {"I": "TypeI", "IIa": "TypeIIa", "IIb": "TypeIIb"}
-
-
 def _cmd_coin(args) -> int:
     params = _family_params(args)
     coin = _coins.coin_for(params)
-    _emit(_coins.coin_to_json(coin, family=_FAMILY_LABEL[args.family], params=params),
-          args.output)
+    _emit(_coins.coin_to_json(coin, family=params.family, params=params), args.output)
     return 0
 
 
@@ -132,13 +135,11 @@ def _run_simulation(coin, initial, steps, snapshot_times, outdir, floor=0.0):
     os.makedirs(outdir, exist_ok=True)
     traj = _walk.simulate(coin, _walk.initial_state(initial), steps,
                           snapshot_times=snapshot_times)
-    tmp = os.path.join(outdir, "trajectory.csv")
-    _walk.write_trajectory_csv(tmp + ".part", traj)
-    os.replace(tmp + ".part", tmp)
+    _atomic_write(os.path.join(outdir, "trajectory.csv"),
+                  lambda tmp: _walk.write_trajectory_csv(tmp, traj))
     for t, snap in sorted(traj.snapshots.items()):
-        path = os.path.join(outdir, f"dist_t{t}.csv")
-        _walk.write_distribution_csv(path + ".part", snap, floor=floor)
-        os.replace(path + ".part", path)
+        _atomic_write(os.path.join(outdir, f"dist_t{t}.csv"),
+                      lambda tmp: _walk.write_distribution_csv(tmp, snap, floor=floor))
     return traj
 
 
@@ -232,13 +233,10 @@ def _cmd_figure(args) -> int:
     coin = _coins.coin_for(params)
     outdir = args.outdir or args.name
     os.makedirs(outdir, exist_ok=True)
-    family = {"TypeIParams": "TypeI", "TypeIIaParams": "TypeIIa",
-              "TypeIIbParams": "TypeIIb"}[type(params).__name__]
-    _atomic_write(os.path.join(outdir, "coin.json"),
-                  _coins.coin_to_json(coin, family=family, params=params) + "\n")
+    _emit(_coins.coin_to_json(coin, family=params.family, params=params),
+          os.path.join(outdir, "coin.json"))
     region = _spectral.spread_region(_spectral.dispersion_spec(params))
-    _atomic_write(os.path.join(outdir, "region.json"),
-                  _spectral.region_to_json(region) + "\n")
+    _emit(_spectral.region_to_json(region), os.path.join(outdir, "region.json"))
     _run_simulation(coin, config["initial"], config["steps"], config["snapshots"],
                     outdir, floor=args.floor)
     return 0

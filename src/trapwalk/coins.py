@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, fields, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -100,6 +101,8 @@ class TypeIParams:
     reduced to [0, 2*pi).
     """
 
+    family: ClassVar[str] = "TypeI"
+
     delta1: float
     delta2: float
     phi_d: float = 0.0
@@ -128,6 +131,8 @@ class TypeIIaParams:
     to 2 and the coin belongs to Type IIb.  ``eta`` is reduced to (-pi, pi]
     and must be nonzero (eta = 0 would again be a Type IIb coin).
     """
+
+    family: ClassVar[str] = "TypeIIa"
 
     delta1: float
     delta2: float
@@ -172,6 +177,8 @@ class TypeIIbParams:
     overall phase.  ``gamma`` is used by variant 1, ``phi_f`` by variant 2.
     """
 
+    family: ClassVar[str] = "TypeIIb"
+
     variant: int
     delta: float
     phi: float = 0.0
@@ -200,6 +207,54 @@ class TypeIIbParams:
 
 
 FamilyParams = TypeIParams | TypeIIaParams | TypeIIbParams
+
+
+@dataclass(frozen=True)
+class _IIbSector:
+    unitary: tuple[int, int]    # basis pair of the unitary 2x2 block
+    trapping: tuple[int, int]   # basis pair (lo, hi) exchanged by the trapping swap
+    phase: str                  # TypeIIbParams field holding the swap phase
+    slots: tuple[str, str]      # AmplitudeCell fields of the trapped two-site pair
+
+
+# The two Type IIb arrangements.  The swap maps |lo> to e^{i phase}|hi>; the
+# trapped pair puts |lo> on the cell origin and e^{i phase}|hi> on the
+# neighbouring cell site.
+_IIB_SECTORS = {
+    1: _IIbSector(unitary=(_L, _R), trapping=(_D, _U), phase="gamma", slots=("b", "d")),
+    2: _IIbSector(unitary=(_D, _U), trapping=(_L, _R), phase="phi_f", slots=("a", "f")),
+}
+
+
+def _iib_swaps(c, variant: int, tol: float = 1e-8) -> bool:
+    """Whether ``c`` swaps the variant's trapping pair (zero diagonal, unit off-diagonal)."""
+    lo, hi = _IIB_SECTORS[variant].trapping
+    return abs(c[lo, lo]) < tol and abs(c[hi, hi]) < tol and abs(abs(c[lo, hi]) - 1.0) < tol
+
+
+def _iib_variant(c, tol: float = 1e-8) -> int | None:
+    """The first Type IIb variant whose trapping pair ``c`` swaps, or None."""
+    return next((v for v in _IIB_SECTORS if _iib_swaps(c, v, tol)), None)
+
+
+def _iib_is_direct_sum(c, tol: float = 1e-8) -> bool:
+    """Whether ``c`` never mixes the two sectors (all eight cross entries below ``tol``)."""
+    u, t = _IIB_SECTORS[1].unitary, _IIB_SECTORS[1].trapping
+    return max(max(abs(c[i, j]), abs(c[j, i])) for i in u for j in t) < tol
+
+
+def _iib_pair_cell(variant: int, swap_entry: complex, eigenphase: complex) -> AmplitudeCell:
+    """The trapped two-site pair of a variant; ``swap_entry`` is the coin's C[hi, lo]."""
+    first, second = _IIB_SECTORS[variant].slots
+    amps = dict.fromkeys("abcdefgh", 0.0 + 0.0j) | {first: 1.0 + 0.0j, second: swap_entry}
+    return AmplitudeCell(**amps, eigenphase=eigenphase, norm=NORM_RANK_DEFICIENT)
+
+
+# Where the amplitudes a..h sit in a cell's [dx, dy, direction] array; they
+# fill the mask in C order.  The other eight entries are structurally zero.
+_CELL_SUPPORT = np.zeros((2, 2, 4), dtype=bool)
+_CELL_SUPPORT[0, 0, [_L, _D]] = _CELL_SUPPORT[0, 1, [_L, _U]] = True
+_CELL_SUPPORT[1, 0, [_D, _R]] = _CELL_SUPPORT[1, 1, [_U, _R]] = True
 
 
 @dataclass(frozen=True)
@@ -234,14 +289,7 @@ class AmplitudeCell:
     def local_states(self) -> np.ndarray:
         """Local coin states as an array indexed [dx, dy, direction]."""
         xi = np.zeros((2, 2, 4), dtype=np.complex128)
-        xi[0, 0, _L] = self.a
-        xi[0, 0, _D] = self.b
-        xi[0, 1, _L] = self.c
-        xi[0, 1, _U] = self.d
-        xi[1, 0, _D] = self.e
-        xi[1, 0, _R] = self.f
-        xi[1, 1, _U] = self.g
-        xi[1, 1, _R] = self.h
+        xi[_CELL_SUPPORT] = self.amplitudes
         return xi
 
     def chiral_partner(self) -> "AmplitudeCell":
@@ -302,6 +350,13 @@ class AmplitudeCell:
         for label, residual in checks.items():
             if abs(residual) > tol * scale:
                 raise ValueError(f"amplitude constraint {label} violated by {abs(residual):.3e}")
+
+
+def _ansatz_vectors(cell: AmplitudeCell, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The ansatz xi00 + x xi10 + y xi01 + xy xi11 at flat arrays x, y; shape (m, 4)."""
+    xi = cell.local_states()
+    return (xi[0, 0][None, :] + x[:, None] * xi[1, 0][None, :]
+            + y[:, None] * xi[0, 1][None, :] + (x * y)[:, None] * xi[1, 1][None, :])
 
 
 @dataclass(frozen=True)
@@ -451,20 +506,24 @@ def escaping_state(p: TypeIIaParams) -> np.ndarray:
     ], dtype=np.complex128)
 
 
+def _structured_swap(phi_e: float, phi_f: float, phi_g: float) -> np.ndarray:
+    """C_H + C_V: L <-> R with phases exp(+-i phi_f), D <-> U with exp(+-i(phi_g - phi_e))."""
+    swap = np.zeros((4, 4), dtype=np.complex128)
+    swap[_R, _L] = _exp(phi_f)
+    swap[_L, _R] = _exp(-phi_f)
+    swap[_U, _D] = _exp(phi_g - phi_e)
+    swap[_D, _U] = _exp(phi_e - phi_g)
+    return swap
+
+
 def type_iia_structured(p: TypeIIaParams) -> np.ndarray:
     """Structured product form of the rank-3 coin.
 
-    Builds ``(C_H + C_V)(I + xi |k><k|)`` where C_H swaps L and R with
-    phases exp(+-i phi_f), C_V swaps D and U with phases
-    exp(+-i(phi_g - phi_e)), and ``|k>`` is :func:`escaping_state`.
-    Agrees with :func:`coin_type_iia` entrywise.
+    Builds ``(C_H + C_V)(I + xi |k><k|)`` with the swap of
+    :func:`_structured_swap` and ``|k>`` from :func:`escaping_state`.  Agrees with :func:`coin_type_iia` entrywise.
     """
-    swap = np.zeros((4, 4), dtype=np.complex128)
-    swap[_R, _L] = _exp(p.phi_f)
-    swap[_L, _R] = _exp(-p.phi_f)
-    swap[_U, _D] = _exp(p.phi_g - p.phi_e)
-    swap[_D, _U] = _exp(p.phi_e - p.phi_g)
     k = escaping_state(p)
+    swap = _structured_swap(p.phi_e, p.phi_f, p.phi_g)
     return swap @ (np.eye(4) + p.xi * np.outer(k, k.conj()))
 
 
@@ -481,21 +540,13 @@ def coin_type_iib(p: TypeIIbParams) -> np.ndarray:
         [_exp(p.phi + p.alpha) * cd, _exp(p.phi - p.beta) * sd],
         [-_exp(p.phi + p.beta) * sd, _exp(p.phi - p.alpha) * cd],
     ], dtype=np.complex128)
+    sector = _IIB_SECTORS[p.variant]
+    lo, hi = sector.trapping
+    phase = getattr(p, sector.phase)
     out = np.zeros((4, 4), dtype=np.complex128)
-    if p.variant == 1:
-        out[_L, _L] = block[0, 0]
-        out[_L, _R] = block[0, 1]
-        out[_R, _L] = block[1, 0]
-        out[_R, _R] = block[1, 1]
-        out[_U, _D] = _exp(p.gamma)
-        out[_D, _U] = _exp(-p.gamma)
-    else:
-        out[_D, _D] = block[0, 0]
-        out[_D, _U] = block[0, 1]
-        out[_U, _D] = block[1, 0]
-        out[_U, _U] = block[1, 1]
-        out[_R, _L] = _exp(p.phi_f)
-        out[_L, _R] = _exp(-p.phi_f)
+    out[np.ix_(sector.unitary, sector.unitary)] = block
+    out[hi, lo] = _exp(phase)
+    out[lo, hi] = _exp(-phase)
     return out
 
 
@@ -539,21 +590,10 @@ def stationary_cell(p: FamilyParams) -> tuple[AmplitudeCell, AmplitudeCell]:
             norm=NORM_RANK_DEFICIENT,
         )
     elif isinstance(p, TypeIIbParams):
-        zero = 0.0 + 0.0j
-        if p.variant == 1:
-            # Vertical pair |0,0>|D> + e^{i gamma}|0,1>|U>, scaled to norm sqrt(2).
-            cell = AmplitudeCell(
-                a=zero, b=1.0 + 0.0j, c=zero, d=_exp(p.gamma),
-                e=zero, f=zero, g=zero, h=zero,
-                eigenphase=1.0 + 0.0j, norm=NORM_RANK_DEFICIENT,
-            )
-        else:
-            # Horizontal pair |0,0>|L> + e^{i phi_f}|1,0>|R>.
-            cell = AmplitudeCell(
-                a=1.0 + 0.0j, b=zero, c=zero, d=zero,
-                e=zero, f=_exp(p.phi_f), g=zero, h=zero,
-                eigenphase=1.0 + 0.0j, norm=NORM_RANK_DEFICIENT,
-            )
+        # Variant 1: |0,0>|D> + e^{i gamma}|0,1>|U>; variant 2:
+        # |0,0>|L> + e^{i phi_f}|1,0>|R>; both scaled to norm sqrt(2).
+        phase = getattr(p, _IIB_SECTORS[p.variant].phase)
+        cell = _iib_pair_cell(p.variant, _exp(phase), 1.0 + 0.0j)
     else:
         raise TypeError(f"unsupported parameter type {type(p).__name__}")
     return cell, cell.chiral_partner()
@@ -583,20 +623,13 @@ def grover_coin() -> np.ndarray:
 
 def params_to_dict(p: FamilyParams) -> dict:
     """Family tag plus parameter values, for JSON echoing."""
-    out = {f.name: getattr(p, f.name) for f in fields(p)}
-    if isinstance(p, TypeIParams):
-        out["family"] = "TypeI"
-    elif isinstance(p, TypeIIaParams):
-        out["family"] = "TypeIIa"
-    else:
-        out["family"] = "TypeIIb"
-    return out
+    return {f.name: getattr(p, f.name) for f in fields(p)} | {"family": p.family}
 
 
 def params_from_dict(d: dict) -> FamilyParams:
     d = dict(d)
     family = d.pop("family")
-    cls = {"TypeI": TypeIParams, "TypeIIa": TypeIIaParams, "TypeIIb": TypeIIbParams}.get(family)
+    cls = {c.family: c for c in (TypeIParams, TypeIIaParams, TypeIIbParams)}.get(family)
     if cls is None:
         raise ValueError(f"unknown family {family!r}")
     return cls(**d)
@@ -645,7 +678,7 @@ def coin_from_json(text: str) -> np.ndarray:
     if not isinstance(doc, dict):
         raise ValueError("coin JSON must be an object with a 'matrix' field")
     basis = doc.get("basis")
-    if basis is not None and tuple(basis) != COIN_BASIS:
+    if basis is not None and (not isinstance(basis, list) or tuple(basis) != COIN_BASIS):
         raise ValueError(f"unsupported basis order {basis!r}; expected {list(COIN_BASIS)}")
     mat = doc["matrix"]
     if not isinstance(mat, list) or len(mat) != 4:

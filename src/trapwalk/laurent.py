@@ -29,7 +29,7 @@ import numpy as np
 
 from . import coins as _coins
 from .errors import DegenerateMinorError, KernelInconsistencyError, NotTrappingError
-from .linalg import require_unitary
+from .linalg import fix_vector_phase, require_unitary
 
 __all__ = [
     "PRUNE_TOL",
@@ -363,24 +363,19 @@ def _stacked_kernel(adjusted: np.ndarray, grid_n: int = 6) -> tuple[np.ndarray, 
     kernel = vh.conj().T[:, s < KERNEL_REL_TOL * s[0]]
     return kernel, s, dets
 
-# Positions of the eight structurally-zero ansatz coefficients: pairs of
-# (block, component) with blocks ordered xi(0,0), xi(1,0), xi(0,1), xi(1,1).
-_STRUCT_ZERO = [(0, 2), (0, 3), (1, 0), (1, 2), (2, 1), (2, 3), (3, 0), (3, 1)]
-_CELL_SLOTS = [(0, 0), (0, 1), (2, 0), (2, 2), (1, 1), (1, 3), (3, 2), (3, 3)]
-
 
 def _cell_from_coefficients(vec: np.ndarray, eigenphase: complex) -> _coins.AmplitudeCell:
-    blocks = vec.reshape(4, 4)
-    scale = float(np.max(np.abs(vec)))
-    leak = max(abs(blocks[b, c]) for b, c in _STRUCT_ZERO)
+    # Blocks xi(0,0), xi(1,0), xi(0,1), xi(1,1) as an array indexed [dx, dy, direction].
+    xi = vec.reshape(2, 2, 4).transpose(1, 0, 2)
+    mags = np.abs(xi)
+    scale = float(mags.max())
+    leak = float(mags[~_coins._CELL_SUPPORT].max())
     if leak > STRUCT_ZERO_TOL * max(scale, 1e-300):
         raise KernelInconsistencyError(
             f"kernel vector leaks {leak:.3e} into structurally-zero coefficients"
         )
-    amps = np.array([blocks[b, c] for b, c in _CELL_SLOTS])
     # Gauge: first non-negligible amplitude real nonnegative.
-    idx = int(np.argmax(np.abs(amps) > 1e-8 * scale))
-    amps = amps * np.conj(amps[idx] / abs(amps[idx]))
+    amps = fix_vector_phase(xi[_coins._CELL_SUPPORT])
     norm = np.linalg.norm(amps)
     probe = _coins.AmplitudeCell(*(amps / norm), eigenphase=eigenphase, norm=1.0)
     if probe.is_full_rank_case(1e-6) and not probe.is_rank_deficient_case(1e-6):
@@ -398,35 +393,18 @@ def _cell_from_coefficients(vec: np.ndarray, eigenphase: complex) -> _coins.Ampl
 def _degenerate_pattern_cells(adjusted, eigenphase: complex, tol: float = 1e-8):
     """Cells read off the direct-sum sparsity patterns of the adjusted coin.
 
-    Vertical pattern: middle diagonal zero, unit antidiagonal with
-    C[D,U] C[U,D] = 1; contributes the two-site vertical pair.  The
-    horizontal pattern is the mirrored criterion on the L/R corners.
+    A Type IIb sector contributes its two-site pair when the adjusted coin
+    swaps the sector's trapping pair with C[lo,hi] C[hi,lo] = 1, i.e. the
+    swap has eigenvalue 1.  The vertical (variant 1) pair comes first.
     """
     cells = []
-    zero = 0.0 + 0.0j
-    if (abs(adjusted[1, 1]) < tol and abs(adjusted[2, 2]) < tol
-            and abs(abs(adjusted[1, 2]) - 1.0) < tol
-            and abs(adjusted[1, 2] * adjusted[2, 1] - 1.0) < tol):
-        cells.append(_coins.AmplitudeCell(
-            a=zero, b=1.0 + 0.0j, c=zero, d=complex(adjusted[2, 1]),
-            e=zero, f=zero, g=zero, h=zero,
-            eigenphase=complex(eigenphase), norm=_coins.NORM_RANK_DEFICIENT,
-        ))
-    if (abs(adjusted[0, 0]) < tol and abs(adjusted[3, 3]) < tol
-            and abs(abs(adjusted[0, 3]) - 1.0) < tol
-            and abs(adjusted[0, 3] * adjusted[3, 0] - 1.0) < tol):
-        cells.append(_coins.AmplitudeCell(
-            a=1.0 + 0.0j, b=zero, c=zero, d=zero,
-            e=zero, f=complex(adjusted[3, 0]), g=zero, h=zero,
-            eigenphase=complex(eigenphase), norm=_coins.NORM_RANK_DEFICIENT,
-        ))
+    for variant, sector in _coins._IIB_SECTORS.items():
+        lo, hi = sector.trapping
+        if (_coins._iib_swaps(adjusted, variant, tol)
+                and abs(adjusted[lo, hi] * adjusted[hi, lo] - 1.0) < tol):
+            cells.append(_coins._iib_pair_cell(variant, complex(adjusted[hi, lo]),
+                                               complex(eigenphase)))
     return cells
-
-
-def _is_direct_sum(coin, tol: float = 1e-8) -> bool:
-    c = np.asarray(coin)
-    mixing = [c[0, 1], c[0, 2], c[3, 1], c[3, 2], c[1, 0], c[2, 0], c[1, 3], c[2, 3]]
-    return max(abs(z) for z in mixing) < tol
 
 
 def localized_cells(coin, eigenphase: complex, grid_n: int = 6) -> list[_coins.AmplitudeCell]:
@@ -458,7 +436,7 @@ def localized_cells(coin, eigenphase: complex, grid_n: int = 6) -> list[_coins.A
         return [_cell_from_coefficients(kernel[:, 0], lam)]
     # Kernel dimension >= 2: only direct sums of one-dimensional coins do
     # this (translated copies of a quasi-1D pair both fit in the window).
-    if not _is_direct_sum(c):
+    if not _coins._iib_is_direct_sum(c):
         raise KernelInconsistencyError(
             "multi-dimensional ansatz kernel for a coin without direct-sum structure"
         )
@@ -483,9 +461,7 @@ def localized_eigenstate(coin, eigenphase: complex, grid_n: int = 6) -> _coins.A
 def verification_residual(coin, cell: _coins.AmplitudeCell, grid_n: int = 7) -> float:
     """Max residual of D(x,y) psi(x,y) over a fresh verification grid."""
     adjusted = np.conj(complex(cell.eigenphase)) * require_unitary(coin)
-    xi = cell.local_states()
     x, y, d = _grid_values(adjusted, grid_n, _VERIFY_OFFSET_X, _VERIFY_OFFSET_Y)
-    psi = (xi[0, 0][None, :] + x[:, None] * xi[1, 0][None, :]
-           + y[:, None] * xi[0, 1][None, :] + (x * y)[:, None] * xi[1, 1][None, :])
+    psi = _coins._ansatz_vectors(cell, x, y)
     residuals = np.einsum("kij,kj->ki", d, psi)
     return float(np.max(np.abs(residuals))) / cell.norm

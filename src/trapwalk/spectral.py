@@ -189,15 +189,13 @@ class SpreadRegion:
     area: float
 
 
-def spread_region(spec: DispersionSpec | _coins.FamilyParams) -> SpreadRegion:
+def spread_region(spec: DispersionSpec) -> SpreadRegion:
     """Spreading region of a trapping coin's dispersion.
 
     Fully trapped specs (both amplitudes zero) give the degenerate empty
     region.  One-dimensional specs give the segment |v| <= rho on the
     spreading axis, encoded with zero minor semi-axes.
     """
-    if not isinstance(spec, DispersionSpec):
-        spec = dispersion_spec(spec)
     rx, ry = spec.rho_x, spec.rho_y
     if rx == 0.0 and ry == 0.0:
         return SpreadRegion(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
@@ -254,28 +252,23 @@ def region_contains(region: SpreadRegion, vx, vy, inflation: float = 1.0):
     return inside
 
 
-def area_sweep(n: int = 50, angle_max: float = math.pi / 2.0):
+def area_sweep(n: int = 50):
     """Covered-area table of the full-rank family over an angle grid.
 
-    Returns (grid, table) where ``grid`` holds the n cell-centered angles
-    used for both axes and ``table[i, j]`` the area at (delta1, delta2) =
-    (grid[i], grid[j]).  The family excludes the diagonal delta1 = delta2,
-    so those entries are NaN.
+    Returns (grid, table) where ``grid`` holds the n cell-centered angles in
+    (0, pi/2) used for both axes and ``table[i, j]`` the area at
+    (delta1, delta2) = (grid[i], grid[j]).  The family excludes the
+    diagonal delta1 = delta2, so those entries are NaN.
     """
     if n < 2:
         raise ValueError("need at least a 2x2 grid")
-    grid = (np.arange(n) + 0.5) * angle_max / n
+    grid = (np.arange(n) + 0.5) * (math.pi / 2.0) / n
     table = np.full((n, n), np.nan)
     for i, d1 in enumerate(grid):
         for j, d2 in enumerate(grid):
-            if i == j:
-                continue
-            spec = DispersionSpec(
-                kind="2d", beta=0.0,
-                rho_x=math.cos(d1) * math.cos(d2),
-                rho_y=math.sin(d1) * math.sin(d2),
-            )
-            table[i, j] = spread_region(spec).area
+            if i != j:
+                spec = dispersion_spec(_coins.TypeIParams(d1, d2))
+                table[i, j] = spread_region(spec).area
     return grid, table
 
 

@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 
 import numpy as np
 import pytest
@@ -235,6 +236,16 @@ def test_error_json_on_short_matrix_entry(tmp_path, capsys):
     _assert_json_error(capsys, run("classify", "-i", str(coin_path)))
 
 
+@pytest.mark.parametrize("basis", [5, "LDUR"])
+def test_error_json_on_non_list_basis(tmp_path, capsys, basis):
+    doc = json.loads(coins.coin_to_json(coins.grover_coin()))
+    doc["basis"] = basis
+    coin_path = tmp_path / "coin.json"
+    coin_path.write_text(json.dumps(doc))
+    err = _assert_json_error(capsys, run("classify", "-i", str(coin_path)))
+    assert err["error"] == "ValueError" and "basis" in err["message"]
+
+
 def test_error_json_on_non_numeric_initial_state(tmp_path, capsys):
     coin_path = tmp_path / "coin.json"
     coins.write_coin_json(coin_path, coins.grover_coin())
@@ -293,3 +304,31 @@ def test_error_json_on_snapshot_after_last_step(tmp_path, capsys):
                  "--outdir", str(tmp_path / "run"))
     _assert_json_error(capsys, status)
     assert not (tmp_path / "run" / "trajectory.csv").exists()
+
+
+def test_failed_distribution_write_leaves_no_file(tmp_path, capsys, monkeypatch):
+    def broken_writer(path, snapshot, floor=0.0):
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("x,y,P\n0,0,")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli._walk, "write_distribution_csv", broken_writer)
+    coin_path = tmp_path / "coin.json"
+    coins.write_coin_json(coin_path, coins.grover_coin())
+    outdir = tmp_path / "run"
+    status = run("simulate", "-i", str(coin_path), "--initial",
+                 "[[1,0],[0,0],[0,0],[0,0]]", "--steps", "3", "--outdir", str(outdir))
+    err = _assert_json_error(capsys, status)
+    assert err == {"error": "OSError", "message": "disk full"}
+    assert sorted(os.listdir(outdir)) == ["trajectory.csv"]
+
+
+def test_outputs_share_the_umask_mode(tmp_path):
+    old = os.umask(0o022)
+    try:
+        assert run("figure", "fig2", "--outdir", str(tmp_path)) == 0
+    finally:
+        os.umask(old)
+    modes = {name: os.stat(tmp_path / name).st_mode & 0o777 for name in os.listdir(tmp_path)}
+    assert sorted(modes) == ["coin.json", "dist_t50.csv", "region.json", "trajectory.csv"]
+    assert set(modes.values()) == {0o644}

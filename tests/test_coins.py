@@ -141,6 +141,22 @@ def test_type_iib_variant1_values():
     assert np.allclose(c, expected, atol=1e-15)
 
 
+def test_type_iib_variant2_values():
+    # variant 2: unitary {D, U} block, L/R swap with phases exp(+-i phi_f);
+    # gamma belongs to variant 1 and must not appear
+    phi_f = 0.3
+    c = coins.coin_type_iib(coins.TypeIIbParams(variant=2, delta=QUARTER, gamma=1.0,
+                                                phi_f=phi_f))
+    r = np.sqrt(2) / 2
+    expected = np.array([
+        [0, 0, 0, np.exp(-1j * phi_f)],
+        [0, r, r, 0],
+        [0, -r, r, 0],
+        [np.exp(1j * phi_f), 0, 0, 0],
+    ], dtype=complex)
+    assert np.allclose(c, expected, atol=1e-15)
+
+
 def test_type_iib_block_structure(rng):
     for _ in range(20):
         c = coins.coin_type_iib(draw_type_iib(rng))

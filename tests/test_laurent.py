@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -187,6 +189,18 @@ def test_localized_cells_match_constructed(rng):
             overlap = abs(np.vdot(expected.amplitudes, cell.amplitudes))
             assert abs(overlap - expected.norm * cell.norm) < 1e-8
             assert laurent.verification_residual(coin, cell) < 1e-9
+
+
+@pytest.mark.parametrize("variant", [1, 2])
+def test_quasi_1d_localized_cell_equals_stationary_cell(variant):
+    params = coins.TypeIIbParams(variant=variant, delta=0.4, phi=0.3, alpha=1.0, beta=2.0,
+                                 gamma=0.7, phi_f=1.9)
+    coin = coins.coin_for(params)
+    cell = laurent.localized_cells(coin, 1.0)[0]
+    expected, _ = coins.stationary_cell(params)
+    for field in dataclasses.fields(expected):
+        assert getattr(cell, field.name) == getattr(expected, field.name), field.name
+    assert laurent.verification_residual(coin, cell) < 1e-14
 
 
 def test_localized_rejects_non_constant_eigenphase():
