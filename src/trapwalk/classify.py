@@ -19,7 +19,7 @@ import numpy as np
 from . import coins as _coins
 from . import laurent as _laurent
 from .errors import NotTrappingError
-from .linalg import RANK_TOL, numerical_rank, require_unitary
+from .linalg import RANK_TOL, fix_vector_phase, numerical_rank, require_unitary
 from .spectral import momentum_operator
 
 __all__ = [
@@ -310,7 +310,8 @@ def recover_parameters(cell: _coins.AmplitudeCell, family: str,
                        coin=None) -> _coins.FamilyParams:
     """Family parameters reproducing a given stationary cell.
 
-    The gauge fixes the phase of the first amplitude to zero.  For the
+    The gauge (``linalg.fix_vector_phase``) makes the first amplitude above
+    1e-8 of the largest one real and nonnegative.  For the
     rank-3 family the cell does not determine the extra rotation angle
     ``eta``, so the coin itself is required: ``eta`` is read off the
     structured product form by a Frobenius projection.  The rank-2 family
@@ -328,10 +329,7 @@ def recover_parameters(cell: _coins.AmplitudeCell, family: str,
         if coin is None:
             raise ValueError("recovering the rank-2 family requires the coin")
         return _recover_iib(coin)
-    amps = cell.amplitudes
-    # Align the global phase with the first non-negligible amplitude.
-    idx = int(np.argmax(np.abs(amps) > 1e-9))
-    amps = amps * np.conj(amps[idx] / abs(amps[idx]))
+    amps = fix_vector_phase(cell.amplitudes)
     a, b, c, d, e = amps[:5]
 
     if family == "TypeI":

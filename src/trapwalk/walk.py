@@ -1,16 +1,18 @@
-"""Exact amplitude-level simulation of the walk on a light-cone window.
+"""Exact amplitude-level simulation of the walk on rotated light-cone blocks.
 
 One step applies the coin at every occupied site and then displaces the
-components: L moves (-1, 0), D (0, -1), U (0, +1), R (+1, 0).  Amplitudes
-are kept on a dense square window [-t-1, t+1]^2; everything beyond
-Chebyshev distance t from the start site is exactly zero, so the window
-grows by one ring per step.  At five hundred steps this is about four
-million complex numbers, fine at desk scale and cache friendly.
+components: L moves (-1, 0), D (0, -1), U (0, +1), R (+1, 0).  In the
+rotated coordinates u = x + y, v = x - y every displacement moves both u
+and v by one, so after t steps from a single site the occupied sites are
+the (t+1)^2 points u0 - t + 2i, v0 - t + 2j (0 <= i, j <= t): a square
+block in (u, v), where the dense (2t+3)^2 window of (x, y) would be three
+quarters zeros.  Amplitudes are kept on such blocks and only the occupied
+sites are computed; the dense window is built for snapshots and
+inspection.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,34 +35,73 @@ __all__ = [
     "write_trajectory_csv",
 ]
 
+# Where each displaced component lands in the next block, whose corner is
+# (u0 - 1, v0 - 1): L (u - 1, v - 1), D (u - 1, v + 1), U (u + 1, v - 1)
+# and R (u + 1, v + 1), in steps of two along u and v.
+_SHIFTS = ((0, 0), (0, 1), (1, 0), (1, 1))
+
 
 @dataclass(frozen=True)
 class WalkState:
-    """Amplitude field at one time step.
+    """Amplitudes at one time step, stored on rotated light-cone blocks.
 
-    ``field`` has shape (4, n, n) with n = 2 t + 3; component ``c`` at
-    lattice site (x, y) sits at ``field[c, x + t + 1, y + t + 1]``.
+    Each block ``(u0, v0, amps)`` holds component ``c`` of the site with
+    u = x + y = u0 + 2i and v = x - y = v0 + 2j at ``amps[c, i, j]``;
+    every site on no block has exactly zero amplitude.  A walk from one
+    site keeps one block; a 2x2 cell needs two, one for each parity of
+    x + y.  Site indexing of the dense views (``field``, ``probability``)
+    is that of the window [-t-1, t+1]^2: site (x, y) sits at
+    ``[x + t + 1, y + t + 1]``.
     """
 
     t: int
-    field: np.ndarray
+    blocks: tuple[tuple[int, int, np.ndarray], ...]
 
     @property
     def offset(self) -> int:
         return self.t + 1
 
+    def _window_index(self, u0: int, v0: int, amps: np.ndarray):
+        """Dense-window indices (rows, columns) of a block's sites."""
+        _, a, b = amps.shape
+        i = np.arange(a)[:, None]
+        j = np.arange(b)[None, :]
+        return ((u0 + v0) // 2 + self.offset + i + j,
+                (u0 - v0) // 2 + self.offset + i - j)
+
+    @property
+    def field(self) -> np.ndarray:
+        """Dense amplitudes, shape (4, 2t+3, 2t+3), built on each access."""
+        n = 2 * self.t + 3
+        field = np.zeros((4, n, n), dtype=np.complex128)
+        for u0, v0, amps in self.blocks:
+            rows, cols = self._window_index(u0, v0, amps)
+            field[:, rows, cols] += amps
+        return field
+
     def amplitude(self, x: int, y: int) -> np.ndarray:
-        return self.field[:, x + self.offset, y + self.offset]
+        """Coin state at site (x, y); exact zeros off the occupied sites."""
+        out = np.zeros(4, dtype=np.complex128)
+        for u0, v0, amps in self.blocks:
+            i, odd_u = divmod(x + y - u0, 2)
+            j, odd_v = divmod(x - y - v0, 2)
+            if not (odd_u or odd_v) and 0 <= i < amps.shape[1] and 0 <= j < amps.shape[2]:
+                out += amps[:, i, j]
+        return out
 
     def probability(self) -> np.ndarray:
-        """Site probabilities, indexed like the field without the coin axis."""
-        return np.sum(np.abs(self.field) ** 2, axis=0)
+        """Site probabilities on the dense window, indexed like ``field[c]``."""
+        n = 2 * self.t + 3
+        prob = np.zeros((n, n))
+        for u0, v0, amps in self.blocks:
+            prob[self._window_index(u0, v0, amps)] += np.sum(np.abs(amps) ** 2, axis=0)
+        return prob
 
     def origin_probability(self) -> float:
         return float(np.sum(np.abs(self.amplitude(0, 0)) ** 2))
 
     def total_probability(self) -> float:
-        return float(np.sum(np.abs(self.field) ** 2))
+        return float(sum(np.vdot(amps, amps).real for _, _, amps in self.blocks))
 
 
 def initial_state(coin_state) -> WalkState:
@@ -68,40 +109,42 @@ def initial_state(coin_state) -> WalkState:
 
     The coin state must be normalized already; nothing is silently rescaled.
     """
-    psi = np.asarray(coin_state, dtype=np.complex128).reshape(4)
+    psi = np.array(coin_state, dtype=np.complex128).reshape(4, 1, 1)
     nrm = float(np.linalg.norm(psi))
     if not (abs(nrm - 1.0) <= 1e-12):
         raise ValueError(f"initial coin state must have unit norm, got {nrm!r}")
-    field = np.zeros((4, 3, 3), dtype=np.complex128)
-    field[:, 1, 1] = psi
-    return WalkState(t=0, field=field)
+    return WalkState(t=0, blocks=((0, 0, psi),))
 
 
 def state_from_cell(cell: AmplitudeCell) -> WalkState:
     """Normalized stationary state of a cell, as a walk state.
 
-    The cell occupies sites (0,0) through (1,1); the window is the t = 1
-    window so the light-cone bound holds.
+    The cell occupies sites (0,0) through (1,1), at time t = 1 so that the
+    light-cone bound holds.  Sites (0,0) and (1,1) (u = 0, 2 at v = 0) form
+    one block, sites (0,1) and (1,0) (v = -1, 1 at u = 1) the other.
     """
-    field = np.zeros((4, 5, 5), dtype=np.complex128)
     xi = cell.local_states() / cell.norm
-    for dx in (0, 1):
-        for dy in (0, 1):
-            field[:, dx + 2, dy + 2] = xi[dx, dy]
-    return WalkState(t=1, field=field)
+    even = np.stack([xi[0, 0], xi[1, 1]], axis=1)[:, :, None]
+    odd = np.stack([xi[0, 1], xi[1, 0]], axis=1)[:, None, :]
+    return WalkState(t=1, blocks=((0, 0, even), (1, -1, odd)))
+
+
+def _step_block(c: np.ndarray, u0: int, v0: int, amps: np.ndarray):
+    _, a, b = amps.shape
+    mixed = (c @ amps.reshape(4, -1)).reshape(4, a, b)
+    out = np.empty((4, a + 1, b + 1), dtype=np.complex128)
+    for k, (di, dj) in enumerate(_SHIFTS):
+        out[k, di:di + a, dj:dj + b] = mixed[k]
+        out[k, (1 - di) * a, :] = 0.0  # the row and the column this
+        out[k, :, (1 - dj) * b] = 0.0  # component does not reach
+    return u0 - 1, v0 - 1, out
 
 
 def step(state: WalkState, coin) -> WalkState:
     """One walk step: coin everywhere, then the conditional displacement."""
     c = require_unitary(coin)
-    mixed = np.tensordot(c, state.field, axes=([1], [0]))
-    n = state.field.shape[1]
-    out = np.zeros((4, n + 2, n + 2), dtype=np.complex128)
-    out[0, 0:n, 1:n + 1] = mixed[0]          # L: x - 1
-    out[1, 1:n + 1, 0:n] = mixed[1]          # D: y - 1
-    out[2, 1:n + 1, 2:n + 2] = mixed[2]      # U: y + 1
-    out[3, 2:n + 2, 1:n + 1] = mixed[3]      # R: x + 1
-    return WalkState(t=state.t + 1, field=out)
+    return WalkState(t=state.t + 1,
+                     blocks=tuple(_step_block(c, *block) for block in state.blocks))
 
 
 @dataclass(frozen=True)
@@ -190,21 +233,29 @@ def coverage_fraction(snapshot: Snapshot, region: SpreadRegion,
     return float(np.sum(snapshot.prob[counted]))
 
 
+def _write_csv(path, header: str, chunks) -> None:
+    """Write a header line and chunks of ready-made lines.
+
+    Lines end in CRLF and carry ints and float reprs with no quoting, so
+    the file is byte for byte what ``csv.writer`` gives for the same rows.
+    """
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(header + "\r\n")
+        fh.writelines(chunks)
+
+
 def write_distribution_csv(path, snapshot: Snapshot, floor: float = 0.0):
     """Write columns x, y, P; rows below ``floor`` are skipped."""
-    xs, ys = snapshot.coordinates()
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "y", "P"])
-        mask = snapshot.prob >= floor if floor > 0 else np.ones_like(snapshot.prob, bool)
-        for x, y, p in zip(xs[mask], ys[mask], snapshot.prob[mask]):
-            writer.writerow([int(x), int(y), repr(float(p))])
+    axis = (np.arange(snapshot.prob.shape[0]) - snapshot.offset).tolist()
+    keep_all = not floor > 0
+    # one chunk per grid row keeps the formatted text small
+    _write_csv(path, "x,y,P", (
+        "".join(f"{x},{y},{p!r}\r\n" for y, p in zip(axis, row.tolist())
+                if keep_all or p >= floor)
+        for x, row in zip(axis, snapshot.prob)))
 
 
 def write_trajectory_csv(path, traj: Trajectory):
     """Write columns t, P_origin."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "P_origin"])
-        for t, p in enumerate(traj.p_origin):
-            writer.writerow([t, repr(float(p))])
+    _write_csv(path, "t,P_origin",
+               ["".join(f"{t},{p!r}\r\n" for t, p in enumerate(traj.p_origin.tolist()))])

@@ -396,6 +396,17 @@ def test_recover_full_rank_roundtrip(rng):
         assert np.max(np.abs(rebuilt - coin)) < 1e-9
 
 
+def test_recover_gauge_skips_amplitudes_below_relative_threshold():
+    # |a| = |h| = 3e-9 lies above an absolute 1e-9 cut but below 1e-8 of the
+    # largest amplitude, so b sets the gauge and a's phase changes nothing
+    cell, _ = coins.stationary_cell(coins.TypeIParams(0.7, 1.1, 0.3, 1.2, 2.1, 0.4, 0.9))
+    assert 3e-9 < 1e-8 * np.max(np.abs(cell.amplitudes))
+    recovered = [classify.recover_parameters(
+        dataclasses.replace(cell, a=3e-9 * np.exp(1j * theta), h=3e-9j), "TypeI")
+        for theta in (0.0, 2.0)]
+    assert recovered[0] == recovered[1]
+
+
 def test_recover_grover_parameters():
     cell, _ = coins.stationary_cell(GROVER_PARAMS)
     recovered = classify.recover_parameters(cell, "TypeIIa", coin=coins.grover_coin())

@@ -5,7 +5,7 @@ import pytest
 
 from trapwalk import coins, spectral, walk
 
-from conftest import DRAWERS
+from conftest import DRAWERS, random_unitary
 
 QUARTER = np.pi / 4
 FIG2_INITIAL = np.array([0.5, 0.5j, 0.5j, 0.5])
@@ -98,6 +98,85 @@ def test_identity_coin_moves_ballistically():
     assert state.amplitude(0, 7)[2] == pytest.approx(0.5)
     assert state.amplitude(7, 0)[3] == pytest.approx(0.5)
     assert state.total_probability() == pytest.approx(1.0)
+
+
+def reference_step(field, c):
+    """The dense-window step that the block layout replaced, kept as reference.
+
+    ``field`` is the (4, n, n) window with site (x, y) at index
+    (x + t + 1, y + t + 1); the result is the (4, n + 2, n + 2) window.
+    """
+    mixed = np.tensordot(c, field, axes=([1], [0]))
+    n = field.shape[1]
+    out = np.zeros((4, n + 2, n + 2), dtype=np.complex128)
+    out[0, 0:n, 1:n + 1] = mixed[0]          # L: x - 1
+    out[1, 1:n + 1, 0:n] = mixed[1]          # D: y - 1
+    out[2, 1:n + 1, 2:n + 2] = mixed[2]      # U: y + 1
+    out[3, 2:n + 2, 1:n + 1] = mixed[3]      # R: x + 1
+    return out
+
+
+def _unit(rng, n=4):
+    v = rng.normal(size=n) + 1j * rng.normal(size=n)
+    return v / np.linalg.norm(v)
+
+
+def _dense_starts(rng, params):
+    """(state, dense reference field, is a point start) for one coin."""
+    psi = _unit(rng)
+    point = np.zeros((4, 3, 3), dtype=np.complex128)
+    point[:, 1, 1] = psi
+    starts = [(walk.initial_state(psi), point, True)]
+    cells = [coins.AmplitudeCell(*_unit(rng, 8), norm=1.0)]
+    if params is not None:
+        cells.extend(coins.stationary_cell(params))
+    for cell in cells:
+        field = np.zeros((4, 5, 5), dtype=np.complex128)
+        xi = cell.local_states() / cell.norm
+        for dx in (0, 1):
+            for dy in (0, 1):
+                field[:, dx + 2, dy + 2] = xi[dx, dy]
+        starts.append((walk.state_from_cell(cell), field, False))
+    return starts
+
+
+def test_step_matches_dense_reference(rng):
+    cases = [(params, coins.coin_for(params))
+             for drawer in DRAWERS.values() for params in (drawer(rng), drawer(rng))]
+    cases += [(None, random_unitary(rng)) for _ in range(3)]
+    for params, coin in cases:
+        for state, field, point in _dense_starts(rng, params):
+            assert np.array_equal(state.field, field)
+            for _ in range(int(rng.integers(1, 41))):
+                state = walk.step(state, coin)
+                field = reference_step(field, coin)
+                assert state.field.shape == field.shape
+                assert np.max(np.abs(state.field - field)) <= 1e-14
+            if point:
+                coords = np.arange(field.shape[1]) - state.offset
+                xs, ys = np.meshgrid(coords, coords, indexing="ij")
+                off = ((xs + ys - state.t) % 2 != 0) | (np.abs(xs) + np.abs(ys) > state.t)
+                assert not np.any(state.field[:, off])
+
+
+def test_amplitude_is_zero_off_the_occupied_sites():
+    state = walk.initial_state(FIG2_INITIAL)
+    # off the (2t+3)^2 window, where a negative dense index would wrap round
+    assert not np.any(state.amplitude(-3, 0))
+    moved = walk.step(walk.initial_state(FIG2_INITIAL), np.eye(4))
+    assert not np.any(moved.amplitude(-6, 0))
+    cell, _ = coins.stationary_cell(coins.TypeIParams(np.pi / 3, QUARTER))
+    for start in (state, walk.state_from_cell(cell)):
+        for s in range(3):
+            field, t, off = start.field, start.t, start.offset
+            for x in range(-t - 5, t + 6):
+                for y in range(-t - 5, t + 6):
+                    inside = max(abs(x), abs(y)) <= t + 1
+                    expected = field[:, x + off, y + off] if inside else np.zeros(4)
+                    assert np.array_equal(start.amplitude(x, y), expected), (s, x, y)
+            for x, y in [(10**6, 0), (-10**6, 3), (7, -10**9)]:
+                assert not np.any(start.amplitude(x, y))
+            start = walk.step(start, coins.grover_coin())
 
 
 # --------------------------------------------------------------------- simulate
@@ -254,3 +333,50 @@ def test_trajectory_csv(tmp_path):
     assert len(rows) == 6
     assert rows[1][0] == "0"
     assert float(rows[1][1]) == pytest.approx(1.0)
+
+
+def reference_distribution_csv(path, snapshot, floor=0.0):
+    """The csv.writer version of write_distribution_csv, kept as reference."""
+    xs, ys = snapshot.coordinates()
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["x", "y", "P"])
+        mask = snapshot.prob >= floor if floor > 0 else np.ones_like(snapshot.prob, bool)
+        for x, y, p in zip(xs[mask], ys[mask], snapshot.prob[mask]):
+            writer.writerow([int(x), int(y), repr(float(p))])
+
+
+def reference_trajectory_csv(path, traj):
+    """The csv.writer version of write_trajectory_csv, kept as reference."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t", "P_origin"])
+        for t, p in enumerate(traj.p_origin):
+            writer.writerow([t, repr(float(p))])
+
+
+@pytest.mark.parametrize("floor", [0.0, 1e-320, 0.3])
+def test_distribution_csv_matches_csv_writer(tmp_path, floor):
+    values = [0.0, 5e-324, 1e-310, 1.0, 0.1, 1 / 3, 2.0 ** -60, 0.7, 0.3]
+    grid = walk.Snapshot(t=1, prob=np.resize(np.array(values), (5, 5)))
+    traj = walk.simulate(coins.grover_coin(), walk.initial_state(FIG2_INITIAL), 7,
+                         snapshot_times=(7,))
+    files = []
+    for snap in (grid, traj.snapshots[7]):
+        walk.write_distribution_csv(tmp_path / "new.csv", snap, floor=floor)
+        reference_distribution_csv(tmp_path / "ref.csv", snap, floor=floor)
+        files.append((tmp_path / "new.csv").read_bytes())
+        assert files[-1] == (tmp_path / "ref.csv").read_bytes()
+    # the grid starts at (-2, -2) with 0.0 and the subnormal 5e-324
+    assert files[0].startswith(b"x,y,P\r\n-2,-2,0.0\r\n-2,-1,5e-324\r\n") == (floor == 0)
+    assert (b"1e-310" in files[0]) == (floor < 1e-310)
+
+
+def test_trajectory_csv_matches_csv_writer(tmp_path):
+    traj = walk.simulate(coins.grover_coin(), walk.initial_state(FIG2_INITIAL), 9)
+    synthetic = walk.Trajectory(steps=3, p_origin=np.array([1.0, 0.0, 5e-324, 1 / 3]),
+                                snapshots={})
+    for tr in (traj, synthetic):
+        walk.write_trajectory_csv(tmp_path / "new.csv", tr)
+        reference_trajectory_csv(tmp_path / "ref.csv", tr)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
