@@ -10,6 +10,7 @@ Families follow from the rank of the stationary amplitude matrix A
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -29,6 +30,7 @@ __all__ = [
     "classify_coin",
     "escaping_subspace",
     "trapped_weight",
+    "trapped_weight_operator",
     "recover_parameters",
     "classification_to_json",
 ]
@@ -37,10 +39,15 @@ CLUSTER_TOL = 1e-8
 _DEFAULT_SEED = 20210507
 
 
+@functools.lru_cache(maxsize=16)
 def _sample_momenta(n_samples: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """k = (0, 0) followed by ``n_samples`` pseudo-random momentum pairs."""
+    """k = (0, 0) followed by ``n_samples`` pseudo-random momentum pairs.
+
+    Memoised per ``(n_samples, seed)``; the arrays are shared, so read-only.
+    """
     rng = np.random.default_rng(seed)
     ks = np.vstack([np.zeros((1, 2)), rng.uniform(-np.pi, np.pi, (n_samples, 2))])
+    ks.flags.writeable = False
     return ks[:, 0], ks[:, 1]
 
 
@@ -187,44 +194,104 @@ def escaping_subspace(coin, rank_tol: float = RANK_TOL) -> np.ndarray:
     return _escaping_from_cells(seed_cells, rank_tol)
 
 
+# Below this fraction of a = |A|^2 + |B|^2 the row formula for |v|^2 has
+# lost more than ~3 digits to cancellation, so the point is evaluated directly.
+_ROW_FORMULA_FLOOR = 1e-3
+
+
+def _check_grid(grid_n) -> int:
+    if isinstance(grid_n, bool) or not isinstance(grid_n, (int, np.integer)) or grid_n < 1:
+        raise ValueError(f"grid_n must be an integer >= 1, got {grid_n!r}")
+    return int(grid_n)
+
+
+def _band_projector(cell, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Midpoint average of v v† / |v|^2 over the grid x × y, |v| <= 1e-12 dropped.
+
+    With v = A(y) + x B(y), |v|^2 = a + 2 Re(beta x) for a = |A|^2 + |B|^2 and
+    beta = A†B, and v v† = AA† + BB† + x BA† + conj(x) AB†.  So the kx sum
+    reduces to the row sums I0 = sum_x w and I1 = sum_x x w of w = 1/|v|^2,
+    and the 4x4 average to one matmul over the ky nodes.  Points where the
+    formula cancels take the direct ansatz vector instead.
+    """
+    xi = cell.local_states()
+    rows_a = xi[0, 0] + y[:, None] * xi[0, 1]
+    rows_b = xi[1, 0] + y[:, None] * xi[1, 1]
+    a = np.sum(np.abs(rows_a) ** 2 + np.abs(rows_b) ** 2, axis=1)
+    beta = np.sum(rows_a.conj() * rows_b, axis=1)
+    sq = np.column_stack([x.real, x.imag, np.ones(x.size)]) @ np.vstack(
+        [2.0 * beta.real, -2.0 * beta.imag, a])
+    ix, iy = np.nonzero(sq <= _ROW_FORMULA_FLOOR * a)
+    sq[ix, iy] = np.inf
+    # 1/inf = 0: the direct nodes are added one by one below
+    i0, i1_re, i1_im = np.vstack([np.ones(x.size), x.real, x.imag]) @ (1.0 / sq)
+    i1 = i1_re + 1j * i1_im
+    stack = np.vstack([rows_a, rows_b])
+    weighted = np.vstack([i0[:, None] * rows_a.conj() + i1.conj()[:, None] * rows_b.conj(),
+                          i1[:, None] * rows_a.conj() + i0[:, None] * rows_b.conj()])
+    band = stack.T @ weighted
+    if ix.size:
+        vec = _coins._ansatz_vectors(cell, x[ix], y[iy])
+        norms = np.linalg.norm(vec, axis=1)
+        keep = norms > 1e-12
+        unit = vec[keep] / norms[keep, None]
+        band += unit.T @ unit.conj()
+    return band / (x.size * y.size)
+
+
+def _trapped_operator(c, grid_n: int) -> np.ndarray:
+    spectrum, _, seed_cells = _flat_bands(c, 8, _DEFAULT_SEED)
+    if not spectrum:
+        raise NotTrappingError("coin is not trapping")
+    k = -np.pi + 2.0 * np.pi * (np.arange(grid_n) + 0.5) / grid_n
+    z = np.exp(1j * k)
+    op = np.zeros((4, 4), dtype=np.complex128)
+    # The partner band's cells are the chiral partners of the seed band's.
+    for cells in seed_cells.values():
+        for group in (cells, [cell.chiral_partner() for cell in cells]):
+            # Distinct cells of a direct sum live in orthogonal sectors, so
+            # their projectors add without re-orthonormalization.
+            band = sum(_band_projector(cell, z, z) for cell in group)
+            op += band.conj().T @ band
+    return (op + op.conj().T) / 2
+
+
+def trapped_weight_operator(coin, grid_n: int = 256) -> np.ndarray:
+    """The 4x4 Hermitian PSD operator W with trapped weight psi† W psi.
+
+    W = sum over constant eigenphases of M_b^2, where M_b is the midpoint
+    average over a ``grid_n`` x ``grid_n`` Brillouin-zone grid of the
+    projector onto the normalized bounded-support eigenvector of band b
+    (points where the eigenvector vanishes to 1e-12 are dropped).  The kx
+    direction is summed as scalar row sums of 1/|v|^2, so a call costs
+    O(grid_n^2) real operations and no per-point outer products.
+
+    Raises
+    ------
+    ValueError
+        If ``grid_n`` is not an integer >= 1.
+    NotTrappingError
+        If the coin has no constant eigenvalue.
+    """
+    c = require_unitary(coin)
+    return _trapped_operator(c, _check_grid(grid_n))
+
+
 def trapped_weight(coin, initial_coin_state, grid_n: int = 256) -> float:
     """Long-time average probability of finding the walker at the origin.
 
-    Computes the origin component of the projection onto each flat-band
-    eigenspace by quadrature of the normalized bounded-support eigenvector
-    over the Brillouin zone, then sums the squared norms over the constant
-    eigenphases.  Zero exactly when the initial coin state is escaping.
+    The sum over constant eigenphases of the squared norm of the origin
+    component of each flat-band projection, that is ``psi† W psi`` with
+    W from :func:`trapped_weight_operator` at the same grid.  Zero exactly
+    when the initial coin state is escaping.
     """
     c = require_unitary(coin)
+    grid_n = _check_grid(grid_n)
     psi = np.asarray(initial_coin_state, dtype=np.complex128).reshape(4)
     nrm = np.linalg.norm(psi)
     if not (abs(nrm - 1.0) <= 1e-12):
         raise ValueError(f"initial coin state must be normalized, |psi| = {nrm!r}")
-    spectrum, _, seed_cells = _flat_bands(c, 8, _DEFAULT_SEED)
-    if not spectrum:
-        raise NotTrappingError("coin is not trapping")
-    # The partner band's cells are the chiral partners of the seed band's.
-    bands = [group for cells in seed_cells.values()
-             for group in (cells, [cell.chiral_partner() for cell in cells])]
-    k = -np.pi + 2.0 * np.pi * (np.arange(grid_n) + 0.5) / grid_n
-    x = np.exp(1j * k)[:, None] * np.ones(grid_n)[None, :]
-    y = np.exp(1j * k)[None, :] * np.ones(grid_n)[:, None]
-    x = x.ravel()
-    y = y.ravel()
-    weight = 0.0
-    for cells in bands:
-        band = np.zeros((4, 4), dtype=np.complex128)
-        for cell in cells:
-            # Ansatz eigenvector at each momentum, normalized per point.
-            vec = _coins._ansatz_vectors(cell, x, y)
-            norms = np.linalg.norm(vec, axis=1)
-            keep = norms > 1e-12
-            unit = vec[keep] / norms[keep, None]
-            # Distinct cells of a direct sum live in orthogonal sectors, so
-            # their rank-one projectors add without re-orthonormalization.
-            band += np.einsum("ki,kj->ij", unit, unit.conj()) / x.size
-        weight += float(np.linalg.norm(band @ psi) ** 2)
-    return weight
+    return float(np.vdot(psi, _trapped_operator(c, grid_n) @ psi).real)
 
 
 _FAMILY_BY_RANK = {4: "TypeI", 3: "TypeIIa", 2: "TypeIIb"}

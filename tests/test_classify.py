@@ -369,6 +369,78 @@ def test_trapped_weight_matches_per_eigenphase_solve(rng):
         assert abs(got - reference_trapped_weight(coin, psi, 15)) < 1e-14
 
 
+FIG2_COIN = coins.coin_type_i(coins.TypeIParams(np.pi / 3, QUARTER))
+_PARITY_RNG = np.random.default_rng(7)
+PARITY_COINS = ([coins.coin_for(drawer(_PARITY_RNG)) for drawer in DRAWERS.values()
+                 for _ in range(2)]
+                + DEGENERATE_COINS + [coins.grover_coin(), FIG2_COIN])
+
+
+@pytest.mark.parametrize("grid_n", [15, 16, 63, 64])
+def test_trapped_weight_row_sums_match_reference(grid_n, rng):
+    for coin in PARITY_COINS:
+        psi = rng.normal(size=4) + 1j * rng.normal(size=4)
+        psi /= np.linalg.norm(psi)
+        got = classify.trapped_weight(coin, psi, grid_n=grid_n)
+        assert abs(got - reference_trapped_weight(coin, psi, grid_n)) < 1e-14
+
+
+@pytest.mark.parametrize("grid_n", [15, 255])
+def test_trapped_weight_grover_odd_grid_drops_ansatz_zero(grid_n, rng):
+    # At odd grids a node sits on a zero of Grover's ansatz vector, where the
+    # row formula for |v|^2 cancels to (nearly) nothing: the point must be
+    # dropped by the direct norm, as in the reference.
+    coin = coins.grover_coin()
+    k = -np.pi + 2.0 * np.pi * (np.arange(grid_n) + 0.5) / grid_n
+    x, y = (z.ravel() for z in np.meshgrid(np.exp(1j * k), np.exp(1j * k), indexing="ij"))
+    smallest = min(np.linalg.norm(coins._ansatz_vectors(cell, x, y), axis=1).min()
+                   for lam, _ in classify.detect_point_spectrum(coin)
+                   for cell in laurent.localized_cells(coin, lam))
+    assert smallest <= 1e-12
+    psi = rng.normal(size=4) + 1j * rng.normal(size=4)
+    psi /= np.linalg.norm(psi)
+    got = classify.trapped_weight(coin, psi, grid_n=grid_n)
+    assert np.isfinite(got)
+    assert abs(got - reference_trapped_weight(coin, psi, grid_n)) < 1e-14
+
+
+@pytest.mark.parametrize("grid_n", [0, -3, 2.5, True])
+def test_trapped_weight_rejects_bad_grid(grid_n):
+    psi = np.array([1, 0, 0, 0], dtype=complex)
+    with pytest.raises(ValueError, match="grid_n"):
+        classify.trapped_weight(coins.grover_coin(), psi, grid_n=grid_n)
+    with pytest.raises(ValueError, match="grid_n"):
+        classify.trapped_weight_operator(coins.grover_coin(), grid_n=grid_n)
+
+
+def test_trapped_weight_operator_is_hermitian_psd(rng):
+    for coin in PARITY_COINS:
+        w = classify.trapped_weight_operator(coin, grid_n=32)
+        assert w.shape == (4, 4)
+        assert np.array_equal(w, w.conj().T)
+        assert np.linalg.eigvalsh(w).min() > -1e-15
+        for _ in range(3):
+            psi = rng.normal(size=4) + 1j * rng.normal(size=4)
+            psi /= np.linalg.norm(psi)
+            expected = classify.trapped_weight(coin, psi, grid_n=32)
+            assert abs(np.vdot(psi, w @ psi).real - expected) < 1e-15
+
+
+def test_trapped_weight_operator_requires_trapping():
+    with pytest.raises(NotTrappingError):
+        classify.trapped_weight_operator(hadamard_tensor_coin())
+
+
+def test_sample_momenta_cached_read_only():
+    first = classify._sample_momenta(8, classify._DEFAULT_SEED)
+    second = classify._sample_momenta(8, classify._DEFAULT_SEED)
+    assert all(a is b for a, b in zip(first, second))
+    for arr in first:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+
+
 def test_escaping_states_decay(rng):
     # Unique escaping state of a rank-3 coin: its origin average keeps
     # falling with the horizon (the t = 2 revival alone sets the scale).
