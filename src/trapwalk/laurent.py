@@ -7,12 +7,14 @@ vector whose entries are ordinary polynomials of degree one in each
 variable; its sixteen coefficients are the amplitudes of an eigenstate
 supported on a 2x2 patch of the lattice.
 
-The degree-(1,1) kernel vector is obtained directly from a stacked linear
-solve over a grid of unit-modulus evaluation points rather than by
-symbolic lowest-terms reduction: the reduction is known to exist, and the
-direct solve is numerically robust where floating-point polynomial GCD is
-not.  The adjugate kernel vectors are still provided, with their exact
-degree windows, for cross-checking.
+The degree-(1,1) kernel vector is obtained from the exact coefficient
+system rather than by symbolic lowest-terms reduction: the sixty-four
+coefficients of ``D(x, y) psi(x, y)`` are linear in the sixteen unknowns.
+Forty of those equations vanish for every coin and eight pin the cell's
+structural zeros, so the kernel is that of a 16 x 8 matrix in the cell
+amplitudes, read off the coin by one fixed contraction.  The adjugate
+kernel vectors are still provided, with their exact degree windows, for
+cross-checking.
 
 Identity testing of polynomials uses evaluation on grids of distinct
 nonzero nodes sized to the degree window; correctness follows from the
@@ -45,13 +47,15 @@ __all__ = [
 
 PRUNE_TOL = 1e-14          # absolute coefficient pruning
 ZERO_REL_TOL = 1e-10       # identity-zero test, relative to the largest coefficient
-KERNEL_REL_TOL = 1e-9      # singular-value threshold of the stacked solve
-STRUCT_ZERO_TOL = 1e-10    # allowed leakage into structurally-zero coefficients
+KERNEL_REL_TOL = 1e-9      # singular-value threshold of the coefficient-system kernel
 
 _GRID_OFFSET_X = 0.37
 _GRID_OFFSET_Y = 0.61
 _VERIFY_OFFSET_X = 0.11
 _VERIFY_OFFSET_Y = 0.23
+
+# D = C - diag(x^i y^j) with these exponents (i, j), one per direction L, D, U, R.
+_SHIFT_EXPONENTS = ((1, 0), (0, 1), (0, -1), (-1, 0))
 
 
 def _nodes(count: int, offset: float) -> np.ndarray:
@@ -281,14 +285,13 @@ def kernel_matrix(coin) -> LaurentMatrix:
     a constant eigenvalue 1; kernel vectors are localized eigenstates.
     """
     c = require_unitary(coin)
-    shift_inv = [(1, 0), (0, 1), (0, -1), (-1, 0)]
     rows = []
     for i in range(4):
         row = []
         for j in range(4):
             p = LaurentPoly.constant(c[i, j])
             if i == j:
-                p = p - LaurentPoly.monomial(*shift_inv[i])
+                p = p - LaurentPoly.monomial(*_SHIFT_EXPONENTS[i])
             row.append(p)
         rows.append(row)
     return LaurentMatrix(rows)
@@ -327,55 +330,52 @@ def adjugate_kernel_vector(mat: LaurentMatrix, index: int) -> list[LaurentPoly]:
 
 
 def _grid_values(adjusted: np.ndarray, grid_n: int, off_x: float, off_y: float):
-    """Numeric values of C - diag(x, y, 1/y, 1/x) on a node grid.
+    """Numeric values of D = adjusted - diag(x, y, 1/y, 1/x) on a node grid.
 
     Returns (x nodes flat, y nodes flat, stacked D values of shape (m, 4, 4)).
     """
-    xs = _nodes(grid_n, off_x)
-    ys = _nodes(grid_n, off_y)
-    x = np.repeat(xs, grid_n)
-    y = np.tile(ys, grid_n)
-    d = np.broadcast_to(adjusted, (x.size, 4, 4)).copy()
-    idx = np.arange(x.size)
-    d[idx, 0, 0] -= x
-    d[idx, 1, 1] -= y
-    d[idx, 2, 2] -= 1.0 / y
-    d[idx, 3, 3] -= 1.0 / x
-    return x, y, d
+    x = np.repeat(_nodes(grid_n, off_x), grid_n)
+    y = np.tile(_nodes(grid_n, off_y), grid_n)
+    shift = np.stack([x ** i * y ** j for i, j in _SHIFT_EXPONENTS], axis=1)
+    return x, y, adjusted - shift[:, :, None] * np.eye(4)
 
 
-def _stacked_kernel(adjusted: np.ndarray, grid_n: int = 6) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Kernel of the degree-(1,1) ansatz, via a stacked grid solve.
+def _coefficient_system() -> tuple[np.ndarray, np.ndarray]:
+    """``D psi`` as 64 linear equations in the 16 unknowns xi[dx, dy, direction].
 
-    Unknown blocks are ordered xi(0,0), xi(1,0), xi(0,1), xi(1,1); each grid
-    point (x, y) contributes the four rows ``[D | xD | yD | xyD]``.
-    Returns (kernel basis as columns of a 16 x k array, singular values,
-    determinant values of D on the grid).
+    Equation (i, p, q) is the coefficient of x^(p-1) y^(q-1) in component i of
+    ``(A - diag(x^sx y^sy)) sum xi[dx, dy] x^dx y^dy``; the equations are
+    ``tensordot(A.ravel(), coin_terms, 1) - shift_terms``, shapes (16, 64, 16), (64, 16).
     """
-    x, y, d = _grid_values(adjusted, grid_n, _GRID_OFFSET_X, _GRID_OFFSET_Y)
-    dets = np.linalg.det(d)
-    blocks = np.concatenate(
-        [d, x[:, None, None] * d, y[:, None, None] * d, (x * y)[:, None, None] * d],
-        axis=2,
-    )
-    stacked = blocks.reshape(-1, 16)
-    _, s, vh = np.linalg.svd(stacked, full_matrices=False)
-    kernel = vh.conj().T[:, s < KERNEL_REL_TOL * s[0]]
-    return kernel, s, dets
+    # indexed [i, j | i, p, q | dx, dy, j] and [i, p, q | dx, dy, i]
+    coin_terms = np.zeros((4, 4, 4, 4, 4, 2, 2, 4), dtype=bool)
+    shift_terms = np.zeros((4, 4, 4, 2, 2, 4), dtype=bool)
+    for i, (sx, sy) in enumerate(_SHIFT_EXPONENTS):
+        for dx, dy in np.ndindex(2, 2):
+            coin_terms[i, :, i, dx + 1, dy + 1, dx, dy, :] = np.eye(4, dtype=bool)
+            shift_terms[i, dx + sx + 1, dy + sy + 1, dx, dy, i] = True
+    return coin_terms.reshape(16, 64, 16), shift_terms.reshape(64, 16)
 
 
-def _cell_from_coefficients(vec: np.ndarray, eigenphase: complex) -> _coins.AmplitudeCell:
-    # Blocks xi(0,0), xi(1,0), xi(0,1), xi(1,1) as an array indexed [dx, dy, direction].
-    xi = vec.reshape(2, 2, 4).transpose(1, 0, 2)
-    mags = np.abs(xi)
-    scale = float(mags.max())
-    leak = float(mags[~_coins._CELL_SUPPORT].max())
-    if leak > STRUCT_ZERO_TOL * max(scale, 1e-300):
-        raise KernelInconsistencyError(
-            f"kernel vector leaks {leak:.3e} into structurally-zero coefficients"
-        )
+# Only the equations holding a coin entry constrain the cell amplitudes: the
+# others vanish for every coin or pin one structural zero of the cell.
+_COIN_TERMS, _SHIFT_TERMS = _coefficient_system()
+_LIVE_ROWS = _COIN_TERMS.any(axis=(0, 2))
+_CELL = _coins._CELL_SUPPORT.ravel()
+_LIVE_COIN_TERMS = _COIN_TERMS[:, _LIVE_ROWS][:, :, _CELL].astype(float)
+_LIVE_SHIFT_TERMS = _SHIFT_TERMS[_LIVE_ROWS][:, _CELL].astype(float)
+
+
+def _cell_kernel(adjusted: np.ndarray) -> np.ndarray:
+    """Amplitude vectors a..h (as columns) of the 2x2 cells with ``D psi == 0``."""
+    system = np.tensordot(adjusted.ravel(), _LIVE_COIN_TERMS, axes=1) - _LIVE_SHIFT_TERMS
+    _, s, vh = np.linalg.svd(system, full_matrices=False)
+    return vh.conj().T[:, s < KERNEL_REL_TOL * s[0]]
+
+
+def _cell_from_amplitudes(amps: np.ndarray, eigenphase: complex) -> _coins.AmplitudeCell:
     # Gauge: first non-negligible amplitude real nonnegative.
-    amps = fix_vector_phase(xi[_coins._CELL_SUPPORT])
+    amps = fix_vector_phase(amps)
     norm = np.linalg.norm(amps)
     probe = _coins.AmplitudeCell(*(amps / norm), eigenphase=eigenphase, norm=1.0)
     if probe.is_full_rank_case(1e-6) and not probe.is_rank_deficient_case(1e-6):
@@ -407,7 +407,7 @@ def _degenerate_pattern_cells(adjusted, eigenphase: complex, tol: float = 1e-8):
     return cells
 
 
-def localized_cells(coin, eigenphase: complex, grid_n: int = 6) -> list[_coins.AmplitudeCell]:
+def localized_cells(coin, eigenphase: complex) -> list[_coins.AmplitudeCell]:
     """All independent 2x2-supported eigenstate cells at one eigenphase.
 
     Generic trapping coins yield a single cell.  Direct sums of
@@ -417,23 +417,21 @@ def localized_cells(coin, eigenphase: complex, grid_n: int = 6) -> list[_coins.A
     """
     c = require_unitary(coin)
     lam = complex(eigenphase)
-    if abs(abs(lam) - 1.0) > 1e-9:
+    if not abs(abs(lam) - 1.0) <= 1e-9:
         raise ValueError(f"eigenphase must have unit modulus, got |{lam}| = {abs(lam)}")
     adjusted = np.conj(lam) * c
-    kernel, _, dets = _stacked_kernel(adjusted, grid_n)
     # The determinant is a Laurent polynomial with exponent window [-1, 1]^2,
-    # so vanishing on the (distinct, nonzero) grid nodes means vanishing
+    # so vanishing on a 3x3 grid of distinct nonzero nodes means vanishing
     # identically; for trapping coins the values sit at round-off level.
-    if float(np.max(np.abs(dets))) > 1e-9:
-        raise NotTrappingError(
-            f"{lam} is not a constant eigenvalue of the walk operator"
-        )
+    _, _, d = _grid_values(adjusted, 3, _GRID_OFFSET_X, _GRID_OFFSET_Y)
+    if not float(np.max(np.abs(np.linalg.det(d)))) <= 1e-9:
+        raise NotTrappingError(f"{lam} is not a constant eigenvalue of the walk operator")
+    kernel = _cell_kernel(adjusted)
     if kernel.shape[1] == 0:
-        raise KernelInconsistencyError(
-            "determinant vanishes on the grid but the stacked solve found no kernel"
-        )
+        raise KernelInconsistencyError("det D vanishes identically but the coefficient "
+                                       "system has no kernel")
     if kernel.shape[1] == 1:
-        return [_cell_from_coefficients(kernel[:, 0], lam)]
+        return [_cell_from_amplitudes(kernel[:, 0], lam)]
     # Kernel dimension >= 2: only direct sums of one-dimensional coins do
     # this (translated copies of a quasi-1D pair both fit in the window).
     if not _coins._iib_is_direct_sum(c):
@@ -448,14 +446,14 @@ def localized_cells(coin, eigenphase: complex, grid_n: int = 6) -> list[_coins.A
     return cells
 
 
-def localized_eigenstate(coin, eigenphase: complex, grid_n: int = 6) -> _coins.AmplitudeCell:
+def localized_eigenstate(coin, eigenphase: complex) -> _coins.AmplitudeCell:
     """The 2x2-supported eigenstate cell of a trapping coin at ``eigenphase``.
 
     The coin is first rotated by the conjugate eigenphase so the target
     eigenvalue is 1.  For direct-sum coins with several independent cells
     the vertical-sector pair is returned.
     """
-    return localized_cells(coin, eigenphase, grid_n)[0]
+    return localized_cells(coin, eigenphase)[0]
 
 
 def verification_residual(coin, cell: _coins.AmplitudeCell, grid_n: int = 7) -> float:

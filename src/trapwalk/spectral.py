@@ -38,6 +38,8 @@ __all__ = [
 ]
 
 _EDGE_TOL = 1e-12
+# rho_x + rho_y carries a few ulp of rounding from the coin parameters.
+_BOUNDARY_TOL = 8.0 * np.finfo(float).eps
 
 
 def momentum_operator(coin, kx, ky) -> np.ndarray:
@@ -207,10 +209,14 @@ def spread_region(spec: DispersionSpec) -> SpreadRegion:
         return SpreadRegion(0.0, ry, 0.0, ry, 0.0, math.pi, 0.0, 0.0)
 
     su = 1.0 + rx * rx - ry * ry
-    disc_a = max(su * su - 4.0 * rx * rx, 0.0)
-    a1 = math.sqrt((su + math.sqrt(disc_a)) / 2.0)
     sv = 1.0 - rx * rx + ry * ry
-    disc_b = max(sv * sv - 4.0 * ry * ry, 0.0)
+    # Both discriminants carry the factor 1 - rx - ry.  On the boundary
+    # rx + ry = 1 (Grover) their square roots would blow its rounding up to
+    # ~1e-8 in the region, so a spec within rounding of it sits on it.
+    on_boundary = rx + ry >= 1.0 - _BOUNDARY_TOL
+    disc_a = 0.0 if on_boundary else max(su * su - 4.0 * rx * rx, 0.0)
+    disc_b = 0.0 if on_boundary else max(sv * sv - 4.0 * ry * ry, 0.0)
+    a1 = math.sqrt((su + math.sqrt(disc_a)) / 2.0)
     b1_sq = (sv - math.sqrt(disc_b)) / 2.0
     b1 = math.sqrt(max(b1_sq, 0.0))
     # Partner semi-axes via the product relations a1 a2 = rho_x, b1 b2 = rho_y,

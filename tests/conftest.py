@@ -40,6 +40,16 @@ def draw_type_iib(rng, margin=MARGIN) -> coins.TypeIIbParams:
 DRAWERS = {"TypeI": draw_type_i, "TypeIIa": draw_type_iia, "TypeIIb": draw_type_iib}
 
 
+# Coins on the boundaries of the families: rank-deficient and direct-sum cells.
+DEGENERATE_COINS = [coins.coin_for(p) for p in (
+    coins.TypeIParams(np.pi / 2, 0.0),
+    coins.TypeIIaParams(0.8, 0.0, 0.0, 2.1, 0.3, 1.1, 2.2, 0.7, 1.9),
+    coins.TypeIIaParams(0.8, np.pi / 2, np.pi / 2, 2.1, 0.3, 1.1, 2.2, 0.7, 1.9),
+    coins.TypeIIbParams(variant=1, delta=np.pi / 2, gamma=0.4),
+    coins.TypeIIbParams(variant=1, delta=np.pi / 2, phi=np.pi / 2, gamma=0.2),
+)]
+
+
 def random_unitary(rng, n=4) -> np.ndarray:
     z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     q, r = np.linalg.qr(z)

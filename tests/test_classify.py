@@ -7,7 +7,7 @@ import pytest
 from trapwalk import classify, coins, laurent, spectral, walk
 from trapwalk.errors import NotTrappingError
 
-from conftest import (DRAWERS, draw_type_i, draw_type_iia, draw_type_iib,
+from conftest import (DEGENERATE_COINS, DRAWERS, draw_type_i, draw_type_iia, draw_type_iib,
                       hadamard_tensor_coin, random_unitary)
 
 QUARTER = np.pi / 4
@@ -115,15 +115,6 @@ def reference_point_spectrum(coin, n_samples, seed, tol):
 
     results.sort(key=lambda item: canonical_angle(item[0]))
     return results, margin
-
-
-DEGENERATE_COINS = [coins.coin_for(p) for p in (
-    coins.TypeIParams(np.pi / 2, 0.0),
-    coins.TypeIIaParams(0.8, 0.0, 0.0, 2.1, 0.3, 1.1, 2.2, 0.7, 1.9),
-    coins.TypeIIaParams(0.8, np.pi / 2, np.pi / 2, 2.1, 0.3, 1.1, 2.2, 0.7, 1.9),
-    coins.TypeIIbParams(variant=1, delta=np.pi / 2, gamma=0.4),
-    coins.TypeIIbParams(variant=1, delta=np.pi / 2, phi=np.pi / 2, gamma=0.2),
-)]
 
 
 def test_point_spectrum_matches_per_momentum_loop(rng):

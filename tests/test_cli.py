@@ -306,6 +306,28 @@ def test_error_json_on_snapshot_after_last_step(tmp_path, capsys):
     assert not (tmp_path / "run" / "trajectory.csv").exists()
 
 
+@pytest.mark.parametrize("floor", ["nan", "inf", "-1"])
+def test_error_json_on_bad_floor_simulate(tmp_path, capsys, floor):
+    coin_path = tmp_path / "coin.json"
+    coins.write_coin_json(coin_path, coins.grover_coin())
+    outdir = tmp_path / "run"
+    status = run("simulate", "-i", str(coin_path), "--initial",
+                 "[[1,0],[0,0],[0,0],[0,0]]", "--steps", "3", "--floor", floor,
+                 "--outdir", str(outdir))
+    err = _assert_json_error(capsys, status)
+    assert err["error"] == "ValueError" and "floor" in err["message"]
+    assert not outdir.exists()
+
+
+@pytest.mark.parametrize("floor", ["nan", "inf", "-1"])
+def test_error_json_on_bad_floor_figure(tmp_path, capsys, floor):
+    outdir = tmp_path / "fig2"
+    err = _assert_json_error(capsys, run("figure", "fig2", "--outdir", str(outdir),
+                                         "--floor", floor))
+    assert err["error"] == "ValueError" and "floor" in err["message"]
+    assert not outdir.exists()
+
+
 def test_failed_distribution_write_leaves_no_file(tmp_path, capsys, monkeypatch):
     def broken_writer(path, snapshot, floor=0.0):
         with open(path, "w", encoding="utf-8") as fh:

@@ -3,11 +3,11 @@ import dataclasses
 import numpy as np
 import pytest
 
-from trapwalk import coins, laurent
+from trapwalk import classify, coins, laurent
 from trapwalk.errors import DegenerateMinorError, NotTrappingError
 from trapwalk.laurent import LaurentPoly
 
-from conftest import DRAWERS, hadamard_tensor_coin
+from conftest import DEGENERATE_COINS, DRAWERS, hadamard_tensor_coin, random_unitary
 
 QUARTER = np.pi / 4
 GROVER_PARAMS = coins.TypeIIaParams(QUARTER, QUARTER, QUARTER, np.pi)
@@ -230,3 +230,95 @@ def test_degenerate_rank3_second_eigenphase():
     # those extra states live on the upper-right half of the cell
     assert abs(cell.a) < 1e-10 and abs(cell.b) < 1e-10
     assert abs(cell.c) > 0.1 and abs(cell.g) > 0.1
+
+
+@pytest.mark.parametrize("lam", [complex("nan"), complex("nan+1j")])
+def test_localized_rejects_nan_eigenphase(lam):
+    with pytest.raises(ValueError, match="unit modulus"):
+        laurent.localized_cells(coins.grover_coin(), lam)
+
+
+# ------------------------------------------------------ exact coefficient system
+
+def test_coefficient_system_structure():
+    coin_terms, shift_terms = laurent._coefficient_system()
+    uses_coin = coin_terms.any(axis=(0, 2))
+    unknowns = np.count_nonzero(shift_terms, axis=1)
+    assert np.count_nonzero(~uses_coin & (unknowns == 0)) == 40
+    pinned = ~uses_coin & (unknowns == 1)
+    assert np.count_nonzero(pinned) == 8
+    assert np.count_nonzero(uses_coin) == 16
+    assert np.all(uses_coin | (unknowns <= 1))
+    # the eight single-unknown equations pin exactly the cell's structural zeros
+    pinned_slots = np.count_nonzero(shift_terms[pinned], axis=0).reshape(2, 2, 4)
+    assert np.array_equal(pinned_slots, (~coins._CELL_SUPPORT).astype(int))
+    assert laurent._LIVE_COIN_TERMS.shape == (16, 16, 8)
+    assert laurent._LIVE_SHIFT_TERMS.shape == (16, 8)
+
+
+def test_coefficient_system_expands_d_psi(rng):
+    coin_terms, shift_terms = laurent._coefficient_system()
+    powers = np.arange(4) - 1
+    for _ in range(5):
+        coin = random_unitary(rng)
+        xi = rng.normal(size=16) + 1j * rng.normal(size=16)
+        coeffs = ((np.tensordot(coin.ravel(), coin_terms, 1) - shift_terms) @ xi).reshape(4, 4, 4)
+        x, y = np.exp(1j * rng.uniform(0, 2 * np.pi, 2))
+        psi = np.einsum("abj,a,b->j", xi.reshape(2, 2, 4), [1, x], [1, y])
+        d_psi = laurent.kernel_matrix(coin).evaluate(x, y) @ psi
+        monomials = np.outer(x ** powers, y ** powers)
+        assert np.max(np.abs(d_psi - np.einsum("ipq,pq->i", coeffs, monomials))) < 1e-13
+
+
+def reference_stacked_kernel(adjusted, grid_n=6):
+    """The former grid solve: ``D psi = 0`` sampled on a rotated node grid.
+
+    Unknown blocks are xi(0,0), xi(1,0), xi(0,1), xi(1,1); each node (x, y)
+    contributes the rows ``[D | xD | yD | xyD]``.  Returns the kernel basis
+    as columns in the layout xi[dx, dy, direction], shape (16, k).
+    """
+    x = np.repeat(np.exp(1j * (2 * np.pi * np.arange(grid_n) / grid_n + 0.37)), grid_n)
+    y = np.tile(np.exp(1j * (2 * np.pi * np.arange(grid_n) / grid_n + 0.61)), grid_n)
+    d = adjusted - np.stack([x, y, 1 / y, 1 / x], axis=1)[:, :, None] * np.eye(4)
+    blocks = np.concatenate(
+        [d, x[:, None, None] * d, y[:, None, None] * d, (x * y)[:, None, None] * d], axis=2)
+    _, s, vh = np.linalg.svd(blocks.reshape(-1, 16), full_matrices=False)
+    kernel = vh.conj().T[:, s < laurent.KERNEL_REL_TOL * s[0]]
+    return kernel.reshape(2, 2, 4, -1).transpose(1, 0, 2, 3).reshape(16, -1)
+
+
+def coefficient_kernel(adjusted):
+    """The coefficient-system kernel placed in the layout xi[dx, dy, direction]."""
+    amps = laurent._cell_kernel(adjusted)
+    xi = np.zeros((2, 2, 4, amps.shape[1]), dtype=np.complex128)
+    xi[coins._CELL_SUPPORT] = amps
+    return xi.reshape(16, -1)
+
+
+def test_coefficient_kernel_matches_stacked_grid_solve(rng):
+    sample = [coins.coin_for(drawer(rng)) for drawer in DRAWERS.values() for _ in range(10)]
+    sample += DEGENERATE_COINS
+    cases = [(coin, lam) for coin in sample
+             for lam, _ in classify._point_spectrum(coin, 8, classify._DEFAULT_SEED,
+                                                    classify.CLUSTER_TOL)[0]]
+    cases += [(coins.grover_coin(), 1.0), (coins.grover_coin(), -1.0)]
+    # the rank-3 second eigenphase of test_degenerate_rank3_second_eigenphase
+    eta = 2.1
+    cases.append((coins.coin_type_iia(
+        coins.TypeIIaParams(0.8, 0.0, 0.0, eta, 0.3, 1.1, 2.2, 0.7, 1.9)), np.exp(1j * eta / 2)))
+    dims = set()
+    for coin, lam in cases:
+        adjusted = np.conj(lam) * coin
+        got, ref = coefficient_kernel(adjusted), reference_stacked_kernel(adjusted)
+        assert got.shape[1] == ref.shape[1] >= 1
+        dims.add(got.shape[1])
+        assert np.max(np.abs(got @ got.conj().T - ref @ ref.conj().T)) < 1e-12
+    assert min(dims) == 1 and max(dims) > 1  # the direct sums reach the multi-cell branch
+
+
+def test_haar_coins_fail_the_determinant_test(rng):
+    for _ in range(10):
+        coin = random_unitary(rng)
+        for lam in (1.0, -1.0, 1j, np.exp(0.7j)):
+            with pytest.raises(NotTrappingError):
+                laurent.localized_cells(coin, lam)

@@ -220,6 +220,18 @@ def test_region_coincident_general_angle():
     assert region.area == pytest.approx(np.pi * region.a1 * region.b1, abs=1e-12)
 
 
+@pytest.mark.parametrize("ulps", [-4, -1, 1, 4])
+def test_region_on_boundary_ignores_rounding(ulps):
+    # rho_x + rho_y = 1 (Grover): a few ulp off the boundary in the amplitudes,
+    # as recovered parameters give, must not move the region by ~sqrt(eps)
+    rho = 0.5 + ulps * np.finfo(float).eps
+    region = spectral.spread_region(spectral.DispersionSpec("2d", 0.0, 0.5, rho))
+    r = 1 / np.sqrt(2)
+    for value in (region.a1, region.b1, region.a2, region.b2):
+        assert value == pytest.approx(r, abs=1e-12)
+    assert region.area == pytest.approx(np.pi / 2, abs=1e-12)
+
+
 def test_region_segment_for_quasi_1d():
     p = coins.TypeIIbParams(variant=1, delta=0.6)
     region = spectral.spread_region(spectral.dispersion_spec(p))
