@@ -37,6 +37,7 @@ __all__ = [
 
 CLUSTER_TOL = 1e-8
 _DEFAULT_SEED = 20210507
+_N_SAMPLES = 8
 
 
 @functools.lru_cache(maxsize=16)
@@ -102,7 +103,7 @@ def _point_spectrum(c, n_samples: int, seed: int, tol: float):
     return results, margin
 
 
-def detect_point_spectrum(coin, n_samples: int = 8, seed: int = _DEFAULT_SEED,
+def detect_point_spectrum(coin, n_samples: int = _N_SAMPLES, seed: int = _DEFAULT_SEED,
                           tol: float = CLUSTER_TOL) -> list[tuple[complex, int]]:
     """Eigenvalues of the momentum walk operator common to all sampled momenta.
 
@@ -157,14 +158,14 @@ def _seed_phases(eigenphases) -> list[complex]:
     return out
 
 
-def _flat_bands(c, n_samples: int, seed: int):
+def _flat_bands(c, seed: int = _DEFAULT_SEED):
     """Point spectrum, cluster margin and the localized cells of each chiral pair.
 
     ``c`` must be a checked unitary coin.  ``seed_cells`` maps each seed
     eigenphase to its cells; since S(k + pi) = -S(k), the cells at the
     partner eigenphase -lam are exactly their chiral partners.
     """
-    spectrum, margin = _point_spectrum(c, n_samples, seed, CLUSTER_TOL)
+    spectrum, margin = _point_spectrum(c, _N_SAMPLES, seed, CLUSTER_TOL)
     seed_cells = {lam: _laurent.localized_cells(c, lam) for lam in _seed_phases(spectrum)}
     return spectrum, margin, seed_cells
 
@@ -188,7 +189,7 @@ def escaping_subspace(coin, rank_tol: float = RANK_TOL) -> np.ndarray:
     NotTrappingError
         If the coin has no constant eigenvalue.
     """
-    spectrum, _, seed_cells = _flat_bands(require_unitary(coin), 8, _DEFAULT_SEED)
+    spectrum, _, seed_cells = _flat_bands(require_unitary(coin))
     if not spectrum:
         raise NotTrappingError("coin is not trapping; every coin state escapes")
     return _escaping_from_cells(seed_cells, rank_tol)
@@ -240,7 +241,7 @@ def _band_projector(cell, x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _trapped_operator(c, grid_n: int) -> np.ndarray:
-    spectrum, _, seed_cells = _flat_bands(c, 8, _DEFAULT_SEED)
+    spectrum, _, seed_cells = _flat_bands(c)
     if not spectrum:
         raise NotTrappingError("coin is not trapping")
     k = -np.pi + 2.0 * np.pi * (np.arange(grid_n) + 0.5) / grid_n
@@ -297,7 +298,7 @@ def trapped_weight(coin, initial_coin_state, grid_n: int = 256) -> float:
 _FAMILY_BY_RANK = {4: "TypeI", 3: "TypeIIa", 2: "TypeIIb"}
 
 
-def classify_coin(coin, rank_tol: float = RANK_TOL, n_samples: int = 8,
+def classify_coin(coin, rank_tol: float = RANK_TOL,
                   seed: int = _DEFAULT_SEED) -> ClassificationResult:
     """Full classification of an arbitrary unitary coin.
 
@@ -309,7 +310,7 @@ def classify_coin(coin, rank_tol: float = RANK_TOL, n_samples: int = 8,
     fully trapped; ``params`` stays None when it fails.
     """
     c = require_unitary(coin)
-    spectrum, margin, seed_cells = _flat_bands(c, n_samples, seed)
+    spectrum, margin, seed_cells = _flat_bands(c, seed)
     marginal = margin < 10 * CLUSTER_TOL
     if not spectrum:
         return ClassificationResult(

@@ -131,11 +131,6 @@ def _parse_initial(text: str) -> np.ndarray:
     return _coins.complex_from_pairs(json.loads(text), 4, "initial state")
 
 
-def _check_floor(floor: float):
-    if not 0.0 <= floor < math.inf:
-        raise ValueError(f"--floor must be a finite probability >= 0, got {floor}")
-
-
 def _run_simulation(coin, initial, steps, snapshot_times, outdir, floor=0.0):
     os.makedirs(outdir, exist_ok=True)
     traj = _walk.simulate(coin, _walk.initial_state(initial), steps,
@@ -149,7 +144,7 @@ def _run_simulation(coin, initial, steps, snapshot_times, outdir, floor=0.0):
 
 
 def _cmd_simulate(args) -> int:
-    _check_floor(args.floor)
+    _walk.check_floor(args.floor)
     coin = _coins.read_coin_json(args.input)
     initial = _parse_initial(args.initial)
     snaps = [int(t) for t in args.snapshots.split(",")] if args.snapshots else [args.steps]
@@ -234,7 +229,7 @@ def _figure_configs():
 
 
 def _cmd_figure(args) -> int:
-    _check_floor(args.floor)
+    _walk.check_floor(args.floor)
     config = _figure_configs()[args.name]
     params = config["params"]
     coin = _coins.coin_for(params)

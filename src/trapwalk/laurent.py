@@ -16,16 +16,16 @@ amplitudes, read off the coin by one fixed contraction.  The adjugate
 kernel vectors are still provided, with their exact degree windows, for
 cross-checking.
 
-Identity testing of polynomials uses evaluation on grids of distinct
-nonzero nodes sized to the degree window; correctness follows from the
-nonsingularity of the corresponding Vandermonde systems.  Grid nodes are
-roots of unity rotated by an irrational angle to dodge accidental
-symmetries.
+Determinants are computed by interpolation: a Laurent polynomial whose
+exponents lie in a known window is fixed by its values on the grid of
+roots of unity of the window's size, and on that grid the Vandermonde
+interpolation is exactly the discrete Fourier transform.  So the entries
+are evaluated by an inverse FFT, the determinant is taken pointwise, and
+one FFT returns its coefficients.  A polynomial is identically zero when
+its explicit coefficients are all negligible.
 """
 
 from __future__ import annotations
-
-from itertools import permutations
 
 import numpy as np
 
@@ -46,7 +46,7 @@ __all__ = [
 ]
 
 PRUNE_TOL = 1e-14          # absolute coefficient pruning
-ZERO_REL_TOL = 1e-10       # identity-zero test, relative to the largest coefficient
+ZERO_REL_TOL = 1e-10       # identity-zero test: largest coefficient magnitude allowed
 KERNEL_REL_TOL = 1e-9      # singular-value threshold of the coefficient-system kernel
 
 _GRID_OFFSET_X = 0.37
@@ -124,9 +124,6 @@ class LaurentPoly:
             return NotImplemented
         return (self - other).is_identically_zero()
 
-    def __hash__(self):
-        raise TypeError("LaurentPoly is unhashable")
-
     def _coerce(self, other) -> "LaurentPoly":
         if isinstance(other, LaurentPoly):
             return other
@@ -193,26 +190,18 @@ class LaurentPoly:
         return sum((v * x**i * y**j for (i, j), v in self.coeffs.items()), 0.0 + 0.0j)
 
     def is_identically_zero(self, rel_tol: float = ZERO_REL_TOL) -> bool:
-        """Grid-evaluation zero test sized to the degree window."""
-        if not self.coeffs:
-            return True
-        nx = self.window[1] - self.window[0] + 1
-        ny = self.window[3] - self.window[2] + 1
-        scale = max(self.max_coeff(), 1.0)
-        xs = _nodes(nx, _GRID_OFFSET_X)
-        ys = _nodes(ny, _GRID_OFFSET_Y)
-        return all(
-            abs(self.evaluate(x, y)) <= rel_tol * scale for x in xs for y in ys
-        )
+        """Every coefficient is at most ``rel_tol`` in magnitude, against a unit scale."""
+        return self.max_coeff() <= rel_tol
 
 
 class LaurentMatrix:
-    """A rectangular array of Laurent polynomials."""
+    """A rectangular array of Laurent polynomials; numbers become constants."""
 
     __slots__ = ("entries",)
 
     def __init__(self, entries):
-        self.entries = [list(row) for row in entries]
+        self.entries = [[p if isinstance(p, LaurentPoly) else LaurentPoly.constant(p)
+                         for p in row] for row in entries]
         width = {len(row) for row in self.entries}
         if len(width) != 1:
             raise ValueError("ragged rows")
@@ -250,32 +239,29 @@ class LaurentMatrix:
         ])
 
     def det(self) -> LaurentPoly:
+        """Determinant, interpolated from its values on a roots-of-unity grid.
+
+        Its exponents lie in the sum of the rows' window hulls, so that
+        window's grid fixes it.  On the grid x^i = x^(i mod nx), so each
+        entry's values are the inverse DFT of its wrapped coefficients.
+        """
         n, m = self.shape
         if n != m:
             raise ValueError("determinant of a non-square matrix")
-        total = LaurentPoly.zero()
-        for perm in permutations(range(n)):
-            sign = 1
-            for i in range(n):
-                for j in range(i + 1, n):
-                    if perm[i] > perm[j]:
-                        sign = -sign
-            term = LaurentPoly.constant(sign)
-            for i in range(n):
-                term = term * self.entries[i][perm[i]]
-            total = total + term
-        return total
-
-    def adjugate(self) -> "LaurentMatrix":
-        n, m = self.shape
-        if n != m:
-            raise ValueError("adjugate of a non-square matrix")
-        out = [[None] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                cof = self.minor(i, j).det()
-                out[j][i] = cof if (i + j) % 2 == 0 else -cof
-        return LaurentMatrix(out)
+        windows = np.array([[p.window for p in row] for row in self.entries])
+        x0, y0 = windows[:, :, 0::2].min(axis=1).sum(axis=0)
+        x1, y1 = windows[:, :, 1::2].max(axis=1).sum(axis=0)
+        nx, ny = x1 - x0 + 1, y1 - y0 + 1
+        coeffs = np.zeros((n, n, nx, ny), dtype=np.complex128)
+        for r, row in enumerate(self.entries):
+            for c, p in enumerate(row):
+                for (i, j), v in p.coeffs.items():
+                    coeffs[r, c, i % nx, j % ny] += v
+        values = np.moveaxis(np.fft.ifft2(coeffs) * (nx * ny), (0, 1), (2, 3))
+        det = np.fft.fft2(np.linalg.det(values)) / (nx * ny)
+        return LaurentPoly({(i, j): det[i % nx, j % ny]
+                            for i in range(x0, x1 + 1) for j in range(y0, y1 + 1)},
+                           (x0, x1, y0, y1))
 
 
 def kernel_matrix(coin) -> LaurentMatrix:
@@ -298,20 +284,21 @@ def kernel_matrix(coin) -> LaurentMatrix:
 
 
 def adjugate_kernel_vector(mat: LaurentMatrix, index: int) -> list[LaurentPoly]:
-    """Kernel vector of a singular Laurent matrix built from one adjugate.
+    """Kernel vector of a singular Laurent matrix: minus column ``index`` of its adjugate.
 
-    Deletes row and column ``index``, inverts the remaining minor through
-    its adjugate, and reinserts ``-det(minor)`` at ``index``.  The result
-    ``w`` satisfies ``mat @ w == 0`` identically whenever ``det(mat) == 0``
-    and the minor is nondegenerate.
+    Component k is ``(-1)^(k + index + 1) det(mat.minor(index, k))``, so
+    component ``index`` is ``-det`` of the principal minor.  Since
+    ``mat @ adj(mat) == det(mat) I``, the result ``w`` satisfies
+    ``mat @ w == 0`` identically whenever ``det(mat) == 0``.
 
     Raises
     ------
     NotTrappingError
         If ``det(mat)`` is not identically zero.
     DegenerateMinorError
-        If the 3x3 minor determinant vanishes identically; callers fall
-        back to the degenerate sparsity-pattern branch.
+        If the principal minor's determinant vanishes identically, so that
+        ``w`` does too; callers fall back to the degenerate sparsity-pattern
+        branch.
     """
     n, m = mat.shape
     if n != m:
@@ -320,13 +307,10 @@ def adjugate_kernel_vector(mat: LaurentMatrix, index: int) -> list[LaurentPoly]:
         raise ValueError(f"index must be in [0, {n}), got {index}")
     if not mat.det().is_identically_zero():
         raise NotTrappingError("matrix determinant is not identically zero")
-    minor = mat.minor(index, index)
-    det_minor = minor.det()
-    if det_minor.is_identically_zero():
-        raise DegenerateMinorError(f"3x3 minor at index {index} vanishes identically")
-    col = [mat[i, index] for i in range(n) if i != index]
-    partial = minor.adjugate().matvec(col)
-    return partial[:index] + [-det_minor] + partial[index:]
+    w = [mat.minor(index, k).det() * (-1) ** (k + index + 1) for k in range(n)]
+    if w[index].is_identically_zero():
+        raise DegenerateMinorError(f"principal minor at index {index} vanishes identically")
+    return w
 
 
 def _grid_values(adjusted: np.ndarray, grid_n: int, off_x: float, off_y: float):
@@ -456,10 +440,10 @@ def localized_eigenstate(coin, eigenphase: complex) -> _coins.AmplitudeCell:
     return localized_cells(coin, eigenphase)[0]
 
 
-def verification_residual(coin, cell: _coins.AmplitudeCell, grid_n: int = 7) -> float:
-    """Max residual of D(x,y) psi(x,y) over a fresh verification grid."""
+def verification_residual(coin, cell: _coins.AmplitudeCell) -> float:
+    """Max residual of D(x,y) psi(x,y) over a fresh 7x7 verification grid."""
     adjusted = np.conj(complex(cell.eigenphase)) * require_unitary(coin)
-    x, y, d = _grid_values(adjusted, grid_n, _VERIFY_OFFSET_X, _VERIFY_OFFSET_Y)
+    x, y, d = _grid_values(adjusted, 7, _VERIFY_OFFSET_X, _VERIFY_OFFSET_Y)
     psi = _coins._ansatz_vectors(cell, x, y)
     residuals = np.einsum("kij,kj->ki", d, psi)
     return float(np.max(np.abs(residuals))) / cell.norm

@@ -13,6 +13,7 @@ inspection.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +32,7 @@ __all__ = [
     "simulate",
     "origin_time_average",
     "coverage_fraction",
+    "check_floor",
     "write_distribution_csv",
     "write_trajectory_csv",
 ]
@@ -140,11 +142,14 @@ def _step_block(c: np.ndarray, u0: int, v0: int, amps: np.ndarray):
     return u0 - 1, v0 - 1, out
 
 
-def step(state: WalkState, coin) -> WalkState:
-    """One walk step: coin everywhere, then the conditional displacement."""
-    c = require_unitary(coin)
+def _advance(state: WalkState, c: np.ndarray) -> WalkState:
     return WalkState(t=state.t + 1,
                      blocks=tuple(_step_block(c, *block) for block in state.blocks))
+
+
+def step(state: WalkState, coin) -> WalkState:
+    """One walk step: coin everywhere, then the conditional displacement."""
+    return _advance(state, require_unitary(coin))
 
 
 @dataclass(frozen=True)
@@ -197,7 +202,7 @@ def simulate(coin, initial: WalkState, steps: int,
     if state.t in wanted:
         snapshots[state.t] = Snapshot(t=state.t, prob=state.probability())
     for _ in range(steps):
-        state = step(state, c)
+        state = _advance(state, c)
         p_origin[state.t - initial.t] = state.origin_probability()
         if state.t in wanted:
             snapshots[state.t] = Snapshot(t=state.t, prob=state.probability())
@@ -244,10 +249,17 @@ def _write_csv(path, header: str, chunks) -> None:
         fh.writelines(chunks)
 
 
+def check_floor(floor: float) -> None:
+    """A distribution CSV floor must be a finite probability >= 0."""
+    if not 0.0 <= floor < math.inf:
+        raise ValueError(f"floor must be a finite probability >= 0, got {floor}")
+
+
 def write_distribution_csv(path, snapshot: Snapshot, floor: float = 0.0):
     """Write columns x, y, P; rows below ``floor`` are skipped."""
+    check_floor(floor)
     axis = (np.arange(snapshot.prob.shape[0]) - snapshot.offset).tolist()
-    keep_all = not floor > 0
+    keep_all = floor == 0
     # one chunk per grid row keeps the formatted text small
     _write_csv(path, "x,y,P", (
         "".join(f"{x},{y},{p!r}\r\n" for y, p in zip(axis, row.tolist())

@@ -86,7 +86,7 @@ def test_x_minus_y_not_zero():
 def test_grover_determinant_vanishes():
     det = laurent.kernel_matrix(coins.grover_coin()).det()
     assert det.is_identically_zero()
-    # a loose declared window only enlarges the evaluation grid
+    # a loose declared window does not change the coefficients tested
     padded = LaurentPoly(det.coeffs, window=(-2, 2, -2, 2))
     assert padded.is_identically_zero()
 
@@ -94,6 +94,40 @@ def test_grover_determinant_vanishes():
 def test_hadamard_tensor_determinant_does_not_vanish():
     det = laurent.kernel_matrix(hadamard_tensor_coin()).det()
     assert not det.is_identically_zero()
+
+
+def test_poly_is_unhashable():
+    with pytest.raises(TypeError):
+        hash(LaurentPoly.zero())
+
+
+def random_poly(rng, window):
+    """Random complex coefficients on every exponent of ``window``."""
+    x0, x1, y0, y1 = window
+    return LaurentPoly({(i, j): complex(*rng.normal(size=2))
+                        for i in range(x0, x1 + 1) for j in range(y0, y1 + 1)})
+
+
+def test_det_matches_numeric_det_off_grid(rng):
+    # mixed, high-degree entries (numbers become constants): the interpolation
+    # grid must cover the product window, far beyond the [-1, 1]^2 of kernel_matrix
+    x, y = LaurentPoly.monomial(1, 0), LaurentPoly.monomial(0, 1)
+    mats = [
+        laurent.LaurentMatrix([[x * x * LaurentPoly.monomial(0, -1) + 0.3, y * y * y],
+                               [1.0 - 2j * x, LaurentPoly.monomial(-2, 1)]]),
+        laurent.LaurentMatrix([[x * x * LaurentPoly.monomial(0, -1) + 0.7j, y * y * y, 2.0],
+                               [LaurentPoly.monomial(-3, 0), x * y - 1.0, 0.0],
+                               [0.5, LaurentPoly.monomial(2, -2), x + y * y]]),
+        laurent.LaurentMatrix([[random_poly(rng, (-2, 1, 0, 3)) for _ in range(3)]
+                               for _ in range(3)]),
+    ]
+    mats += [laurent.kernel_matrix(random_unitary(rng)) for _ in range(5)]
+    for mat in mats:
+        det = mat.det()
+        for _ in range(5):
+            px, py = rng.uniform(0.5, 1.5, 2) * np.exp(1j * rng.uniform(0, 2 * np.pi, 2))
+            expected = np.linalg.det(mat.evaluate(px, py))
+            assert abs(det.evaluate(px, py) - expected) < 1e-10 * max(1.0, abs(expected))
 
 
 # ------------------------------------------------------------ adjugate vectors

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from trapwalk import coins, spectral, walk
+from trapwalk.linalg import require_unitary
 
 from conftest import DRAWERS, random_unitary
 
@@ -370,6 +371,28 @@ def test_distribution_csv_matches_csv_writer(tmp_path, floor):
     # the grid starts at (-2, -2) with 0.0 and the subnormal 5e-324
     assert files[0].startswith(b"x,y,P\r\n-2,-2,0.0\r\n-2,-1,5e-324\r\n") == (floor == 0)
     assert (b"1e-310" in files[0]) == (floor < 1e-310)
+
+
+@pytest.mark.parametrize("floor", [float("nan"), -1.0, float("inf")])
+def test_distribution_csv_rejects_bad_floor(tmp_path, floor):
+    snap = walk.Snapshot(t=0, prob=np.ones((3, 3)) / 9)
+    path = tmp_path / "dist.csv"
+    with pytest.raises(ValueError, match="floor"):
+        walk.write_distribution_csv(path, snap, floor=floor)
+    assert not path.exists()
+
+
+def test_simulate_checks_the_coin_once(monkeypatch):
+    calls = []
+
+    def counting(coin, *args, **kwargs):
+        calls.append(1)
+        return require_unitary(coin, *args, **kwargs)
+
+    monkeypatch.setattr(walk, "require_unitary", counting)
+    traj = walk.simulate(coins.grover_coin(), walk.initial_state(FIG2_INITIAL), 20)
+    assert len(calls) == 1
+    assert traj.p_origin.shape == (21,)
 
 
 def test_trajectory_csv_matches_csv_writer(tmp_path):
