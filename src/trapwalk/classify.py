@@ -21,7 +21,7 @@ from . import coins as _coins
 from . import laurent as _laurent
 from .errors import NotTrappingError
 from .linalg import RANK_TOL, fix_vector_phase, numerical_rank, require_unitary
-from .spectral import momentum_operator
+from .spectral import _momentum_operator
 
 __all__ = [
     "CLUSTER_TOL",
@@ -72,7 +72,7 @@ def _point_spectrum(c, n_samples: int, seed: int, tol: float):
 
     ``c`` must be a checked unitary coin.
     """
-    samples = np.linalg.eigvals(momentum_operator(c, *_sample_momenta(n_samples, seed)))
+    samples = np.linalg.eigvals(_momentum_operator(c, *_sample_momenta(n_samples, seed)))
     # Cluster the first sample into candidates.
     candidates: list[list[complex]] = []
     for lam in samples[0]:
@@ -103,25 +103,22 @@ def _point_spectrum(c, n_samples: int, seed: int, tol: float):
     return results, margin
 
 
-def detect_point_spectrum(coin, n_samples: int = _N_SAMPLES, seed: int = _DEFAULT_SEED,
-                          tol: float = CLUSTER_TOL) -> list[tuple[complex, int]]:
+def detect_point_spectrum(coin, seed: int = _DEFAULT_SEED) -> list[tuple[complex, int]]:
     """Eigenvalues of the momentum walk operator common to all sampled momenta.
 
     Parameters
     ----------
     coin : array_like
         Unitary 4x4 coin.
-    n_samples : int
-        Number of pseudo-random momentum pairs, in addition to k = (0, 0).
+    seed : int
+        Seed of the pseudo-random momentum pairs sampled besides k = (0, 0).
 
     Returns
     -------
     list of (eigenphase, multiplicity)
         Sorted by principal angle; empty for non-trapping coins.
     """
-    if n_samples < 4:
-        raise ValueError("need at least 4 momentum samples")
-    spectrum, _ = _point_spectrum(require_unitary(coin), n_samples, seed, tol)
+    spectrum, _ = _point_spectrum(require_unitary(coin), _N_SAMPLES, seed, CLUSTER_TOL)
     return spectrum
 
 
@@ -166,12 +163,12 @@ def _flat_bands(c, seed: int = _DEFAULT_SEED):
     partner eigenphase -lam are exactly their chiral partners.
     """
     spectrum, margin = _point_spectrum(c, _N_SAMPLES, seed, CLUSTER_TOL)
-    seed_cells = {lam: _laurent.localized_cells(c, lam) for lam in _seed_phases(spectrum)}
+    seed_cells = {lam: _laurent._localized_cells(c, lam) for lam in _seed_phases(spectrum)}
     return spectrum, margin, seed_cells
 
 
 def _escaping_from_cells(seed_cells, rank_tol: float) -> np.ndarray:
-    columns = [_coins.balance_matrices(cc).a for cells in seed_cells.values()
+    columns = [_coins._cell_matrix(cc) for cells in seed_cells.values()
                for cell in cells for cc in (cell, cell.chiral_partner())]
     _, kernel = numerical_rank(np.hstack(columns), rank_tol)
     return kernel
@@ -240,23 +237,6 @@ def _band_projector(cell, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return band / (x.size * y.size)
 
 
-def _trapped_operator(c, grid_n: int) -> np.ndarray:
-    spectrum, _, seed_cells = _flat_bands(c)
-    if not spectrum:
-        raise NotTrappingError("coin is not trapping")
-    k = -np.pi + 2.0 * np.pi * (np.arange(grid_n) + 0.5) / grid_n
-    z = np.exp(1j * k)
-    op = np.zeros((4, 4), dtype=np.complex128)
-    # The partner band's cells are the chiral partners of the seed band's.
-    for cells in seed_cells.values():
-        for group in (cells, [cell.chiral_partner() for cell in cells]):
-            # Distinct cells of a direct sum live in orthogonal sectors, so
-            # their projectors add without re-orthonormalization.
-            band = sum(_band_projector(cell, z, z) for cell in group)
-            op += band.conj().T @ band
-    return (op + op.conj().T) / 2
-
-
 def trapped_weight_operator(coin, grid_n: int = 256) -> np.ndarray:
     """The 4x4 Hermitian PSD operator W with trapped weight psi† W psi.
 
@@ -275,7 +255,21 @@ def trapped_weight_operator(coin, grid_n: int = 256) -> np.ndarray:
         If the coin has no constant eigenvalue.
     """
     c = require_unitary(coin)
-    return _trapped_operator(c, _check_grid(grid_n))
+    grid_n = _check_grid(grid_n)
+    spectrum, _, seed_cells = _flat_bands(c)
+    if not spectrum:
+        raise NotTrappingError("coin is not trapping")
+    k = -np.pi + 2.0 * np.pi * (np.arange(grid_n) + 0.5) / grid_n
+    z = np.exp(1j * k)
+    op = np.zeros((4, 4), dtype=np.complex128)
+    # The partner band's cells are the chiral partners of the seed band's.
+    for cells in seed_cells.values():
+        for group in (cells, [cell.chiral_partner() for cell in cells]):
+            # Distinct cells of a direct sum live in orthogonal sectors, so
+            # their projectors add without re-orthonormalization.
+            band = sum(_band_projector(cell, z, z) for cell in group)
+            op += band.conj().T @ band
+    return (op + op.conj().T) / 2
 
 
 def trapped_weight(coin, initial_coin_state, grid_n: int = 256) -> float:
@@ -286,13 +280,11 @@ def trapped_weight(coin, initial_coin_state, grid_n: int = 256) -> float:
     W from :func:`trapped_weight_operator` at the same grid.  Zero exactly
     when the initial coin state is escaping.
     """
-    c = require_unitary(coin)
-    grid_n = _check_grid(grid_n)
     psi = np.asarray(initial_coin_state, dtype=np.complex128).reshape(4)
     nrm = np.linalg.norm(psi)
     if not (abs(nrm - 1.0) <= 1e-12):
         raise ValueError(f"initial coin state must be normalized, |psi| = {nrm!r}")
-    return float(np.vdot(psi, _trapped_operator(c, grid_n) @ psi).real)
+    return float(np.vdot(psi, trapped_weight_operator(coin, grid_n) @ psi).real)
 
 
 _FAMILY_BY_RANK = {4: "TypeI", 3: "TypeIIa", 2: "TypeIIb"}
@@ -328,7 +320,7 @@ def classify_coin(coin, rank_tol: float = RANK_TOL,
         )
 
     cells = next(iter(seed_cells.values()))
-    rank, _ = numerical_rank(_coins.balance_matrices(cells[0]).a, rank_tol)
+    rank, _ = numerical_rank(_coins._cell_matrix(cells[0]), rank_tol)
     family = _FAMILY_BY_RANK.get(rank)
     if family is None:
         raise NotTrappingError(f"amplitude matrix has unexpected rank {rank}")

@@ -32,6 +32,7 @@ from .linalg import as_complex_matrix
 
 __all__ = [
     "COIN_BASIS",
+    "DISPLACEMENTS",
     "NORM_FULL_RANK",
     "NORM_RANK_DEFICIENT",
     "TypeIParams",
@@ -60,6 +61,8 @@ __all__ = [
 
 COIN_BASIS = ("L", "D", "U", "R")
 _L, _D, _U, _R = 0, 1, 2, 3
+# The lattice step (dx, dy) of each coin direction, in COIN_BASIS order.
+DISPLACEMENTS = ((-1, 0), (0, -1), (0, 1), (1, 0))
 
 # Squared-norm conventions for stationary cells.
 NORM_FULL_RANK = 2.0
@@ -188,8 +191,10 @@ class TypeIIbParams:
     phi_f: float = 0.0
 
     def __post_init__(self):
-        if self.variant not in (1, 2):
-            raise ParameterDomainError(f"variant must be 1 or 2, got {self.variant!r}")
+        v = self.variant
+        if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v not in (1, 2):
+            raise ParameterDomainError(f"variant must be the integer 1 or 2, got {v!r}")
+        object.__setattr__(self, "variant", int(v))
         object.__setattr__(self, "delta", _check_quarter_range("delta", self.delta))
         # The family double-covers: (phi - pi, alpha + pi, beta + pi) is the
         # same coin, so folding phi into [0, pi) must shift alpha and beta.
@@ -250,11 +255,12 @@ def _iib_pair_cell(variant: int, swap_entry: complex, eigenphase: complex) -> Am
     return AmplitudeCell(**amps, eigenphase=eigenphase, norm=NORM_RANK_DEFICIENT)
 
 
-# Where the amplitudes a..h sit in a cell's [dx, dy, direction] array; they
-# fill the mask in C order.  The other eight entries are structurally zero.
-_CELL_SUPPORT = np.zeros((2, 2, 4), dtype=bool)
-_CELL_SUPPORT[0, 0, [_L, _D]] = _CELL_SUPPORT[0, 1, [_L, _U]] = True
-_CELL_SUPPORT[1, 0, [_D, _R]] = _CELL_SUPPORT[1, 1, [_U, _R]] = True
+# _LANDING[s, j]: where a step in direction j takes cell site s (sites in C order).
+_LANDING = np.array(list(np.ndindex(2, 2)))[:, None, :] + np.array(DISPLACEMENTS)
+# Where the amplitudes a..h sit in a cell's [dx, dy, direction] array, in C
+# order: on the directions whose step leaves the cell.  The other eight
+# entries are structurally zero.
+_CELL_SUPPORT = ((_LANDING < 0) | (_LANDING > 1)).any(axis=2).reshape(2, 2, 4)
 
 
 @dataclass(frozen=True)
@@ -377,23 +383,18 @@ class BalanceMatrices:
         return float(np.max(np.abs(c @ self.a - self.b)))
 
 
+def _cell_matrix(cell: AmplitudeCell) -> np.ndarray:
+    """The matrix A: column s is the local coin state of cell site s, sites in C order."""
+    return cell.local_states().reshape(4, 4).T
+
+
 def balance_matrices(cell: AmplitudeCell) -> BalanceMatrices:
     """Build the detailed-balance pair from a validated amplitude cell."""
     cell.validate()
-    a, b, c, d, e, f, g, h = cell.amplitudes
-    mat_a = np.array([
-        [a, c, 0, 0],
-        [b, 0, e, 0],
-        [0, d, 0, g],
-        [0, 0, f, h],
-    ], dtype=np.complex128)
-    mat_b = np.array([
-        [0, 0, a, c],
-        [0, b, 0, e],
-        [d, 0, g, 0],
-        [f, h, 0, 0],
-    ], dtype=np.complex128)
-    return BalanceMatrices(a=mat_a, b=mat_b)
+    # B[j, s] is component j of the state on site s + d_j, zero off the cell.
+    ring = np.pad(cell.local_states(), ((1, 1), (1, 1), (0, 0)))
+    x, y = np.moveaxis(_LANDING + 1, 2, 0)
+    return BalanceMatrices(a=_cell_matrix(cell), b=ring[x, y, np.arange(4)].T)
 
 
 def _exp(t: float) -> complex:

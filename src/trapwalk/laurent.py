@@ -1,11 +1,11 @@
 """Bivariate Laurent polynomials and the bounded-support eigenvector machinery.
 
-A trapping coin makes ``det(C - S^{-1})`` vanish identically, where ``S`` is
-the momentum-shift ``diag(1/x, 1/y, y, x)`` with ``x = exp(i k_x)``,
-``y = exp(i k_y)``.  The kernel of that Laurent-polynomial matrix contains a
-vector whose entries are ordinary polynomials of degree one in each
-variable; its sixteen coefficients are the amplitudes of an eigenstate
-supported on a 2x2 patch of the lattice.
+A trapping coin makes ``det(C - S^{-1})`` vanish identically, where
+``S = diag(x^dx y^dy)`` over the steps of ``coins.DISPLACEMENTS``, with
+``x = exp(i k_x)``, ``y = exp(i k_y)``.  The kernel of that Laurent-polynomial
+matrix contains a vector whose entries are ordinary polynomials of degree
+one in each variable; its sixteen coefficients are the amplitudes of an
+eigenstate supported on a 2x2 patch of the lattice.
 
 The degree-(1,1) kernel vector is obtained from the exact coefficient
 system rather than by symbolic lowest-terms reduction: the sixty-four
@@ -54,8 +54,8 @@ _GRID_OFFSET_Y = 0.61
 _VERIFY_OFFSET_X = 0.11
 _VERIFY_OFFSET_Y = 0.23
 
-# D = C - diag(x^i y^j) with these exponents (i, j), one per direction L, D, U, R.
-_SHIFT_EXPONENTS = ((1, 0), (0, 1), (0, -1), (-1, 0))
+# D = C - diag(x^i y^j) with these exponents (i, j) = -d, one per direction.
+_SHIFT_EXPONENTS = tuple((-dx, -dy) for dx, dy in _coins.DISPLACEMENTS)
 
 
 def _nodes(count: int, offset: float) -> np.ndarray:
@@ -265,7 +265,7 @@ class LaurentMatrix:
 
 
 def kernel_matrix(coin) -> LaurentMatrix:
-    """The coin minus the inverse momentum shift, ``C - diag(x, y, 1/y, 1/x)``.
+    """The coin minus the inverse momentum shift, ``C - diag(x^-dx y^-dy)``.
 
     Its determinant vanishes identically exactly when the walk operator has
     a constant eigenvalue 1; kernel vectors are localized eigenstates.
@@ -314,7 +314,7 @@ def adjugate_kernel_vector(mat: LaurentMatrix, index: int) -> list[LaurentPoly]:
 
 
 def _grid_values(adjusted: np.ndarray, grid_n: int, off_x: float, off_y: float):
-    """Numeric values of D = adjusted - diag(x, y, 1/y, 1/x) on a node grid.
+    """Numeric values of D = adjusted - diag(x^-dx y^-dy) on a node grid.
 
     Returns (x nodes flat, y nodes flat, stacked D values of shape (m, 4, 4)).
     """
@@ -397,9 +397,12 @@ def localized_cells(coin, eigenphase: complex) -> list[_coins.AmplitudeCell]:
     Generic trapping coins yield a single cell.  Direct sums of
     one-dimensional coins yield one cell per trapping sector whose
     eigenvalue matches; lattice translates of the same quasi-1D pair are
-    not reported separately.
+    not reported separately.  Each cell is validated once, here.
     """
-    c = require_unitary(coin)
+    return _localized_cells(require_unitary(coin), eigenphase)
+
+
+def _localized_cells(c: np.ndarray, eigenphase: complex) -> list[_coins.AmplitudeCell]:
     lam = complex(eigenphase)
     if not abs(abs(lam) - 1.0) <= 1e-9:
         raise ValueError(f"eigenphase must have unit modulus, got |{lam}| = {abs(lam)}")
@@ -415,18 +418,21 @@ def localized_cells(coin, eigenphase: complex) -> list[_coins.AmplitudeCell]:
         raise KernelInconsistencyError("det D vanishes identically but the coefficient "
                                        "system has no kernel")
     if kernel.shape[1] == 1:
-        return [_cell_from_amplitudes(kernel[:, 0], lam)]
-    # Kernel dimension >= 2: only direct sums of one-dimensional coins do
-    # this (translated copies of a quasi-1D pair both fit in the window).
-    if not _coins._iib_is_direct_sum(c):
-        raise KernelInconsistencyError(
-            "multi-dimensional ansatz kernel for a coin without direct-sum structure"
-        )
-    cells = _degenerate_pattern_cells(adjusted, lam)
-    if not cells:
-        raise KernelInconsistencyError(
-            "direct-sum coin matches neither degenerate sparsity pattern"
-        )
+        cells = [_cell_from_amplitudes(kernel[:, 0], lam)]
+    else:
+        # Kernel dimension >= 2: only direct sums of one-dimensional coins do
+        # this (translated copies of a quasi-1D pair both fit in the window).
+        if not _coins._iib_is_direct_sum(c):
+            raise KernelInconsistencyError(
+                "multi-dimensional ansatz kernel for a coin without direct-sum structure"
+            )
+        cells = _degenerate_pattern_cells(adjusted, lam)
+        if not cells:
+            raise KernelInconsistencyError(
+                "direct-sum coin matches neither degenerate sparsity pattern"
+            )
+    for cell in cells:
+        cell.validate()
     return cells
 
 

@@ -1,8 +1,8 @@
 """Momentum-space operator, dispersion relations, and spreading geometry.
 
-The momentum walk operator is ``S(k) C`` with the diagonal shift
-``S(k) = diag(e^{-i kx}, e^{-i ky}, e^{i ky}, e^{i kx})``.  For trapping
-coins its non-constant eigenvalues are ``exp(i(beta +- omega(k)))`` with
+The momentum walk operator is ``S(k) C`` with the shift ``S(k) = diag(e^{i k.d})``
+over the steps ``d`` of ``coins.DISPLACEMENTS``.  For trapping coins its
+non-constant eigenvalues are ``exp(i(beta +- omega(k)))`` with
 
     omega = -arccos(-rho_x cos(kx + phi_x) - rho_y cos(ky + phi_y)),
 
@@ -40,6 +40,7 @@ __all__ = [
 _EDGE_TOL = 1e-12
 # rho_x + rho_y carries a few ulp of rounding from the coin parameters.
 _BOUNDARY_TOL = 8.0 * np.finfo(float).eps
+_STEPS = np.array(_coins.DISPLACEMENTS, dtype=float)
 
 
 def momentum_operator(coin, kx, ky) -> np.ndarray:
@@ -47,9 +48,12 @@ def momentum_operator(coin, kx, ky) -> np.ndarray:
 
     Array momenta broadcast against each other; scalars give one 4x4 matrix.
     """
-    c = require_unitary(coin)
+    return _momentum_operator(require_unitary(coin), kx, ky)
+
+
+def _momentum_operator(c: np.ndarray, kx, ky) -> np.ndarray:
     kx, ky = np.broadcast_arrays(kx, ky)
-    phases = np.exp(1j * np.stack([-kx, -ky, ky, kx], axis=-1))
+    phases = np.exp(1j * (np.stack([kx, ky], axis=-1) @ _STEPS.T))
     return phases[..., :, None] * c
 
 
@@ -72,6 +76,9 @@ class DispersionSpec:
     def __post_init__(self):
         if self.kind not in ("2d", "1d_x", "1d_y"):
             raise ValueError(f"unknown dispersion kind {self.kind!r}")
+        if not all(map(math.isfinite, (self.beta, self.rho_x, self.rho_y,
+                                       self.phi_x, self.phi_y))):
+            raise ValueError("dispersion parameters must be finite")
         if self.rho_x < 0 or self.rho_y < 0:
             raise ValueError("band amplitudes must be nonnegative")
         if self.rho_x + self.rho_y > 1.0 + 1e-12:

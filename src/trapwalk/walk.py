@@ -1,14 +1,13 @@
 """Exact amplitude-level simulation of the walk on rotated light-cone blocks.
 
-One step applies the coin at every occupied site and then displaces the
-components: L moves (-1, 0), D (0, -1), U (0, +1), R (+1, 0).  In the
-rotated coordinates u = x + y, v = x - y every displacement moves both u
-and v by one, so after t steps from a single site the occupied sites are
-the (t+1)^2 points u0 - t + 2i, v0 - t + 2j (0 <= i, j <= t): a square
-block in (u, v), where the dense (2t+3)^2 window of (x, y) would be three
-quarters zeros.  Amplitudes are kept on such blocks and only the occupied
-sites are computed; the dense window is built for snapshots and
-inspection.
+One step applies the coin at every occupied site and then displaces each
+component by its step in ``coins.DISPLACEMENTS``.  In the rotated
+coordinates u = x + y, v = x - y every step moves both u and v by one, so
+after t steps from a single site the occupied sites are the (t+1)^2 points
+u0 - t + 2i, v0 - t + 2j (0 <= i, j <= t): a square block in (u, v), where
+the dense (2t+3)^2 window of (x, y) would be three quarters zeros.
+Amplitudes are kept on such blocks and only the occupied sites are
+computed; the dense window is built for snapshots and inspection.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coins import AmplitudeCell
+from .coins import DISPLACEMENTS, AmplitudeCell
 from .linalg import require_unitary
 from .spectral import SpreadRegion, region_contains
 
@@ -38,9 +37,9 @@ __all__ = [
 ]
 
 # Where each displaced component lands in the next block, whose corner is
-# (u0 - 1, v0 - 1): L (u - 1, v - 1), D (u - 1, v + 1), U (u + 1, v - 1)
-# and R (u + 1, v + 1), in steps of two along u and v.
-_SHIFTS = ((0, 0), (0, 1), (1, 0), (1, 1))
+# (u0 - 1, v0 - 1): a step (dx, dy) moves (u, v) by (dx + dy, dx - dy), each
+# +-1, and the block indices run in steps of two along u and v.
+_SHIFTS = tuple(((dx + dy + 1) // 2, (dx - dy + 1) // 2) for dx, dy in DISPLACEMENTS)
 
 
 @dataclass(frozen=True)
@@ -226,8 +225,9 @@ def coverage_fraction(snapshot: Snapshot, region: SpreadRegion,
     peak: the localized eigenstates occupy 2x2 cells in four overlapping
     placements, so the block covers all of them plus round-off halo).
     """
-    if inflation < 1.0:
-        raise ValueError("inflation must be at least 1")
+    check_floor(floor)
+    if not 1.0 <= inflation < math.inf:
+        raise ValueError(f"inflation must be finite and at least 1, got {inflation}")
     if snapshot.t < 1:
         raise ValueError("coverage needs an evolved snapshot (t >= 1)")
     xs, ys = snapshot.coordinates()

@@ -6,6 +6,7 @@ import pytest
 
 from trapwalk import classify, coins, laurent, spectral, walk
 from trapwalk.errors import NotTrappingError
+from trapwalk.linalg import require_unitary
 
 from conftest import (DEGENERATE_COINS, DRAWERS, draw_type_i, draw_type_iia, draw_type_iib,
                       hadamard_tensor_coin, random_unitary)
@@ -39,11 +40,6 @@ def test_degenerate_full_rank_point_spectrum():
 
 def test_non_trapping_empty_spectrum():
     assert classify.detect_point_spectrum(hadamard_tensor_coin()) == []
-
-
-def test_point_spectrum_needs_enough_samples():
-    with pytest.raises(ValueError):
-        classify.detect_point_spectrum(coins.grover_coin(), n_samples=2)
 
 
 def test_marginal_flag():
@@ -430,6 +426,58 @@ def test_sample_momenta_cached_read_only():
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = 1.0
+
+
+def count_checks(monkeypatch) -> dict:
+    """Count require_unitary calls, cell validations and the cells laurent builds."""
+    calls = {"unitary": 0, "validate": 0, "built": 0}
+
+    def unitary(coin, *args, **kwargs):
+        calls["unitary"] += 1
+        return require_unitary(coin, *args, **kwargs)
+
+    validate = coins.AmplitudeCell.validate
+
+    def counting_validate(cell, *args, **kwargs):
+        calls["validate"] += 1
+        return validate(cell, *args, **kwargs)
+
+    build = laurent._localized_cells
+
+    def counting_build(c, eigenphase):
+        cells = build(c, eigenphase)
+        calls["built"] += len(cells)
+        return cells
+
+    for module in (classify, laurent, spectral, walk):
+        monkeypatch.setattr(module, "require_unitary", unitary)
+    monkeypatch.setattr(coins.AmplitudeCell, "validate", counting_validate)
+    monkeypatch.setattr(laurent, "_localized_cells", counting_build)
+    return calls
+
+
+@pytest.mark.parametrize("entry", ["classify_coin", "escaping_subspace", "trapped_weight"])
+def test_flat_band_entries_check_each_input_once(monkeypatch, rng, entry):
+    psi = np.array([0.5, 0.5j, 0.5j, 0.5])
+    run = {"classify_coin": classify.classify_coin,
+           "escaping_subspace": classify.escaping_subspace,
+           "trapped_weight": lambda coin: classify.trapped_weight(coin, psi, grid_n=16)}[entry]
+    sample = [coins.coin_for(drawer(rng)) for drawer in DRAWERS.values() for _ in range(3)]
+    sample += DEGENERATE_COINS + [coins.grover_coin()]
+    calls = count_checks(monkeypatch)
+    for coin in sample:
+        before = dict(calls)
+        run(coin)
+        built = calls["built"] - before["built"]
+        assert calls["unitary"] - before["unitary"] == 1
+        # one check per cell where laurent builds it; chiral partners are exact sign flips
+        assert built >= 1 and calls["validate"] - before["validate"] == built
+
+
+def test_classify_checks_a_non_trapping_coin_once(monkeypatch, rng):
+    calls = count_checks(monkeypatch)
+    assert classify.classify_coin(random_unitary(rng)).family == "NotTrapping"
+    assert calls == {"unitary": 1, "validate": 0, "built": 0}
 
 
 def test_escaping_states_decay(rng):

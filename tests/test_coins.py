@@ -50,6 +50,22 @@ def test_type_iib_rejects_bad_variant():
         coins.TypeIIbParams(variant=3, delta=0.3)
 
 
+@pytest.mark.parametrize("variant", [True, 1.0, np.float64(2.0), "1", None])
+def test_type_iib_rejects_non_integer_variant(variant):
+    with pytest.raises(ParameterDomainError, match="variant"):
+        coins.TypeIIbParams(variant=variant, delta=0.3)
+
+
+@pytest.mark.parametrize("variant", [2, np.int64(2), np.int32(2)])
+def test_type_iib_integer_variant_round_trips_through_json(variant):
+    params = coins.TypeIIbParams(variant=variant, delta=0.3, phi_f=0.4)
+    assert type(params.variant) is int
+    text = coins.coin_to_json(coins.coin_for(params), family="TypeIIb", params=params)
+    echoed = json.loads(text)["params"]
+    assert type(echoed["variant"]) is int and echoed["variant"] == 2
+    assert coins.params_from_dict(echoed) == params
+
+
 def test_type_iib_phi_fold_preserves_coin():
     # folding phi into [0, pi) shifts alpha and beta so the coin is unchanged
     folded = coins.TypeIIbParams(variant=1, delta=0.6, phi=4.0, alpha=0.3, beta=0.7)
@@ -272,6 +288,51 @@ def test_detailed_balance_all_families(rng):
             assert residual < 1e-12
             gram_gap = np.max(np.abs(bal.a.conj().T @ bal.a - bal.b.conj().T @ bal.b))
             assert gram_gap < 1e-12
+
+
+# The step convention as the modules used to spell it out by hand: the tables
+# derived from coins.DISPLACEMENTS must reproduce these bit for bit.
+
+def reference_balance_matrices(cell):
+    a, b, c, d, e, f, g, h = cell.amplitudes
+    mat_a = np.array([
+        [a, c, 0, 0],
+        [b, 0, e, 0],
+        [0, d, 0, g],
+        [0, 0, f, h],
+    ], dtype=np.complex128)
+    mat_b = np.array([
+        [0, 0, a, c],
+        [0, b, 0, e],
+        [d, 0, g, 0],
+        [f, h, 0, 0],
+    ], dtype=np.complex128)
+    return mat_a, mat_b
+
+
+def test_displacements_are_the_four_unit_steps():
+    steps = np.array(coins.DISPLACEMENTS)
+    assert steps.shape == (4, 2) and np.all(np.abs(steps).sum(axis=1) == 1)
+    # L and R, D and U are opposite steps
+    assert np.array_equal(steps, -steps[::-1])
+
+
+def test_cell_support_matches_hand_set_mask():
+    L, D, U, R = range(4)
+    mask = np.zeros((2, 2, 4), dtype=bool)
+    mask[0, 0, [L, D]] = mask[0, 1, [L, U]] = True
+    mask[1, 0, [D, R]] = mask[1, 1, [U, R]] = True
+    assert np.array_equal(coins._CELL_SUPPORT, mask)
+
+
+def test_balance_matrices_match_hand_written_literals(rng):
+    for params in all_params(rng, 10):
+        for cell in coins.stationary_cell(params):
+            mat_a, mat_b = reference_balance_matrices(cell)
+            bal = coins.balance_matrices(cell)
+            assert bal.a.tobytes() == mat_a.tobytes()
+            assert bal.b.tobytes() == mat_b.tobytes()
+            assert coins._cell_matrix(cell).tobytes() == mat_a.tobytes()
 
 
 def test_zero_cell_rejected():

@@ -274,6 +274,11 @@ def test_localized_rejects_nan_eigenphase(lam):
 
 # ------------------------------------------------------ exact coefficient system
 
+def test_shift_exponents_match_hand_written_table():
+    # D = C - diag(x, y, 1/y, 1/x): the exponents of the inverse momentum shift
+    assert laurent._SHIFT_EXPONENTS == ((1, 0), (0, 1), (0, -1), (-1, 0))
+
+
 def test_coefficient_system_structure():
     coin_terms, shift_terms = laurent._coefficient_system()
     uses_coin = coin_terms.any(axis=(0, 2))

@@ -51,6 +51,17 @@ def test_momentum_operator_unitary(rng):
         assert unitarity_defect(spectral.momentum_operator(c, kx, ky)) < 1e-14
 
 
+def test_momentum_operator_matches_hand_written_phases(rng):
+    # diag(e^{-ikx}, e^{-iky}, e^{iky}, e^{ikx}) C, the shift as once spelled out
+    c = coins.coin_type_i(draw_type_i(rng))
+    kx = np.concatenate([[0.0, -0.0, 0.0, np.pi], rng.uniform(-np.pi, np.pi, 20)])
+    ky = np.concatenate([[0.0, 0.0, -0.0, -np.pi], rng.uniform(-np.pi, np.pi, 20)])
+    reference = np.exp(1j * np.stack([-kx, -ky, ky, kx], axis=-1))[:, :, None] * c
+    assert spectral.momentum_operator(c, kx, ky).tobytes() == reference.tobytes()
+    for a, b, ref in zip(kx, ky, reference):
+        assert spectral.momentum_operator(c, a, b).tobytes() == ref.tobytes()
+
+
 def test_momentum_operator_broadcasts_like_scalar_calls(rng):
     c = coins.coin_type_i(draw_type_i(rng))
     kx = rng.uniform(-np.pi, np.pi, (3, 5))
@@ -241,6 +252,14 @@ def test_region_segment_for_quasi_1d():
     p2 = coins.TypeIIbParams(variant=2, delta=0.6)
     region2 = spectral.spread_region(spectral.dispersion_spec(p2))
     assert region2.b1 == pytest.approx(np.cos(0.6)) and region2.a1 == 0.0
+
+
+@pytest.mark.parametrize("field", ["beta", "rho_x", "rho_y", "phi_x", "phi_y"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_dispersion_spec_rejects_non_finite(field, value):
+    kwargs = {"kind": "2d", "beta": 0.1, "rho_x": 0.3, "rho_y": 0.2, "phi_x": 0.4, "phi_y": 0.5}
+    with pytest.raises(ValueError, match="finite"):
+        spectral.DispersionSpec(**(kwargs | {field: value}))
 
 
 def test_region_fully_trapped_degenerate():

@@ -299,6 +299,20 @@ def test_coverage_validates_arguments():
         walk.coverage_fraction(traj.snapshots[2], region, inflation=0.5)
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"floor": np.nan}, {"floor": np.inf}, {"floor": -np.inf}, {"floor": -1e-3},
+    {"inflation": np.nan}, {"inflation": np.inf}, {"inflation": 0.99},
+])
+def test_coverage_rejects_non_finite_floor_and_inflation(kwargs):
+    # a NaN or infinite floor used to count no escaping mass at all
+    params = coins.TypeIParams(np.pi / 3, QUARTER)
+    traj = walk.simulate(coins.coin_for(params), walk.initial_state(FIG2_INITIAL), 20,
+                         snapshot_times=(20,))
+    region = spectral.spread_region(spectral.dispersion_spec(params))
+    with pytest.raises(ValueError, match=next(iter(kwargs))):
+        walk.coverage_fraction(traj.snapshots[20], region, **kwargs)
+
+
 def test_quasi_1d_strip_confinement():
     c = coins.coin_type_iib(coins.TypeIIbParams(variant=1, delta=QUARTER))
     state = walk.initial_state(np.array([0.5, 0.5, 0.5, 0.5j]))
@@ -380,6 +394,11 @@ def test_distribution_csv_rejects_bad_floor(tmp_path, floor):
     with pytest.raises(ValueError, match="floor"):
         walk.write_distribution_csv(path, snap, floor=floor)
     assert not path.exists()
+
+
+def test_block_shifts_match_hand_written_table():
+    # L, D, U, R land at these (u, v) block offsets
+    assert walk._SHIFTS == ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
 def test_simulate_checks_the_coin_once(monkeypatch):
