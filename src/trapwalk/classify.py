@@ -1,16 +1,14 @@
 """Trapping detection, family classification, escaping states, trapped weight.
 
-Constant eigenvalues of the momentum-space walk operator are detected by
-sampling it at pseudo-random quasi-momenta: the spreading bands are
-non-constant analytic functions, so agreement at nine generic points to
-1e-8 identifies a flat band beyond reasonable doubt at double precision.
-Families follow from the rank of the stationary amplitude matrix A
+A constant eigenvalue of the momentum-space walk operator U(k) = S(k) C is a
+common root of the nine coefficients, in (x, y) = (e^{i kx}, e^{i ky}), of its
+characteristic polynomial ``det(z S^-1 - C)``, read off the principal minors
+of C.  Families follow from the rank of the stationary amplitude matrix A
 (4, 3, 2 for Types I, IIa, IIb).
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from dataclasses import dataclass
@@ -24,7 +22,6 @@ from .linalg import RANK_TOL, fix_vector_phase, numerical_rank, require_unitary
 from .spectral import _momentum_operator
 
 __all__ = [
-    "CLUSTER_TOL",
     "ClassificationResult",
     "detect_point_spectrum",
     "classify_coin",
@@ -35,90 +32,87 @@ __all__ = [
     "classification_to_json",
 ]
 
-CLUSTER_TOL = 1e-8
-_DEFAULT_SEED = 20210507
-_N_SAMPLES = 8
+# A decision value below its threshold counts as zero; one within ten times
+# its threshold marks the result marginal.
+_FLAT_TOL = 1e-8
+# Rounding splits a double root of the quadratic center by ~sqrt(eps).
+_DOUBLE_ROOT_TOL = 1e-6
+# Polishing momenta: k = 0, where U = C, and a generic one for bands crossing there.
+_POLISH_K = (np.array([0.0, 2.23]), np.array([0.0, -1.19]))
+# The edge coefficients of laurent._charpoly, each -z (C_jj w + M) with w = z^2.
+_EDGES = ([0, 1, 1, 2], [1, 0, 2, 1])
 
 
-@functools.lru_cache(maxsize=16)
-def _sample_momenta(n_samples: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """k = (0, 0) followed by ``n_samples`` pseudo-random momentum pairs.
-
-    Memoised per ``(n_samples, seed)``; the arrays are shared, so read-only.
+def _flat_roots(coeffs: np.ndarray):
+    """Values w = z^2 of the flat chiral pairs +-z with multiplicities, and the
+    (value, threshold) pairs of the decisions taken.  ``coeffs`` is the tensor
+    of ``laurent._charpoly``; a flat z zeroes all nine of its polynomials.
     """
-    rng = np.random.default_rng(seed)
-    ks = np.vstack([np.zeros((1, 2)), rng.uniform(-np.pi, np.pi, (n_samples, 2))])
-    ks.flags.writeable = False
-    return ks[:, 0], ks[:, 1]
+    # each corner is M z^2 with M a mixed 2x2 minor
+    corners = float(np.abs(coeffs[::2, ::2, 2]).max())
+    decisions = [(corners, _FLAT_TOL)]
+    if corners >= _FLAT_TOL:
+        return [], decisions
+    edges = coeffs[_EDGES]
+    edge_size = float(np.abs(edges).max())
+    decisions.append((edge_size, _FLAT_TOL))
+    if edge_size >= _FLAT_TOL:
+        # one flat pair at the least-squares root of the linear edges; w = 0
+        # (no slope) never zeroes the center, which is det C there
+        w = np.linalg.lstsq(edges[:, 3:4], -edges[:, 1], rcond=None)[0][0]
+        residual = float(np.abs(coeffs @ np.sqrt(w) ** np.arange(5)).max())
+        decisions.append((residual, _FLAT_TOL))
+        return ([(w, 1)] if residual < _FLAT_TOL else []), decisions
+    # no edges: every band is flat, at the roots of w^2 + (M_LR + M_DU) w + det C
+    alpha, det = coeffs[1, 1, 2], coeffs[1, 1, 0]
+    split = np.sqrt(alpha * alpha - 4.0 * det)
+    decisions.append((float(abs(split)), _DOUBLE_ROOT_TOL))
+    if abs(split) < _DOUBLE_ROOT_TOL:
+        return [(-alpha / 2.0, 2)], decisions
+    return [((-alpha + split) / 2.0, 1), ((-alpha - split) / 2.0, 1)], decisions
 
 
-def _cluster_center(group, others: np.ndarray, tol: float) -> complex:
-    """Unit-modulus center of a cluster of sample-0 eigenvalues.
+def _flat_spectrum(c):
+    """Constant eigenvalues with multiplicities, and whether a decision was marginal.
 
-    A dispersive band can cross a flat band at k = 0 and join its cluster
-    first, so the center is the first member lying within ``tol / 100`` of
-    an eigenvalue at every other sample, else the first member.
+    ``c`` must be a checked unitary coin.  Each root +-sqrt(w) of multiplicity m
+    becomes the nearest eigenvalue of U(0) = C, or of U at the other momentum
+    where the (m+1)-th nearest is within _FLAT_TOL at k = 0 but not there.
     """
-    if len(group) > 1:
-        for lam in group:
-            u = lam / abs(lam)
-            if (np.abs(others - u).min(axis=1) < tol / 100).all():
-                return u
-    return group[0] / abs(group[0])
-
-
-def _point_spectrum(c, n_samples: int, seed: int, tol: float):
-    """Constant eigenvalues with minimal multiplicities, plus the cluster margin.
-
-    ``c`` must be a checked unitary coin.
-    """
-    samples = np.linalg.eigvals(_momentum_operator(c, *_sample_momenta(n_samples, seed)))
-    # Cluster the first sample into candidates.
-    candidates: list[list[complex]] = []
-    for lam in samples[0]:
-        for group in candidates:
-            if abs(lam - group[0]) < tol:
-                group.append(lam)
-                break
-        else:
-            candidates.append([lam])
+    roots, decisions = _flat_roots(_laurent._charpoly(c))
     results = []
-    margin = math.inf
-    for group in candidates:
-        center = _cluster_center(group, samples[1:], tol)
-        dist = np.abs(samples - center)
-        counts = np.sum(dist[1:] < tol, axis=1)
-        if not counts.all():
-            continue
-        outside = dist[dist >= tol]
-        if outside.size:
-            margin = min(margin, float(outside.min()))
-        results.append((complex(center), min(len(group), int(counts.min()))))
+    if roots:
+        ev = np.linalg.eigvals(_momentum_operator(c, *_POLISH_K))
+        for w, mult in roots:
+            for z in (np.sqrt(w), -np.sqrt(w)):
+                dist = np.abs(ev - z)
+                gap = np.sort(dist, axis=1)[:, mult]
+                k = int(gap[0] < _FLAT_TOL < gap[1])
+                lam = ev[k, np.argmin(dist[k])]
+                results.append((complex(lam / abs(lam)), mult))
 
     def _canonical_angle(lam: complex) -> float:
         ang = float(np.angle(lam)) % (2 * np.pi)
         return 0.0 if ang > 2 * np.pi - 1e-9 else ang
 
     results.sort(key=lambda item: _canonical_angle(item[0]))
-    return results, margin
+    return results, any(thr <= value < 10 * thr for value, thr in decisions)
 
 
-def detect_point_spectrum(coin, seed: int = _DEFAULT_SEED) -> list[tuple[complex, int]]:
-    """Eigenvalues of the momentum walk operator common to all sampled momenta.
+def detect_point_spectrum(coin) -> list[tuple[complex, int]]:
+    """Constant eigenvalues of the momentum walk operator, in closed form.
 
     Parameters
     ----------
     coin : array_like
         Unitary 4x4 coin.
-    seed : int
-        Seed of the pseudo-random momentum pairs sampled besides k = (0, 0).
 
     Returns
     -------
     list of (eigenphase, multiplicity)
         Sorted by principal angle; empty for non-trapping coins.
     """
-    spectrum, _ = _point_spectrum(require_unitary(coin), _N_SAMPLES, seed, CLUSTER_TOL)
+    spectrum, _ = _flat_spectrum(require_unitary(coin))
     return spectrum
 
 
@@ -130,8 +124,8 @@ class ClassificationResult:
     DirectSumDegenerate.  ``variant`` distinguishes the two rank-2
     arrangements.  ``fully_trapped`` marks coins with four constant
     eigenvalues (no state can leave the 3x3 neighborhood of its start).
-    ``marginal`` flags eigenvalue clusters separated from the rest by less
-    than ten times the clustering tolerance.
+    ``marginal`` flags a closed-form decision (mixed-minor size, edge size,
+    root residual or double-root split) within ten times its threshold.
     """
 
     trapping: bool
@@ -155,16 +149,16 @@ def _seed_phases(eigenphases) -> list[complex]:
     return out
 
 
-def _flat_bands(c, seed: int = _DEFAULT_SEED):
-    """Point spectrum, cluster margin and the localized cells of each chiral pair.
+def _flat_bands(c):
+    """Point spectrum, marginal flag and the localized cells of each chiral pair.
 
     ``c`` must be a checked unitary coin.  ``seed_cells`` maps each seed
     eigenphase to its cells; since S(k + pi) = -S(k), the cells at the
     partner eigenphase -lam are exactly their chiral partners.
     """
-    spectrum, margin = _point_spectrum(c, _N_SAMPLES, seed, CLUSTER_TOL)
+    spectrum, marginal = _flat_spectrum(c)
     seed_cells = {lam: _laurent._localized_cells(c, lam) for lam in _seed_phases(spectrum)}
-    return spectrum, margin, seed_cells
+    return spectrum, marginal, seed_cells
 
 
 def _escaping_from_cells(seed_cells, rank_tol: float) -> np.ndarray:
@@ -290,8 +284,7 @@ def trapped_weight(coin, initial_coin_state, grid_n: int = 256) -> float:
 _FAMILY_BY_RANK = {4: "TypeI", 3: "TypeIIa", 2: "TypeIIb"}
 
 
-def classify_coin(coin, rank_tol: float = RANK_TOL,
-                  seed: int = _DEFAULT_SEED) -> ClassificationResult:
+def classify_coin(coin, rank_tol: float = RANK_TOL) -> ClassificationResult:
     """Full classification of an arbitrary unitary coin.
 
     Detects the point spectrum, extracts a localized eigenstate, forms the
@@ -299,11 +292,12 @@ def classify_coin(coin, rank_tol: float = RANK_TOL,
     constant eigenvalues carry multiplicity two or more are direct sums of
     one-dimensional trapping coins and are reported as DirectSumDegenerate.
     Parameter recovery is attempted for every family unless the coin is
-    fully trapped; ``params`` stays None when it fails.
+    fully trapped; ``params`` stays None when it fails or when
+    ``lam * coin_for(params)``, lam the seed eigenphase, misses the coin by
+    more than 1e-9.
     """
     c = require_unitary(coin)
-    spectrum, margin, seed_cells = _flat_bands(c, seed)
-    marginal = margin < 10 * CLUSTER_TOL
+    spectrum, marginal, seed_cells = _flat_bands(c)
     if not spectrum:
         return ClassificationResult(
             trapping=False, eigenphases=(), family="NotTrapping", marginal=marginal,
@@ -326,17 +320,29 @@ def classify_coin(coin, rank_tol: float = RANK_TOL,
         raise NotTrappingError(f"amplitude matrix has unexpected rank {rank}")
 
     variant = _coins._iib_variant(c) if family == "TypeIIb" else None
-    params = None
-    if not fully:
-        try:
-            params = recover_parameters(cells[0], family, coin=c)
-        except (ValueError, ArithmeticError):
-            params = None
+    params = None if fully else _rebuilding_params(cells[0], family, c)
     return ClassificationResult(
         trapping=True, eigenphases=phases, family=family, rank_a=rank,
         escaping_dim=esc_dim, variant=variant, params=params,
         fully_trapped=fully, marginal=marginal,
     )
+
+
+# Recovered parameters are kept only if they rebuild the coin this closely.
+_REBUILD_TOL = 1e-9
+
+
+def _rebuilding_params(cell: _coins.AmplitudeCell, family: str, c) -> _coins.FamilyParams | None:
+    """Recovered parameters with ``lam * coin_for(params) == c``, lam the cell's eigenphase.
+
+    None when recovery fails or the parameters do not rebuild the coin.
+    """
+    try:
+        params = recover_parameters(cell, family, coin=c)
+        rebuilt = complex(cell.eigenphase) * _coins.coin_for(params)
+    except (ValueError, ArithmeticError):
+        return None
+    return params if np.max(np.abs(rebuilt - c)) <= _REBUILD_TOL else None
 
 
 def _phase_of(z: complex, mag: float, tol: float = 1e-9) -> float | None:
@@ -370,8 +376,11 @@ def recover_parameters(cell: _coins.AmplitudeCell, family: str,
                        coin=None) -> _coins.FamilyParams:
     """Family parameters reproducing a given stationary cell.
 
-    The gauge (``linalg.fix_vector_phase``) makes the first amplitude above
-    1e-8 of the largest one real and nonnegative.  For the
+    The families are built with flat eigenvalues +-1, so the coin is read
+    as ``conj(lam) * coin`` with lam the cell's eigenphase, and the result
+    satisfies ``coin = lam * coin_for(params)``.  The gauge
+    (``linalg.fix_vector_phase``) makes the first amplitude above 1e-8 of
+    the largest one real and nonnegative.  For the
     rank-3 family the cell does not determine the extra rotation angle
     ``eta``, so the coin itself is required: ``eta`` is read off the
     structured product form by a Frobenius projection.  The rank-2 family
@@ -385,6 +394,8 @@ def recover_parameters(cell: _coins.AmplitudeCell, family: str,
         if a rank-2 coin is in neither sector arrangement, or if
         ``family`` is 'TypeIIa' or 'TypeIIb' and no coin is supplied.
     """
+    if coin is not None:
+        coin = np.conj(complex(cell.eigenphase)) * np.asarray(coin)
     if family == "TypeIIb":
         if coin is None:
             raise ValueError("recovering the rank-2 family requires the coin")
@@ -417,7 +428,7 @@ def recover_parameters(cell: _coins.AmplitudeCell, family: str,
     raise ValueError(f"parameter recovery supports TypeI, TypeIIa and TypeIIb, not {family!r}")
 
 
-def _recover_iib(coin) -> _coins.TypeIIbParams:
+def _recover_iib(c: np.ndarray) -> _coins.TypeIIbParams:
     """Rank-2 parameters from the coin's unitary 2x2 block and trapping swap.
 
     The block e^{i phi} [[e^{i alpha} cos delta, e^{-i beta} sin delta],
@@ -426,7 +437,6 @@ def _recover_iib(coin) -> _coins.TypeIIbParams:
     (phi - pi, alpha + pi, beta + pi) makes that choice free.  Phases
     multiplying a vanishing cos or sin are set to zero.
     """
-    c = np.asarray(coin)
     variant = _coins._iib_variant(c)
     if variant is None:
         raise ValueError("rank-2 coin is in neither sector arrangement")
@@ -456,8 +466,7 @@ def _recover_eta(coin, delta1, delta2, delta3, phi_d, phi_e, phi_f, phi_g, phi_h
     k = _coins.escaping_state(probe)
     swap = _coins._structured_swap(phi_e, phi_f, phi_g)
     direction = swap @ np.outer(k, k.conj())
-    xi = complex(np.vdot(direction, np.asarray(coin, dtype=complex) - swap)
-                 / np.vdot(direction, direction))
+    xi = complex(np.vdot(direction, coin - swap) / np.vdot(direction, direction))
     eta = float(np.angle(1.0 + xi))
     if eta == 0.0:
         raise ValueError("recovered eta is zero; coin is not a rank-3 family member")

@@ -108,7 +108,7 @@ def _cmd_coin(args) -> int:
 
 def _cmd_classify(args) -> int:
     coin = _coins.read_coin_json(args.input)
-    result = _classify.classify_coin(coin, rank_tol=args.rank_tol, seed=args.seed)
+    result = _classify.classify_coin(coin, rank_tol=args.rank_tol)
     _emit(_classify.classification_to_json(result), args.output)
     return 0
 
@@ -132,9 +132,10 @@ def _parse_initial(text: str) -> np.ndarray:
 
 
 def _run_simulation(coin, initial, steps, snapshot_times, outdir, floor=0.0):
-    os.makedirs(outdir, exist_ok=True)
+    # simulate rejects bad steps and snapshot times before anything is created
     traj = _walk.simulate(coin, _walk.initial_state(initial), steps,
                           snapshot_times=snapshot_times)
+    os.makedirs(outdir, exist_ok=True)
     _atomic_write(os.path.join(outdir, "trajectory.csv"),
                   lambda tmp: _walk.write_trajectory_csv(tmp, traj))
     for t, snap in sorted(traj.snapshots.items()):
@@ -259,8 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cls = sub.add_parser("classify", help="classify a coin JSON")
     p_cls.add_argument("-i", "--input", required=True, help="coin JSON path")
     p_cls.add_argument("-o", "--output")
-    p_cls.add_argument("--seed", type=int, default=_classify._DEFAULT_SEED,
-                       help="seed for the momentum sampling")
     p_cls.add_argument("--rank-tol", type=float, default=1e-8)
     p_cls.set_defaults(func=_cmd_classify)
 

@@ -27,6 +27,8 @@ its explicit coefficients are all negligible.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from . import coins as _coins
@@ -49,17 +51,31 @@ PRUNE_TOL = 1e-14          # absolute coefficient pruning
 ZERO_REL_TOL = 1e-10       # identity-zero test: largest coefficient magnitude allowed
 KERNEL_REL_TOL = 1e-9      # singular-value threshold of the coefficient-system kernel
 
-_GRID_OFFSET_X = 0.37
-_GRID_OFFSET_Y = 0.61
-_VERIFY_OFFSET_X = 0.11
-_VERIFY_OFFSET_Y = 0.23
-
 # D = C - diag(x^i y^j) with these exponents (i, j) = -d, one per direction.
 _SHIFT_EXPONENTS = tuple((-dx, -dy) for dx, dy in _coins.DISPLACEMENTS)
 
+# Row t of _TAKEN marks the diagonal factors z x^-dx y^-dy one term of
+# det(z S^-1 - C) takes from z S^-1; the term's other factor is (-1)^(4 - |t|)
+# times the principal minor of C on the directions not taken (1 if none).
+_TAKEN = np.array(list(itertools.product((False, True), repeat=4)))
+_KEPT = ~_TAKEN
+_TAKEN_EXPONENTS = _TAKEN @ np.array(_SHIFT_EXPONENTS)
+_MINOR_SCATTER = np.zeros((3, 3, 5, 16))
+_MINOR_SCATTER[_TAKEN_EXPONENTS[:, 0] + 1, _TAKEN_EXPONENTS[:, 1] + 1,
+               _TAKEN.sum(axis=1), np.arange(16)] = (-1.0) ** _KEPT.sum(axis=1)
 
-def _nodes(count: int, offset: float) -> np.ndarray:
-    return np.exp(1j * (2.0 * np.pi * np.arange(count) / count + offset))
+
+def _charpoly(c: np.ndarray) -> np.ndarray:
+    """Coefficients of ``det(z S^-1 - C)``, the characteristic polynomial of S C.
+
+    Shape (3, 3, 5): entry ``[i + 1, j + 1, n]`` multiplies x^i y^j z^n.  The
+    center is ``z^4 + (M_LR + M_DU) z^2 + det C``, each edge ``-z (C_jj z^2 + M)``
+    with M a 3x3 principal minor, and each corner ``M z^2`` with M the 2x2
+    minor of a mixed x/y pair.
+    """
+    # C padded with the identity off a set of directions has its minor there as det
+    padded = np.where(_KEPT[:, :, None] & _KEPT[:, None, :], c, np.eye(4))
+    return _MINOR_SCATTER @ np.linalg.det(padded)
 
 
 class LaurentPoly:
@@ -313,17 +329,6 @@ def adjugate_kernel_vector(mat: LaurentMatrix, index: int) -> list[LaurentPoly]:
     return w
 
 
-def _grid_values(adjusted: np.ndarray, grid_n: int, off_x: float, off_y: float):
-    """Numeric values of D = adjusted - diag(x^-dx y^-dy) on a node grid.
-
-    Returns (x nodes flat, y nodes flat, stacked D values of shape (m, 4, 4)).
-    """
-    x = np.repeat(_nodes(grid_n, off_x), grid_n)
-    y = np.tile(_nodes(grid_n, off_y), grid_n)
-    shift = np.stack([x ** i * y ** j for i, j in _SHIFT_EXPONENTS], axis=1)
-    return x, y, adjusted - shift[:, :, None] * np.eye(4)
-
-
 def _coefficient_system() -> tuple[np.ndarray, np.ndarray]:
     """``D psi`` as 64 linear equations in the 16 unknowns xi[dx, dy, direction].
 
@@ -398,21 +403,22 @@ def localized_cells(coin, eigenphase: complex) -> list[_coins.AmplitudeCell]:
     one-dimensional coins yield one cell per trapping sector whose
     eigenvalue matches; lattice translates of the same quasi-1D pair are
     not reported separately.  Each cell is validated once, here.
+
+    Raises NotTrappingError unless every coefficient of ``det(z S^-1 - C)``
+    in (x, y) is at most 1e-9 at z = ``eigenphase``.
     """
-    return _localized_cells(require_unitary(coin), eigenphase)
-
-
-def _localized_cells(c: np.ndarray, eigenphase: complex) -> list[_coins.AmplitudeCell]:
+    c = require_unitary(coin)
     lam = complex(eigenphase)
     if not abs(abs(lam) - 1.0) <= 1e-9:
         raise ValueError(f"eigenphase must have unit modulus, got |{lam}| = {abs(lam)}")
-    adjusted = np.conj(lam) * c
-    # The determinant is a Laurent polynomial with exponent window [-1, 1]^2,
-    # so vanishing on a 3x3 grid of distinct nonzero nodes means vanishing
-    # identically; for trapping coins the values sit at round-off level.
-    _, _, d = _grid_values(adjusted, 3, _GRID_OFFSET_X, _GRID_OFFSET_Y)
-    if not float(np.max(np.abs(np.linalg.det(d)))) <= 1e-9:
+    if not float(np.max(np.abs(_charpoly(c) @ lam ** np.arange(5)))) <= 1e-9:
         raise NotTrappingError(f"{lam} is not a constant eigenvalue of the walk operator")
+    return _localized_cells(c, lam)
+
+
+def _localized_cells(c: np.ndarray, lam: complex) -> list[_coins.AmplitudeCell]:
+    """The cells of a checked coin at an eigenphase ``lam`` already known to be flat."""
+    adjusted = np.conj(lam) * c
     kernel = _cell_kernel(adjusted)
     if kernel.shape[1] == 0:
         raise KernelInconsistencyError("det D vanishes identically but the coefficient "
@@ -449,7 +455,10 @@ def localized_eigenstate(coin, eigenphase: complex) -> _coins.AmplitudeCell:
 def verification_residual(coin, cell: _coins.AmplitudeCell) -> float:
     """Max residual of D(x,y) psi(x,y) over a fresh 7x7 verification grid."""
     adjusted = np.conj(complex(cell.eigenphase)) * require_unitary(coin)
-    x, y, d = _grid_values(adjusted, 7, _VERIFY_OFFSET_X, _VERIFY_OFFSET_Y)
+    # seventh roots of unity, rotated off the interpolation grids
+    x = np.repeat(np.exp(1j * (2.0 * np.pi * np.arange(7) / 7 + 0.11)), 7)
+    y = np.tile(np.exp(1j * (2.0 * np.pi * np.arange(7) / 7 + 0.23)), 7)
+    shift = np.stack([x ** i * y ** j for i, j in _SHIFT_EXPONENTS], axis=1)
     psi = _coins._ansatz_vectors(cell, x, y)
-    residuals = np.einsum("kij,kj->ki", d, psi)
+    residuals = psi @ adjusted.T - shift * psi
     return float(np.max(np.abs(residuals))) / cell.norm

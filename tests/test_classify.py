@@ -43,12 +43,26 @@ def test_non_trapping_empty_spectrum():
 
 
 def test_marginal_flag():
-    # comfortably separated clusters are not flagged
-    assert not classify.classify_coin(coins.grover_coin()).marginal
-    # an absurdly loose clustering tolerance forces the margin inside the
-    # ten-tolerance band, which the flag must report
-    _, margin = classify._point_spectrum(coins.grover_coin(), 8, 1, tol=0.3)
-    assert margin < 10 * 0.3
+    # comfortably decided coins are not flagged
+    result = classify.classify_coin(coins.grover_coin())
+    assert not result.marginal and "marginal" not in classify.classification_to_json(result)
+    # mixed 2x2 minors of 1.5e-8 (a 3e-8 rotation of Grover between L and D)
+    # lie within ten times their threshold: no flat band, flagged
+    eps = 3e-8
+    rotation = np.eye(4, dtype=complex)
+    rotation[:2, :2] = [[np.cos(eps), -np.sin(eps)], [np.sin(eps), np.cos(eps)]]
+    near = coins.grover_coin() @ rotation
+    corners = np.abs(laurent._charpoly(near)[::2, ::2, 2]).max()
+    assert classify._FLAT_TOL <= corners < 10 * classify._FLAT_TOL
+    result = classify.classify_coin(near)
+    assert result.family == "NotTrapping" and result.marginal
+    assert json.loads(classify.classification_to_json(result))["marginal"] is True
+    # at eta = 1e-7 the edge polynomials are 2.5e-8 in size: one flat pair, flagged
+    coin = coins.coin_type_iia(coins.TypeIIaParams(0.7, 0.5, 0.9, 1e-7, 0.3, 1.1, 2.2, 0.7, 1.9))
+    edges = np.abs(laurent._charpoly(coin)[classify._EDGES]).max()
+    assert classify._FLAT_TOL <= edges < 10 * classify._FLAT_TOL
+    result = classify.classify_coin(coin)
+    assert result.family == "TypeIIa" and result.marginal
 
 
 def test_chiral_pairing(rng):
@@ -60,11 +74,15 @@ def test_chiral_pairing(rng):
                 assert any(abs(lam + other) < 1e-8 for other in lams)
 
 
-def reference_point_spectrum(coin, n_samples, seed, tol):
-    """The per-momentum loop the batched ``_point_spectrum`` replaced.
+def reference_point_spectrum(coin, n_samples=8, seed=20210507, tol=1e-8):
+    """The momentum sampler the closed form replaced, kept as its parity oracle.
 
-    A cluster of several sample-0 eigenvalues is centered on its first member
-    that recurs within tol / 100 at every other sample (else its first member).
+    U(k) is sampled at k = 0 and ``n_samples`` seeded momenta, and the k = 0
+    eigenvalues are clustered to ``tol``; a cluster recurring at every
+    sample is flat.  A cluster of several k = 0 eigenvalues is centered on
+    its first member that recurs within tol / 100 at every other sample
+    (else its first member).  Returns the spectrum and the smallest distance
+    from a center to an eigenvalue outside its cluster (marginal below 10 tol).
     """
     rng = np.random.default_rng(seed)
     ks = [(0.0, 0.0)]
@@ -118,10 +136,50 @@ def test_point_spectrum_matches_per_momentum_loop(rng):
     cases += [random_unitary(rng) for _ in range(20)]
     cases += DEGENERATE_COINS + [coins.grover_coin(), hadamard_tensor_coin()]
     for coin in cases:
-        for n_samples, seed, tol in ((8, classify._DEFAULT_SEED, classify.CLUSTER_TOL),
-                                     (5, 3, 0.3)):
-            got = classify._point_spectrum(coin, n_samples, seed, tol)
-            assert got == reference_point_spectrum(coin, n_samples, seed, tol)
+        got = classify.detect_point_spectrum(coin)
+        expected, margin = reference_point_spectrum(coin)
+        assert margin >= 1e-7
+        assert [m for _, m in got] == [m for _, m in expected]
+        assert all(abs(a - b) <= 1e-14 for (a, _), (b, _) in zip(got, expected))
+
+
+def test_flat_eigenphases_are_the_coins_own_eigenvalues(rng):
+    # the closed form locates each flat eigenvalue; its digits are those of
+    # the nearest eigenvalue of U(0) = C, so no root formula leaks into JSON
+    for drawer in DRAWERS.values():
+        for _ in range(10):
+            coin = coins.coin_for(drawer(rng))
+            own = np.linalg.eigvals(coin)
+            for lam, _ in classify.detect_point_spectrum(coin):
+                assert any(lam == complex(ev / abs(ev)) for ev in own)
+
+
+def boundary_coins(rng):
+    """Type IIa near eta = 0 and Type I near delta1 = 0, 100 draws per value."""
+    for eta in (1e-3, 1e-5, 1e-7, 1e-9):
+        for _ in range(100):
+            yield coins.coin_for(dataclasses.replace(draw_type_iia(rng), eta=eta))
+    for delta1 in (1e-4, 1e-6, 1e-8, 1e-10):
+        for _ in range(100):
+            yield coins.coin_for(dataclasses.replace(draw_type_i(rng), delta1=delta1))
+
+
+def test_closed_form_matches_sampler_near_family_boundary(rng):
+    # Near eta = 0 a dispersive pair closes on the flat pair: at eta = 1e-9 both
+    # methods merge them into multiplicity 2 (the centers then differ by up to
+    # eta / 2), and at eta = 1e-7 the sampler flags every coin marginal.
+    compared = 0
+    for coin in boundary_coins(rng):
+        expected, margin = reference_point_spectrum(coin)
+        if margin < 1e-7:
+            continue
+        compared += 1
+        got = classify.detect_point_spectrum(coin)
+        assert [m for _, m in got] == [m for _, m in expected]
+        for (a, mult), (b, _) in zip(got, expected):
+            # a simple flat eigenvalue is polished to full precision
+            assert abs(a - b) <= (1e-14 if mult == 1 else 1e-8)
+    assert compared >= 600
 
 
 # -------------------------------------------------------------- classification
@@ -418,16 +476,6 @@ def test_trapped_weight_operator_requires_trapping():
         classify.trapped_weight_operator(hadamard_tensor_coin())
 
 
-def test_sample_momenta_cached_read_only():
-    first = classify._sample_momenta(8, classify._DEFAULT_SEED)
-    second = classify._sample_momenta(8, classify._DEFAULT_SEED)
-    assert all(a is b for a, b in zip(first, second))
-    for arr in first:
-        assert not arr.flags.writeable
-        with pytest.raises(ValueError):
-            arr[0] = 1.0
-
-
 def count_checks(monkeypatch) -> dict:
     """Count require_unitary calls, cell validations and the cells laurent builds."""
     calls = {"unitary": 0, "validate": 0, "built": 0}
@@ -596,6 +644,25 @@ def test_recover_roundtrip_up_to_global_phase(rng):
     phase = coin[np.abs(coin) > 0.1][0] / rebuilt[np.abs(coin) > 0.1][0]
     assert abs(abs(phase) - 1.0) < 1e-9
     assert np.max(np.abs(coin - phase * rebuilt)) < 1e-9
+
+
+def test_params_rebuild_phase_rotated_coins(rng):
+    # coin = lam * coin_for(params), lam the flat eigenphase with angle in [0, pi)
+    for family, drawer in DRAWERS.items():
+        for _ in range(10):
+            coin = np.exp(1j * rng.uniform(0.1, 3.0)) * coins.coin_for(drawer(rng))
+            res = classify.classify_coin(coin)
+            assert res.family == family and res.params is not None
+            lam = next(l for l, _ in res.eigenphases if 0 <= np.angle(l) < np.pi)
+            assert np.max(np.abs(lam * coins.coin_for(res.params) - coin)) < 1e-12
+
+
+def test_params_that_miss_the_coin_are_dropped(monkeypatch):
+    # a recovery that does not rebuild the coin is reported as no parameters
+    wrong = dataclasses.replace(GROVER_PARAMS, eta=2.0)
+    monkeypatch.setattr(classify, "recover_parameters", lambda cell, family, coin=None: wrong)
+    res = classify.classify_coin(coins.grover_coin())
+    assert res.family == "TypeIIa" and res.params is None
 
 
 def test_classification_json_schema():

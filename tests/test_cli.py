@@ -70,9 +70,12 @@ def test_classify_deterministic_with_seed(tmp_path):
     outs = []
     for name in ("a.json", "b.json"):
         path = tmp_path / name
-        assert run("classify", "-i", str(coin_path), "--seed", "5", "-o", str(path)) == 0
+        assert run("classify", "-i", str(coin_path), "-o", str(path)) == 0
         outs.append(path.read_text())
     assert outs[0] == outs[1]
+    # the closed form samples nothing, so there is no seed to pass
+    with pytest.raises(SystemExit):
+        run("classify", "-i", str(coin_path), "--seed", "5")
 
 
 def test_simulate_writes_artifacts(tmp_path):
@@ -304,6 +307,19 @@ def test_error_json_on_snapshot_after_last_step(tmp_path, capsys):
                  "--outdir", str(tmp_path / "run"))
     _assert_json_error(capsys, status)
     assert not (tmp_path / "run" / "trajectory.csv").exists()
+
+
+@pytest.mark.parametrize("bad", [("--steps", "0"), ("--steps", "-1"),
+                                 ("--steps", "3", "--snapshots", "9")])
+def test_rejected_simulation_creates_no_outdir(tmp_path, capsys, bad):
+    coin_path = tmp_path / "coin.json"
+    coins.write_coin_json(coin_path, coins.grover_coin())
+    outdir = tmp_path / "run"
+    status = run("simulate", "-i", str(coin_path), "--initial",
+                 "[[1,0],[0,0],[0,0],[0,0]]", *bad, "--outdir", str(outdir))
+    err = _assert_json_error(capsys, status)
+    assert err["error"] == "ValueError"
+    assert not outdir.exists()
 
 
 @pytest.mark.parametrize("floor", ["nan", "inf", "-1"])

@@ -338,8 +338,7 @@ def test_coefficient_kernel_matches_stacked_grid_solve(rng):
     sample = [coins.coin_for(drawer(rng)) for drawer in DRAWERS.values() for _ in range(10)]
     sample += DEGENERATE_COINS
     cases = [(coin, lam) for coin in sample
-             for lam, _ in classify._point_spectrum(coin, 8, classify._DEFAULT_SEED,
-                                                    classify.CLUSTER_TOL)[0]]
+             for lam, _ in classify.detect_point_spectrum(coin)]
     cases += [(coins.grover_coin(), 1.0), (coins.grover_coin(), -1.0)]
     # the rank-3 second eigenphase of test_degenerate_rank3_second_eigenphase
     eta = 2.1
@@ -361,3 +360,29 @@ def test_haar_coins_fail_the_determinant_test(rng):
         for lam in (1.0, -1.0, 1j, np.exp(0.7j)):
             with pytest.raises(NotTrappingError):
                 laurent.localized_cells(coin, lam)
+
+
+def test_charpoly_tensor_is_the_characteristic_polynomial(rng):
+    # Structural zeros: the center holds z^0, z^2, z^4; each edge z^1, z^3;
+    # each corner z^2 alone.
+    center, edge, corner = [0, 2, 4], [1, 3], [2]
+    support = np.zeros((3, 3, 5), dtype=bool)
+    for i, j in np.ndindex(3, 3):
+        powers = {0: center, 1: edge, 2: corner}[abs(i - 1) + abs(j - 1)]
+        support[i, j, powers] = True
+    sample = [coins.coin_for(drawer(rng)) for drawer in DRAWERS.values() for _ in range(5)]
+    sample += [random_unitary(rng) for _ in range(10)] + DEGENERATE_COINS
+    for coin in sample:
+        tensor = laurent._charpoly(coin)
+        assert tensor.shape == (3, 3, 5)
+        assert np.all(tensor[~support] == 0)
+        assert tensor[1, 1, 4] == 1 and abs(tensor[1, 1, 0] - np.linalg.det(coin)) < 1e-14
+        for _ in range(3):
+            x, y = np.exp(1j * rng.uniform(0, 2 * np.pi, 2))
+            z = complex(rng.normal(), rng.normal())
+            inverse_shift = np.array([x ** -dx * y ** -dy for dx, dy in coins.DISPLACEMENTS])
+            direct = np.linalg.det(z * np.diag(inverse_shift) - coin)
+            powers = np.arange(-1, 2)
+            value = np.einsum("ijn,i,j,n->", tensor, x ** powers, y ** powers,
+                              z ** np.arange(5))
+            assert abs(value - direct) <= 1e-13 * max(1.0, abs(z)) ** 4
