@@ -8,10 +8,10 @@ module rejects the input.
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import os
-import pathlib
 import sys
 
 # Honor the thread cap before numpy is first imported (the package's lazy
@@ -55,12 +55,19 @@ def _atomic_write(path: str, write):
         raise
 
 
-def _emit(text: str, path: str | None):
+def _emit(chunks, path: str | None):
+    """Write ``chunks``, strings of whole LF-ended lines, to ``path`` or stdout."""
     if path:
-        text = text if text.endswith("\n") else text + "\n"
-        _atomic_write(path, lambda tmp: pathlib.Path(tmp).write_text(text, encoding="utf-8"))
+        def write(tmp):
+            with open(tmp, "w", encoding="utf-8") as fh:
+                fh.writelines(chunks)
+        _atomic_write(path, write)
     else:
-        print(text)
+        sys.stdout.writelines(chunks)
+
+
+def _emit_json(text: str, path: str | None):
+    _emit((text, "\n"), path)
 
 
 def _add_family_arguments(parser: argparse.ArgumentParser, required: bool = True):
@@ -102,14 +109,14 @@ def _family_params(args) -> _coins.FamilyParams:
 def _cmd_coin(args) -> int:
     params = _family_params(args)
     coin = _coins.coin_for(params)
-    _emit(_coins.coin_to_json(coin, family=params.family, params=params), args.output)
+    _emit_json(_coins.coin_to_json(coin, family=params.family, params=params), args.output)
     return 0
 
 
 def _cmd_classify(args) -> int:
     coin = _coins.read_coin_json(args.input)
     result = _classify.classify_coin(coin, rank_tol=args.rank_tol)
-    _emit(_classify.classification_to_json(result), args.output)
+    _emit_json(_classify.classification_to_json(result), args.output)
     return 0
 
 
@@ -123,7 +130,7 @@ def _cmd_escape(args) -> int:
             for i in range(basis.shape[1])
         ],
     }
-    _emit(json.dumps(doc, indent=2), args.output)
+    _emit_json(json.dumps(doc, indent=2), args.output)
     return 0
 
 
@@ -179,29 +186,41 @@ def _cmd_spectrum(args) -> int:
     spec = _resolve_spec(args)
     ks = -math.pi + 2.0 * math.pi * (np.arange(n) + 0.5) / n
     kx, ky = (k.ravel() for k in np.meshgrid(ks, ks, indexing="ij"))
-    columns = (kx, ky, _spectral.omega(spec, kx, ky),
-               *_spectral.group_velocity(spec, kx, ky), _spectral.hessian_det(spec, kx, ky))
-    lines = ["kx,ky,omega,vx,vy,detH"]
-    lines.extend(",".join(map(repr, row)) for row in zip(*(c.tolist() for c in columns)))
-    _emit("\n".join(lines), args.output)
+    values = [_walk._float_texts(c) for c in (
+        _spectral.omega(spec, kx, ky), *_spectral.group_velocity(spec, kx, ky),
+        _spectral.hessian_det(spec, kx, ky))]
+    k_texts = _walk._float_texts(ks)
+
+    def chunks():
+        yield "kx,ky,omega,vx,vy,detH\n"
+        for i, kx_text in enumerate(k_texts):
+            yield _walk._lines(kx_text + ",", [k_texts, *(v[i * n:(i + 1) * n] for v in values)],
+                               "\n")
+
+    _emit(chunks(), args.output)
     return 0
 
 
 def _cmd_region(args) -> int:
     spec = _resolve_spec(args)
-    _emit(_spectral.region_to_json(_spectral.spread_region(spec)), args.output)
+    _emit_json(_spectral.region_to_json(_spectral.spread_region(spec)), args.output)
     return 0
 
 
 def _cmd_areasweep(args) -> int:
     grid, table = _spectral.area_sweep(args.n)
-    lines = ["delta1,delta2,S"]
-    for i, d1 in enumerate(grid):
-        for j, d2 in enumerate(grid):
-            if i == j:
-                continue  # the family excludes the diagonal
-            lines.append(f"{float(d1)!r},{float(d2)!r},{float(table[i, j])!r}")
-    _emit("\n".join(lines), args.output)
+    deltas = _walk._float_texts(grid)
+    areas = _walk._float_texts(table)
+    n = len(deltas)
+
+    def chunks():
+        yield "delta1,delta2,S\n"
+        for i, d1 in enumerate(deltas):
+            row = areas[i * n:(i + 1) * n]
+            del row[i]  # the family excludes the diagonal
+            yield _walk._lines(d1 + ",", [deltas[:i] + deltas[i + 1:], row], "\n")
+
+    _emit(chunks(), args.output)
     return 0
 
 
@@ -236,10 +255,10 @@ def _cmd_figure(args) -> int:
     coin = _coins.coin_for(params)
     outdir = args.outdir or args.name
     os.makedirs(outdir, exist_ok=True)
-    _emit(_coins.coin_to_json(coin, family=params.family, params=params),
-          os.path.join(outdir, "coin.json"))
+    _emit_json(_coins.coin_to_json(coin, family=params.family, params=params),
+               os.path.join(outdir, "coin.json"))
     region = _spectral.spread_region(_spectral.dispersion_spec(params))
-    _emit(_spectral.region_to_json(region), os.path.join(outdir, "region.json"))
+    _emit_json(_spectral.region_to_json(region), os.path.join(outdir, "region.json"))
     _run_simulation(coin, config["initial"], config["steps"], config["snapshots"],
                     outdir, floor=args.floor)
     return 0
@@ -306,9 +325,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (TrapwalkError, ValueError, OSError, KeyError) as exc:

@@ -35,16 +35,28 @@ def as_complex_matrix(m, shape: tuple[int, int] | None = None) -> np.ndarray:
     return a
 
 
+def _defect(a: np.ndarray, eye: np.ndarray) -> float:
+    return float(np.abs(a.conj().T @ a - eye).max())
+
+
 def unitarity_defect(m) -> float:
     """Max-norm (largest entry magnitude) of M^dag M - I."""
     a = as_complex_matrix(m)
-    n = a.shape[0]
-    return float(np.max(np.abs(a.conj().T @ a - np.eye(n))))
+    return _defect(a, np.eye(a.shape[0]))
+
+
+_EYE4 = np.eye(4)
+_EYE4.flags.writeable = False
 
 
 def require_unitary(m, tol: float = UNITARITY_TOL) -> np.ndarray:
-    a = as_complex_matrix(m)
-    defect = unitarity_defect(a)
+    """The four-state coin ``m`` as a complex128 (4, 4) array, checked unitary.
+
+    Raises ValueError for another shape or non-finite entries and
+    NotUnitaryError when the unitarity defect exceeds ``tol``.
+    """
+    a = as_complex_matrix(m, (4, 4))
+    defect = _defect(a, _EYE4)
     if defect > tol:
         raise NotUnitaryError(f"unitarity defect {defect:.3e} exceeds tolerance {tol:.1e}")
     return a

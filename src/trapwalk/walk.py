@@ -12,6 +12,7 @@ computed; the dense window is built for snapshots and inspection.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -238,6 +239,38 @@ def coverage_fraction(snapshot: Snapshot, region: SpreadRegion,
     return float(np.sum(snapshot.prob[counted]))
 
 
+def _float_texts(values) -> list[str]:
+    """``repr`` of every float64 of ``values`` (flattened), in order.
+
+    Equal bit patterns have equal reprs, so ``repr`` runs once per distinct
+    pattern and the texts are gathered back: a grid whose sites are mostly
+    exact zeros formats its zero once.  -0.0, NaN and the infinities keep
+    the text ``repr`` gives them.
+    """
+    flat = np.ascontiguousarray(values, dtype=np.float64).reshape(-1)
+    bits, where = np.unique(flat.view(np.int64), return_inverse=True)
+    texts = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
+    return texts[where].tolist()
+
+
+def _lines(prefix: str, columns: list[list[str]], newline: str) -> str:
+    """One line per row of the equal-length text ``columns``: ``prefix``,
+    the row's fields joined by commas, ``newline``.
+
+    The pieces are laid into one list by slice assignment and joined once,
+    so no per-line string is built.
+    """
+    rows, width = len(columns[0]), 2 * len(columns)
+    if not rows:
+        return ""
+    parts = [","] * (width * rows)
+    parts[::width] = [newline + prefix] * rows
+    for k, column in enumerate(columns):
+        parts[2 * k + 1::width] = column
+    parts[0] = prefix
+    return "".join(parts) + newline
+
+
 def _write_csv(path, header: str, chunks) -> None:
     """Write a header line and chunks of ready-made lines.
 
@@ -259,15 +292,20 @@ def write_distribution_csv(path, snapshot: Snapshot, floor: float = 0.0):
     """Write columns x, y, P; rows below ``floor`` are skipped."""
     check_floor(floor)
     axis = (np.arange(snapshot.prob.shape[0]) - snapshot.offset).tolist()
-    keep_all = floor == 0
+    ys = list(map(str, axis))
+
+    def row_lines(x: int, row: np.ndarray) -> str:
+        if floor > 0:
+            keep = row >= floor
+            return _lines(f"{x},", [list(itertools.compress(ys, keep.tolist())),
+                                    _float_texts(row[keep])], "\r\n")
+        return _lines(f"{x},", [ys, _float_texts(row)], "\r\n")
+
     # one chunk per grid row keeps the formatted text small
-    _write_csv(path, "x,y,P", (
-        "".join(f"{x},{y},{p!r}\r\n" for y, p in zip(axis, row.tolist())
-                if keep_all or p >= floor)
-        for x, row in zip(axis, snapshot.prob)))
+    _write_csv(path, "x,y,P", map(row_lines, axis, snapshot.prob))
 
 
 def write_trajectory_csv(path, traj: Trajectory):
     """Write columns t, P_origin."""
-    _write_csv(path, "t,P_origin",
-               ["".join(f"{t},{p!r}\r\n" for t, p in enumerate(traj.p_origin.tolist()))])
+    texts = _float_texts(traj.p_origin)
+    _write_csv(path, "t,P_origin", [_lines("", [list(map(str, range(len(texts)))), texts], "\r\n")])

@@ -5,7 +5,9 @@ import os
 import numpy as np
 import pytest
 
-from trapwalk import cli, coins
+from trapwalk import classify, cli, coins, spectral
+
+from conftest import draw_type_i, draw_type_iia, draw_type_iib
 
 
 def run(*argv):
@@ -45,6 +47,21 @@ def test_degrees_flag():
     coin = coins.coin_from_json(buf.getvalue())
     expected = coins.coin_type_i(coins.TypeIParams(np.pi / 3, np.pi / 4))
     assert np.max(np.abs(coin - expected)) < 1e-15
+
+
+def test_consecutive_calls_do_not_share_options(tmp_path, capsys):
+    assert cli._parser() is cli._parser()
+    assert cli.build_parser() is not cli.build_parser()
+    out = tmp_path / "coin.json"
+    assert run("coin", "--family", "I", "--delta1", "60", "--delta2", "45", "--degrees",
+               "--phi-d", "30", "-o", str(out)) == 0
+    assert capsys.readouterr().out == ""
+    # no --degrees, --phi-d or -o this time: radians, phi_d = 0, stdout
+    assert run("coin", "--family", "I", "--delta1", "1.0", "--delta2", "0.5") == 0
+    coin = coins.coin_from_json(capsys.readouterr().out)
+    assert np.array_equal(coin, coins.coin_type_i(coins.TypeIParams(1.0, 0.5)))
+    expected = coins.coin_type_i(coins.TypeIParams(np.pi / 3, np.pi / 4, phi_d=np.pi / 6))
+    assert np.max(np.abs(coins.read_coin_json(out) - expected)) < 1e-15
 
 
 def test_classify_and_escape_pipeline(tmp_path):
@@ -176,6 +193,58 @@ def test_areasweep_csv(tmp_path):
     assert len(rows) == 1 + 10 * 9  # diagonal entries are excluded
     values = np.array([[float(v) for v in row] for row in rows[1:]])
     assert np.all(values[:, 2] >= 0)
+
+
+def reference_spectrum_text(coin, n):
+    """The spectrum CSV as it was written row by row, kept as reference."""
+    spec = spectral.dispersion_spec(classify.classify_coin(coin).params)
+    ks = -np.pi + 2.0 * np.pi * (np.arange(n) + 0.5) / n
+    kx, ky = (k.ravel() for k in np.meshgrid(ks, ks, indexing="ij"))
+    columns = (kx, ky, spectral.omega(spec, kx, ky), *spectral.group_velocity(spec, kx, ky),
+               spectral.hessian_det(spec, kx, ky))
+    lines = ["kx,ky,omega,vx,vy,detH"]
+    lines.extend(",".join(map(repr, row)) for row in zip(*(c.tolist() for c in columns)))
+    return "\n".join(lines) + "\n"
+
+
+_SPECTRUM_RNG = np.random.default_rng(12)
+SPECTRUM_COINS = {
+    "grover": coins.grover_coin(),
+    "fig2": coins.coin_for(coins.TypeIParams(np.pi / 3, np.pi / 4)),
+    "phased-I": coins.coin_for(draw_type_i(_SPECTRUM_RNG)),
+    "IIa": coins.coin_for(draw_type_iia(_SPECTRUM_RNG)),
+    "IIb": coins.coin_for(draw_type_iib(_SPECTRUM_RNG)),
+}
+
+
+@pytest.mark.parametrize("grid", [1, 2, 7, 64])
+@pytest.mark.parametrize("name", sorted(SPECTRUM_COINS))
+def test_spectrum_matches_row_by_row_text(tmp_path, capsys, name, grid):
+    coin = SPECTRUM_COINS[name]
+    coin_path, out = tmp_path / "coin.json", tmp_path / "spectrum.csv"
+    coins.write_coin_json(coin_path, coin)
+    expected = reference_spectrum_text(coin, grid).encode()
+    assert run("spectrum", "-i", str(coin_path), "--grid", str(grid), "-o", str(out)) == 0
+    assert out.read_bytes() == expected
+    capsys.readouterr()
+    assert run("spectrum", "-i", str(coin_path), "--grid", str(grid)) == 0
+    assert capsys.readouterr().out.encode() == expected
+
+
+@pytest.mark.parametrize("n", [2, 7])
+def test_areasweep_matches_row_by_row_text(tmp_path, capsys, n):
+    grid, table = spectral.area_sweep(n)
+    lines = ["delta1,delta2,S"]
+    for i, d1 in enumerate(grid):
+        for j, d2 in enumerate(grid):
+            if i != j:
+                lines.append(f"{float(d1)!r},{float(d2)!r},{float(table[i, j])!r}")
+    expected = ("\n".join(lines) + "\n").encode()
+    out = tmp_path / "sweep.csv"
+    assert run("areasweep", "--n", str(n), "-o", str(out)) == 0
+    assert out.read_bytes() == expected
+    assert run("areasweep", "--n", str(n)) == 0
+    assert capsys.readouterr().out.encode() == expected
 
 
 def test_figure_fig2_outputs(tmp_path):

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from trapwalk import linalg
+from trapwalk import classify, laurent, linalg, spectral, walk
 from trapwalk.coins import balance_matrices, grover_coin, stationary_cell
+from trapwalk.errors import NotUnitaryError
 
 from conftest import draw_type_i, draw_type_iib, random_unitary
 
@@ -26,6 +27,48 @@ def test_unitarity_defect_rejects_nonfinite():
     bad[0, 0] = np.nan
     with pytest.raises(ValueError):
         linalg.unitarity_defect(bad)
+
+
+def test_require_unitary_returns_the_checked_coin():
+    c = linalg.require_unitary(grover_coin().tolist())
+    assert c.dtype == np.complex128 and np.array_equal(c, grover_coin())
+    with pytest.raises(NotUnitaryError, match="unitarity defect 1.250e[+]00"):
+        linalg.require_unitary(1.5 * grover_coin())
+
+
+# Every public entry that takes a coin checks its shape before using it.
+_STATE = walk.initial_state([1.0, 0.0, 0.0, 0.0])
+_CELL = stationary_cell(draw_type_i(np.random.default_rng(3)))[0]
+COIN_ENTRIES = {
+    "linalg.require_unitary": linalg.require_unitary,
+    "walk.step": lambda c: walk.step(_STATE, c),
+    "walk.simulate": lambda c: walk.simulate(c, _STATE, 2),
+    "classify.classify_coin": classify.classify_coin,
+    "classify.detect_point_spectrum": classify.detect_point_spectrum,
+    "classify.escaping_subspace": classify.escaping_subspace,
+    "classify.trapped_weight_operator": classify.trapped_weight_operator,
+    "classify.trapped_weight": lambda c: classify.trapped_weight(c, [1.0, 0.0, 0.0, 0.0]),
+    "spectral.momentum_operator": lambda c: spectral.momentum_operator(c, 0.1, 0.2),
+    "laurent.kernel_matrix": laurent.kernel_matrix,
+    "laurent.localized_cells": lambda c: laurent.localized_cells(c, 1.0),
+    "laurent.localized_eigenstate": lambda c: laurent.localized_eigenstate(c, 1.0),
+    "laurent.verification_residual": lambda c: laurent.verification_residual(c, _CELL),
+}
+BAD_SHAPES = {
+    "0-d": 1.0,
+    "1-D": np.full(16, 0.5),
+    "1x1": [[1.0]],
+    "2x2": np.eye(2),
+    "4x3": np.eye(4)[:, :3],
+}
+
+
+@pytest.mark.parametrize("shape", sorted(BAD_SHAPES))
+@pytest.mark.parametrize("entry", sorted(COIN_ENTRIES))
+def test_coin_entries_reject_other_shapes(entry, shape):
+    with pytest.raises(ValueError, match=r"expected shape \(4, 4\), got \(") as info:
+        COIN_ENTRIES[entry](BAD_SHAPES[shape])
+    assert type(info.value) is ValueError
 
 
 def _amplitude_matrix(params):

@@ -106,3 +106,33 @@ def test_step_conserves_norm_light_cone_and_parity(setup):
         assert not np.any(state.field[:, np.abs(xs) + np.abs(ys) > state.t])
         if state.t % 2:
             assert not np.any(state.amplitude(0, 0))
+
+
+def _from_bits(bits: int) -> float:
+    return float(np.array([bits], dtype=np.uint64).view(np.float64)[0])
+
+
+SPECIAL_FLOATS = [
+    0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan,
+    _from_bits(0x7FF0000000000001),  # signaling NaN, smallest payload
+    _from_bits(0xFFF8000000000ABC),  # negative quiet NaN with payload bits
+    5e-324, -5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
+    # repr switches to exponent notation below 1e-4 and from 1e16 on
+    1e-4, math.nextafter(1e-4, 0.0), math.nextafter(1e-4, 1.0), 9.9999e-5,
+    1e16, math.nextafter(1e16, 0.0), math.nextafter(1e16, math.inf), -1e16, 1.7976931348623157e308,
+]
+FLOAT_ARRAYS = st.lists(
+    st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats(width=64),
+              st.integers(0, 2 ** 64 - 1).map(_from_bits)),
+    max_size=40,
+).map(lambda values: np.array(values, dtype=np.float64))
+
+
+@given(FLOAT_ARRAYS)
+@example(np.array(SPECIAL_FLOATS))
+@example(np.array(SPECIAL_FLOATS * 3)[::-1])
+def test_float_texts_are_the_reprs(values):
+    assert walk._float_texts(values) == list(map(repr, values.tolist()))
+    # a 2-D input is read in row-major order
+    square = np.resize(values, (3, 3))
+    assert walk._float_texts(square) == list(map(repr, square.ravel().tolist()))
