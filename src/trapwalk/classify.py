@@ -17,8 +17,8 @@ import numpy as np
 
 from . import coins as _coins
 from . import laurent as _laurent
-from .errors import NotTrappingError
-from .linalg import RANK_TOL, fix_vector_phase, numerical_rank, require_unitary
+from .errors import KernelInconsistencyError, NotTrappingError
+from .linalg import fix_vector_phase, numerical_rank, require_unitary
 from .spectral import _momentum_operator
 
 __all__ = [
@@ -154,21 +154,33 @@ def _flat_bands(c):
 
     ``c`` must be a checked unitary coin.  ``seed_cells`` maps each seed
     eigenphase to its cells; since S(k + pi) = -S(k), the cells at the
-    partner eigenphase -lam are exactly their chiral partners.
+    partner eigenphase -lam are exactly their chiral partners.  A pair whose
+    cell the kernel solve or cell check rejects is dropped as marginal.
     """
     spectrum, marginal = _flat_spectrum(c)
-    seed_cells = {lam: _laurent._localized_cells(c, lam) for lam in _seed_phases(spectrum)}
+    seed_cells = {}
+    for lam in _seed_phases(spectrum):
+        try:
+            seed_cells[lam] = _laurent._localized_cells(c, lam)
+        except (KernelInconsistencyError, ValueError):
+            partner = min(spectrum, key=lambda item: abs(item[0] + lam))
+            spectrum = [item for item in spectrum if item[0] != lam and item is not partner]
+            marginal = True
     return spectrum, marginal, seed_cells
 
 
-def _escaping_from_cells(seed_cells, rank_tol: float) -> np.ndarray:
-    columns = [_coins._cell_matrix(cc) for cells in seed_cells.values()
-               for cell in cells for cc in (cell, cell.chiral_partner())]
-    _, kernel = numerical_rank(np.hstack(columns), rank_tol)
-    return kernel
+def _rank_and_escaping(spectrum, seed_cells) -> tuple[int, np.ndarray]:
+    """Rank of the first seed cell's A, and the escaping subspace: the kernel of A†.
+
+    A partner's A is ``A diag(1, -1, -1, 1)``, and a coin with one flat pair
+    has one cell.  When all bands are flat their projectors sum to I: no state escapes.
+    """
+    cell = next(iter(seed_cells.values()))[0]
+    rank, kernel = numerical_rank(_coins._balance_pair(cell.amplitudes)[0])
+    return rank, kernel if sum(m for _, m in spectrum) < 4 else kernel[:, :0]
 
 
-def escaping_subspace(coin, rank_tol: float = RANK_TOL) -> np.ndarray:
+def escaping_subspace(coin) -> np.ndarray:
     """Orthonormal basis of the coin states orthogonal to every localized state.
 
     Returns a (4, k) array whose columns span the escaping subspace; k = 0
@@ -183,7 +195,7 @@ def escaping_subspace(coin, rank_tol: float = RANK_TOL) -> np.ndarray:
     spectrum, _, seed_cells = _flat_bands(require_unitary(coin))
     if not spectrum:
         raise NotTrappingError("coin is not trapping; every coin state escapes")
-    return _escaping_from_cells(seed_cells, rank_tol)
+    return _rank_and_escaping(spectrum, seed_cells)[1]
 
 
 # Below this fraction of a = |A|^2 + |B|^2 the row formula for |v|^2 has
@@ -284,7 +296,7 @@ def trapped_weight(coin, initial_coin_state, grid_n: int = 256) -> float:
 _FAMILY_BY_RANK = {4: "TypeI", 3: "TypeIIa", 2: "TypeIIb"}
 
 
-def classify_coin(coin, rank_tol: float = RANK_TOL) -> ClassificationResult:
+def classify_coin(coin) -> ClassificationResult:
     """Full classification of an arbitrary unitary coin.
 
     Detects the point spectrum, extracts a localized eigenstate, forms the
@@ -294,7 +306,8 @@ def classify_coin(coin, rank_tol: float = RANK_TOL) -> ClassificationResult:
     Parameter recovery is attempted for every family unless the coin is
     fully trapped; ``params`` stays None when it fails or when
     ``lam * coin_for(params)``, lam the seed eigenphase, misses the coin by
-    more than 1e-9.
+    more than 1e-9.  A coin too near a trapping coin for the kernel solve
+    or the cell check is NotTrapping and ``marginal``.
     """
     c = require_unitary(coin)
     spectrum, marginal, seed_cells = _flat_bands(c)
@@ -305,7 +318,8 @@ def classify_coin(coin, rank_tol: float = RANK_TOL) -> ClassificationResult:
     total_mult = sum(m for _, m in spectrum)
     fully = total_mult >= 4
     phases = tuple(spectrum)
-    esc_dim = _escaping_from_cells(seed_cells, rank_tol).shape[1]
+    rank, escaping = _rank_and_escaping(spectrum, seed_cells)
+    esc_dim = escaping.shape[1]
 
     if any(m >= 2 for _, m in spectrum):
         return ClassificationResult(
@@ -314,7 +328,6 @@ def classify_coin(coin, rank_tol: float = RANK_TOL) -> ClassificationResult:
         )
 
     cells = next(iter(seed_cells.values()))
-    rank, _ = numerical_rank(_coins._cell_matrix(cells[0]), rank_tol)
     family = _FAMILY_BY_RANK.get(rank)
     if family is None:
         raise NotTrappingError(f"amplitude matrix has unexpected rank {rank}")

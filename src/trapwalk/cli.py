@@ -115,7 +115,7 @@ def _cmd_coin(args) -> int:
 
 def _cmd_classify(args) -> int:
     coin = _coins.read_coin_json(args.input)
-    result = _classify.classify_coin(coin, rank_tol=args.rank_tol)
+    result = _classify.classify_coin(coin)
     _emit_json(_classify.classification_to_json(result), args.output)
     return 0
 
@@ -279,7 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cls = sub.add_parser("classify", help="classify a coin JSON")
     p_cls.add_argument("-i", "--input", required=True, help="coin JSON path")
     p_cls.add_argument("-o", "--output")
-    p_cls.add_argument("--rank-tol", type=float, default=1e-8)
     p_cls.set_defaults(func=_cmd_classify)
 
     p_esc = sub.add_parser("escape", help="escaping-subspace basis of a coin JSON")

@@ -263,6 +263,30 @@ _LANDING = np.array(list(np.ndindex(2, 2)))[:, None, :] + np.array(DISPLACEMENTS
 _CELL_SUPPORT = ((_LANDING < 0) | (_LANDING > 1)).any(axis=2).reshape(2, 2, 4)
 
 
+def _unit_balance() -> np.ndarray:
+    """The balance pair (A, B) of each unit amplitude a..h, shape (2, 8, 4, 4).
+
+    A[j, s] is component j of the state on cell site s, B[j, s] that on site
+    s + d_j (zero off the cell); each amplitude fills one entry of each.
+    """
+    xi = np.zeros((8, 2, 2, 4))
+    xi[:, _CELL_SUPPORT] = np.eye(8)
+    ring = np.pad(xi, ((0, 0), (1, 1), (1, 1), (0, 0)))
+    x, y = np.moveaxis(_LANDING + 1, 2, 0)
+    return np.stack([xi.reshape(8, 4, 4), ring[:, x, y, np.arange(4)]]).transpose(0, 1, 3, 2)
+
+
+_UNIT_BALANCE = _unit_balance()
+# _BALANCE_SLOTS[m, j, s]: the amplitude in entry (j, s) of A (m = 0) or B
+# (m = 1), as an index into a..h, or 8 for a structural zero.
+_BALANCE_SLOTS = np.where(_UNIT_BALANCE.any(axis=1), _UNIT_BALANCE.argmax(axis=1), 8)
+
+
+def _balance_pair(amps: np.ndarray) -> np.ndarray:
+    """The matrices A and B of cell amplitudes a..h, stacked: shape (2, 4, 4)."""
+    return np.append(amps, 0.0)[_BALANCE_SLOTS]
+
+
 @dataclass(frozen=True)
 class AmplitudeCell:
     """The eight amplitudes of a 2x2-supported stationary eigenstate.
@@ -293,10 +317,8 @@ class AmplitudeCell:
         return np.array([self.a, self.b, self.c, self.d, self.e, self.f, self.g, self.h])
 
     def local_states(self) -> np.ndarray:
-        """Local coin states as an array indexed [dx, dy, direction]."""
-        xi = np.zeros((2, 2, 4), dtype=np.complex128)
-        xi[_CELL_SUPPORT] = self.amplitudes
-        return xi
+        """Local coin states as an array indexed [dx, dy, direction]: the columns of A."""
+        return _balance_pair(self.amplitudes)[0].T.reshape(2, 2, 4)
 
     def chiral_partner(self) -> "AmplitudeCell":
         """Sign-flip the odd sublattice sites; negates the eigenphase."""
@@ -329,12 +351,15 @@ class AmplitudeCell:
     def validate(self, tol: float = 1e-10) -> None:
         """Check the detailed-balance amplitude constraints and the norm tag.
 
+        A unitary coin makes C A = B into A†A = B†B, whose three diagonal
+        and two off-diagonal independent entries are the five amplitude
+        constraints, such as |a|^2+|b|^2 = |d|^2+|f|^2 and a c* = f h*.
         Raises ValueError on violation; the zero cell is always rejected.
         """
         amps = self.amplitudes
         if not np.isfinite(amps).all():
             raise ValueError("cell has non-finite amplitudes")
-        total = float(np.sum(np.abs(amps) ** 2))
+        total = float(np.vdot(amps, amps).real)
         if total < 1e-12:
             raise ValueError("zero cell is not a valid stationary state")
         if abs(total - self.norm**2) > tol * max(total, 1.0):
@@ -342,20 +367,12 @@ class AmplitudeCell:
                 f"recorded norm {self.norm!r} disagrees with amplitudes "
                 f"(sum of squares {total!r})"
             )
-        scale = max(total, 1.0)
-        checks = {
-            "|a|^2+|b|^2 = |d|^2+|f|^2":
-                abs(self.a) ** 2 + abs(self.b) ** 2 - abs(self.d) ** 2 - abs(self.f) ** 2,
-            "|g|^2+|h|^2 = |c|^2+|e|^2":
-                abs(self.g) ** 2 + abs(self.h) ** 2 - abs(self.c) ** 2 - abs(self.e) ** 2,
-            "|c|^2+|d|^2 = |b|^2+|h|^2":
-                abs(self.c) ** 2 + abs(self.d) ** 2 - abs(self.b) ** 2 - abs(self.h) ** 2,
-            "a c* = f h*": self.a * np.conj(self.c) - self.f * np.conj(self.h),
-            "b e* = d g*": self.b * np.conj(self.e) - self.d * np.conj(self.g),
-        }
-        for label, residual in checks.items():
-            if abs(residual) > tol * scale:
-                raise ValueError(f"amplitude constraint {label} violated by {abs(residual):.3e}")
+        a, b = _balance_pair(amps)
+        gap = np.abs(a.conj().T @ a - b.conj().T @ b)
+        if gap.max() > tol * max(total, 1.0):
+            s, t = divmod(int(gap.argmax()), 4)
+            raise ValueError(f"amplitude constraint A^H A = B^H B violated by {gap[s, t]:.3e} "
+                             f"between cell sites {divmod(s, 2)} and {divmod(t, 2)}")
 
 
 def _ansatz_vectors(cell: AmplitudeCell, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -383,18 +400,10 @@ class BalanceMatrices:
         return float(np.max(np.abs(c @ self.a - self.b)))
 
 
-def _cell_matrix(cell: AmplitudeCell) -> np.ndarray:
-    """The matrix A: column s is the local coin state of cell site s, sites in C order."""
-    return cell.local_states().reshape(4, 4).T
-
-
 def balance_matrices(cell: AmplitudeCell) -> BalanceMatrices:
     """Build the detailed-balance pair from a validated amplitude cell."""
     cell.validate()
-    # B[j, s] is component j of the state on site s + d_j, zero off the cell.
-    ring = np.pad(cell.local_states(), ((1, 1), (1, 1), (0, 0)))
-    x, y = np.moveaxis(_LANDING + 1, 2, 0)
-    return BalanceMatrices(a=_cell_matrix(cell), b=ring[x, y, np.arange(4)].T)
+    return BalanceMatrices(*_balance_pair(cell.amplitudes))
 
 
 def _exp(t: float) -> complex:

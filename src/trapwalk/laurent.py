@@ -8,12 +8,11 @@ one in each variable; its sixteen coefficients are the amplitudes of an
 eigenstate supported on a 2x2 patch of the lattice.
 
 The degree-(1,1) kernel vector is obtained from the exact coefficient
-system rather than by symbolic lowest-terms reduction: the sixty-four
-coefficients of ``D(x, y) psi(x, y)`` are linear in the sixteen unknowns.
-Forty of those equations vanish for every coin and eight pin the cell's
-structural zeros, so the kernel is that of a 16 x 8 matrix in the cell
-amplitudes, read off the coin by one fixed contraction.  The adjugate
-kernel vectors are still provided, with their exact degree windows, for
+system rather than by symbolic lowest-terms reduction: the coefficients of
+``D(x, y) psi(x, y)`` are those of ``C A - B`` for the cell's
+detailed-balance pair (``coins.balance_matrices``), so the kernel is that
+of a 16 x 8 matrix in the cell amplitudes a..h.  The adjugate kernel
+vectors are still provided, with their exact degree windows, for
 cross-checking.
 
 Determinants are computed by interpolation: a Laurent polynomial whose
@@ -329,35 +328,14 @@ def adjugate_kernel_vector(mat: LaurentMatrix, index: int) -> list[LaurentPoly]:
     return w
 
 
-def _coefficient_system() -> tuple[np.ndarray, np.ndarray]:
-    """``D psi`` as 64 linear equations in the 16 unknowns xi[dx, dy, direction].
-
-    Equation (i, p, q) is the coefficient of x^(p-1) y^(q-1) in component i of
-    ``(A - diag(x^sx y^sy)) sum xi[dx, dy] x^dx y^dy``; the equations are
-    ``tensordot(A.ravel(), coin_terms, 1) - shift_terms``, shapes (16, 64, 16), (64, 16).
-    """
-    # indexed [i, j | i, p, q | dx, dy, j] and [i, p, q | dx, dy, i]
-    coin_terms = np.zeros((4, 4, 4, 4, 4, 2, 2, 4), dtype=bool)
-    shift_terms = np.zeros((4, 4, 4, 2, 2, 4), dtype=bool)
-    for i, (sx, sy) in enumerate(_SHIFT_EXPONENTS):
-        for dx, dy in np.ndindex(2, 2):
-            coin_terms[i, :, i, dx + 1, dy + 1, dx, dy, :] = np.eye(4, dtype=bool)
-            shift_terms[i, dx + sx + 1, dy + sy + 1, dx, dy, i] = True
-    return coin_terms.reshape(16, 64, 16), shift_terms.reshape(64, 16)
-
-
-# Only the equations holding a coin entry constrain the cell amplitudes: the
-# others vanish for every coin or pin one structural zero of the cell.
-_COIN_TERMS, _SHIFT_TERMS = _coefficient_system()
-_LIVE_ROWS = _COIN_TERMS.any(axis=(0, 2))
-_CELL = _coins._CELL_SUPPORT.ravel()
-_LIVE_COIN_TERMS = _COIN_TERMS[:, _LIVE_ROWS][:, :, _CELL].astype(float)
-_LIVE_SHIFT_TERMS = _SHIFT_TERMS[_LIVE_ROWS][:, _CELL].astype(float)
-
-
 def _cell_kernel(adjusted: np.ndarray) -> np.ndarray:
-    """Amplitude vectors a..h (as columns) of the 2x2 cells with ``D psi == 0``."""
-    system = np.tensordot(adjusted.ravel(), _LIVE_COIN_TERMS, axes=1) - _LIVE_SHIFT_TERMS
+    """Amplitude vectors a..h (as columns) of the 2x2 cells with ``D psi == 0``.
+
+    ``D psi`` is ``adjusted A - B``, so column k is ``vec(adjusted A_k - B_k)``
+    for the balance pair of unit amplitude k.
+    """
+    unit_a, unit_b = _coins._UNIT_BALANCE
+    system = (adjusted @ unit_a - unit_b).reshape(8, 16).T
     _, s, vh = np.linalg.svd(system, full_matrices=False)
     return vh.conj().T[:, s < KERNEL_REL_TOL * s[0]]
 

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from trapwalk import classify, coins, laurent, spectral, walk
+from trapwalk import classify, cli, coins, laurent, spectral, walk
 from trapwalk.errors import NotTrappingError
 from trapwalk.linalg import require_unitary
 
@@ -63,6 +63,29 @@ def test_marginal_flag():
     assert classify._FLAT_TOL <= edges < 10 * classify._FLAT_TOL
     result = classify.classify_coin(coin)
     assert result.family == "TypeIIa" and result.marginal
+
+
+@pytest.mark.parametrize("eps", [1e-10, 1e-9, 2e-9, 3e-9, 5e-9, 1e-8, 2e-8, 3e-8])
+def test_near_trapping_band_has_an_answer(eps, tmp_path, capsys):
+    # Grover rotated between L and D by eps: from 2e-9 on, the flat pair the
+    # closed form finds fails the kernel solve (5e-9, 1e-8) or the cell check
+    # (2e-9, 3e-9), or the mixed minors (2e-8 on); all are marginal NotTrapping
+    rotation = np.eye(4, dtype=complex)
+    rotation[:2, :2] = [[np.cos(eps), -np.sin(eps)], [np.sin(eps), np.cos(eps)]]
+    coin = coins.grover_coin() @ rotation
+    result = classify.classify_coin(coin)
+    if eps <= 1e-9:
+        assert result.family == "TypeIIa" and not result.marginal
+    else:
+        assert result.family == "NotTrapping" and result.marginal
+        with pytest.raises(NotTrappingError):
+            classify.escaping_subspace(coin)
+        with pytest.raises(NotTrappingError):
+            classify.trapped_weight(coin, np.array([1, 0, 0, 0]))
+    path = tmp_path / "coin.json"
+    coins.write_coin_json(path, coin)
+    assert cli.main(["classify", "-i", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["family"] == result.family
 
 
 def test_chiral_pairing(rng):
@@ -328,6 +351,18 @@ def test_escaping_annihilated_by_amplitudes(rng):
                 a = coins.balance_matrices(cell).a
                 if basis.shape[1]:
                     assert np.max(np.abs(basis.conj().T @ a)) < 1e-10
+
+
+def test_fully_trapped_cells_span_every_coin_state():
+    # with all four bands flat no coin state is orthogonal to every localized
+    # state, which is why a fully trapped coin has no escaping subspace
+    for coin in DEGENERATE_COINS:
+        spectrum = classify.detect_point_spectrum(coin)
+        assert sum(m for _, m in spectrum) == 4
+        cells = [cell for lam, _ in spectrum for cell in laurent.localized_cells(coin, lam)]
+        stacked = np.hstack([coins.balance_matrices(cell).a for cell in cells])
+        assert np.linalg.matrix_rank(stacked) == 4
+        assert classify.escaping_subspace(coin).shape == (4, 0)
 
 
 def test_escaping_requires_trapping():

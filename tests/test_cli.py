@@ -350,13 +350,14 @@ def test_error_json_on_non_finite_angle(tmp_path, capsys, argv):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("tol", ["nan", "inf"])
-def test_error_json_on_non_finite_rank_tol(tmp_path, capsys, tol):
+def test_classify_has_no_rank_tol_option(tmp_path, capsys):
+    # RANK_TOL is the one rank threshold; argparse rejects the retired option
     coin_path = tmp_path / "coin.json"
     coins.write_coin_json(coin_path, coins.grover_coin())
-    err = _assert_json_error(capsys, run("classify", "-i", str(coin_path), "--rank-tol", tol))
-    # the range check, not a misleading rank-0 classification failure
-    assert err["error"] == "ValueError" and "tol" in err["message"]
+    with pytest.raises(SystemExit) as exc:
+        run("classify", "-i", str(coin_path), "--rank-tol", "1e-8")
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --rank-tol" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("grid", ["0", "-3"])

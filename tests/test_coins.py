@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -332,7 +333,7 @@ def test_balance_matrices_match_hand_written_literals(rng):
             bal = coins.balance_matrices(cell)
             assert bal.a.tobytes() == mat_a.tobytes()
             assert bal.b.tobytes() == mat_b.tobytes()
-            assert coins._cell_matrix(cell).tobytes() == mat_a.tobytes()
+            assert cell.local_states().reshape(4, 4).T.tobytes() == mat_a.tobytes()
 
 
 def test_zero_cell_rejected():
@@ -345,6 +346,47 @@ def test_cell_validation_rejects_constraint_violation():
     bad = coins.AmplitudeCell(1.0, 1.0, 0.9, 1.0, 1.0, 1.0, 1.0, 0.5, norm=np.sqrt(7.06))
     with pytest.raises(ValueError):
         bad.validate()
+
+
+def literal_check_accepts(cell, tol=1e-10):
+    """The five amplitude constraints of a stationary cell, as written out by hand."""
+    a, b, c, d, e, f, g, h = cell.amplitudes
+    residuals = np.abs([
+        abs(a) ** 2 + abs(b) ** 2 - abs(d) ** 2 - abs(f) ** 2,
+        abs(g) ** 2 + abs(h) ** 2 - abs(c) ** 2 - abs(e) ** 2,
+        abs(c) ** 2 + abs(d) ** 2 - abs(b) ** 2 - abs(h) ** 2,
+        a * np.conj(c) - f * np.conj(h),
+        b * np.conj(e) - d * np.conj(g),
+    ])
+    return bool(np.all(residuals <= tol * max(np.sum(np.abs(cell.amplitudes) ** 2), 1.0)))
+
+
+def test_gram_check_matches_literal_constraints(rng):
+    # validate checks A^H A = B^H B; on perturbed stationary cells of every
+    # family it accepts and rejects exactly what the literal constraints do
+    outcomes = []
+    for params in all_params(rng, 10):
+        for cell in coins.stationary_cell(params):
+            for size in (1e-13, 1e-6):
+                for kind in ("noise", "phase", "scale"):
+                    amps = cell.amplitudes
+                    k = rng.choice(np.flatnonzero(amps))
+                    if kind == "noise":
+                        amps = amps + size * (rng.normal(size=8) + 1j * rng.normal(size=8))
+                    else:
+                        amps[k] *= np.exp(1j * size) if kind == "phase" else 1.0 + size
+                    bad = dataclasses.replace(cell, **dict(zip("abcdefgh", amps)),
+                                              norm=float(np.linalg.norm(amps)))
+                    try:
+                        bad.validate()
+                        accepted = True
+                    except ValueError as exc:
+                        assert "between cell sites" in str(exc)
+                        accepted = False
+                    assert accepted == literal_check_accepts(bad), (params, size, kind)
+                    outcomes.append((size, accepted))
+    assert (1e-6, False) in outcomes and (1e-6, True) in outcomes
+    assert all(accepted for size, accepted in outcomes if size == 1e-13)
 
 
 # ------------------------------------------------------------------- coin JSON

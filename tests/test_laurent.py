@@ -279,34 +279,18 @@ def test_shift_exponents_match_hand_written_table():
     assert laurent._SHIFT_EXPONENTS == ((1, 0), (0, 1), (0, -1), (-1, 0))
 
 
-def test_coefficient_system_structure():
-    coin_terms, shift_terms = laurent._coefficient_system()
-    uses_coin = coin_terms.any(axis=(0, 2))
-    unknowns = np.count_nonzero(shift_terms, axis=1)
-    assert np.count_nonzero(~uses_coin & (unknowns == 0)) == 40
-    pinned = ~uses_coin & (unknowns == 1)
-    assert np.count_nonzero(pinned) == 8
-    assert np.count_nonzero(uses_coin) == 16
-    assert np.all(uses_coin | (unknowns <= 1))
-    # the eight single-unknown equations pin exactly the cell's structural zeros
-    pinned_slots = np.count_nonzero(shift_terms[pinned], axis=0).reshape(2, 2, 4)
-    assert np.array_equal(pinned_slots, (~coins._CELL_SUPPORT).astype(int))
-    assert laurent._LIVE_COIN_TERMS.shape == (16, 16, 8)
-    assert laurent._LIVE_SHIFT_TERMS.shape == (16, 8)
-
-
-def test_coefficient_system_expands_d_psi(rng):
-    coin_terms, shift_terms = laurent._coefficient_system()
-    powers = np.arange(4) - 1
-    for _ in range(5):
+def test_unit_balance_pairs_expand_d_psi(rng):
+    # D(x, y) psi(x, y) of a cell ansatz is (C A - B)(1, y, x, xy)^T, A and B
+    # the amplitude-weighted sums of the unit pairs the kernel system reads
+    for _ in range(20):
         coin = random_unitary(rng)
-        xi = rng.normal(size=16) + 1j * rng.normal(size=16)
-        coeffs = ((np.tensordot(coin.ravel(), coin_terms, 1) - shift_terms) @ xi).reshape(4, 4, 4)
+        amps = rng.normal(size=8) + 1j * rng.normal(size=8)
+        mat_a, mat_b = np.tensordot(amps, coins._UNIT_BALANCE, axes=(0, 1))
         x, y = np.exp(1j * rng.uniform(0, 2 * np.pi, 2))
-        psi = np.einsum("abj,a,b->j", xi.reshape(2, 2, 4), [1, x], [1, y])
+        psi = coins._ansatz_vectors(coins.AmplitudeCell(*amps), np.array([x]), np.array([y]))[0]
         d_psi = laurent.kernel_matrix(coin).evaluate(x, y) @ psi
-        monomials = np.outer(x ** powers, y ** powers)
-        assert np.max(np.abs(d_psi - np.einsum("ipq,pq->i", coeffs, monomials))) < 1e-13
+        expected = (coin @ mat_a - mat_b) @ np.array([1, y, x, x * y])
+        assert np.max(np.abs(d_psi - expected)) < 1e-13
 
 
 def reference_stacked_kernel(adjusted, grid_n=6):

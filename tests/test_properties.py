@@ -6,10 +6,10 @@ import math
 import numpy as np
 from hypothesis import example, given, strategies as st
 
-from trapwalk import coins, walk
+from trapwalk import classify, coins, walk
 from trapwalk.errors import ParameterDomainError
 
-from conftest import random_unitary
+from conftest import DRAWERS, random_unitary
 
 QUARTER_RANGE = st.floats(0.0, math.pi / 2)
 PHASES = st.lists(st.floats(-50.0, 50.0), min_size=5, max_size=5)
@@ -106,6 +106,64 @@ def test_step_conserves_norm_light_cone_and_parity(setup):
         assert not np.any(state.field[:, np.abs(xs) + np.abs(ys) > state.t])
         if state.t % 2:
             assert not np.any(state.amplitude(0, 0))
+
+
+def lattice_permutation(r) -> np.ndarray:
+    """The coin-space action of a lattice map r: P[i, j] = 1 when r d_j = d_i."""
+    steps = np.array(coins.DISPLACEMENTS)
+    return (steps[:, None, :] == (steps @ np.array(r).T)[None, :, :]).all(axis=2).astype(float)
+
+
+ROTATION = lattice_permutation([[0, -1], [1, 0]])
+X_REFLECTION = lattice_permutation([[-1, 0], [0, 1]])
+
+
+@st.composite
+def symmetric_pairs(draw):
+    """A family coin times a global phase, and its image under one lattice symmetry.
+
+    The last item is the unitary P with coin' = P coin P^H, or None for the
+    transpose, which is not such a change of basis.
+    """
+    family = draw(st.sampled_from(sorted(DRAWERS)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    coin = np.exp(1j * draw(st.floats(0.0, 2 * math.pi))) * coins.coin_for(DRAWERS[family](rng))
+    kind = draw(st.sampled_from(["rotation", "x-reflection", "gauge", "transpose"]))
+    if kind == "transpose":
+        return family, kind, coin, coin.T, None
+    if kind == "gauge":
+        p = np.diag(np.exp(1j * np.array(draw(st.lists(st.floats(0.0, 2 * math.pi),
+                                                         min_size=4, max_size=4)))))
+    else:
+        p = ROTATION if kind == "rotation" else X_REFLECTION
+    return family, kind, coin, p @ coin @ p.conj().T, p
+
+
+def test_lattice_permutations_match_hand_written_tables():
+    # L -> D -> R -> U -> L under the 90 degree rotation; L <-> R under x -> -x
+    rotation = np.zeros((4, 4))
+    rotation[[1, 3, 0, 2], [0, 1, 2, 3]] = 1.0
+    assert np.array_equal(ROTATION, rotation)
+    assert np.array_equal(X_REFLECTION, np.eye(4)[[3, 1, 2, 0]])
+
+
+@given(symmetric_pairs())
+def test_lattice_symmetries_keep_the_classification(pair):
+    family, kind, coin, image, p = pair
+    before, after = classify.classify_coin(coin), classify.classify_coin(image)
+    assert before.family == after.family == family
+    assert (after.rank_a, after.escaping_dim) == (before.rank_a, before.escaping_dim)
+    if family == "TypeIIb":
+        # the rotation exchanges the horizontal and vertical sectors
+        swap = {1: 2, 2: 1} if kind == "rotation" else {1: 1, 2: 2}
+        assert after.variant == swap[before.variant]
+    lam = classify._seed_phases(after.eigenphases)[0]
+    assert after.params is not None
+    assert np.max(np.abs(lam * coins.coin_for(after.params) - image)) <= 1e-9
+    if p is not None:
+        w = classify.trapped_weight_operator(coin, grid_n=16)
+        w_image = classify.trapped_weight_operator(image, grid_n=16)
+        assert np.max(np.abs(w_image - p @ w @ p.conj().T)) <= 1e-13
 
 
 def _from_bits(bits: int) -> float:

@@ -1,0 +1,133 @@
+"""Parity snapshot of trapwalk's numeric outputs on a fixed set of 3307 coins.
+
+    python tools/parity.py --out DIR
+    python tools/parity.py --diff OLD_DIR NEW_DIR
+
+``--out`` imports trapwalk from the ``src`` directory of the tree this file
+sits in, so copying the file into another checkout snapshots that tree.
+The coin set is fixed: the 3000 criterion-4 draws (seed 104, 1000 per
+family), 300 Haar-random coins (seed 5), Grover, H (x) H and the boundary
+coins ``DEGENERATE_COINS``; the draws come from ``tests/conftest.py``.
+DIR receives
+
+* ``classify.json``: the classify JSON of every coin, or its error;
+* ``escape.json``: the escaping-subspace basis of every coin, or its error;
+* ``arrays.npz``: the localized cells at each seed eigenphase and the
+  trapped-weight operator at grid 64 (NaN where the coin does not trap).
+
+``--diff`` compares two snapshots: the JSON files byte for byte, the cells
+and operators bit for bit, and the escaping-subspace projectors to their
+largest entrywise deviation.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import sys
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def coin_set() -> list[np.ndarray]:
+    from trapwalk import coins
+    from conftest import DEGENERATE_COINS, DRAWERS, hadamard_tensor_coin, random_unitary
+
+    rng = np.random.default_rng(104)
+    out = [coins.coin_for(drawer(rng)) for drawer in DRAWERS.values() for _ in range(1000)]
+    rng = np.random.default_rng(5)
+    out += [random_unitary(rng) for _ in range(300)]
+    return out + [coins.grover_coin(), hadamard_tensor_coin()] + DEGENERATE_COINS
+
+
+def _error(exc: Exception) -> str:
+    return json.dumps({"error": type(exc).__name__, "message": str(exc)})
+
+
+def snapshot(out: Path) -> None:
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+    from trapwalk import classify, laurent
+
+    out.mkdir(parents=True, exist_ok=True)
+    classified, escapes, cells, weights = [], [], [], []
+    for coin in coin_set():
+        try:
+            result = classify.classify_coin(coin)
+            classified.append(classify.classification_to_json(result))
+        except Exception as exc:
+            result = None
+            classified.append(_error(exc))
+        try:
+            basis = classify.escaping_subspace(coin)
+            escapes.append(json.dumps([[[z.real, z.imag] for z in col] for col in basis.T]))
+        except Exception as exc:
+            escapes.append(_error(exc))
+        amps = []
+        if result is not None and result.trapping:
+            for lam, _ in result.eigenphases:
+                if 0.0 <= np.angle(lam) < np.pi:
+                    amps += [cell.amplitudes for cell in laurent.localized_cells(coin, lam)]
+            weights.append(classify.trapped_weight_operator(coin, grid_n=64))
+        else:
+            weights.append(np.full((4, 4), np.nan, dtype=complex))
+        cells.append(np.array(amps, dtype=complex).reshape(-1, 8))
+    (out / "classify.json").write_text("\n".join(classified) + "\n")
+    (out / "escape.json").write_text("\n".join(escapes) + "\n")
+    np.savez(out / "arrays.npz", weights=np.array(weights),
+             cell_counts=np.array([len(c) for c in cells]), cells=np.concatenate(cells))
+    print(f"{len(classified)} coins written to {out}")
+
+
+def _projectors(path: Path) -> list[np.ndarray | None]:
+    out = []
+    for line in path.read_text().splitlines():
+        doc = json.loads(line)
+        if isinstance(doc, dict):
+            out.append(None)
+            continue
+        basis = np.array([[complex(re, im) for re, im in col] for col in doc]).reshape(-1, 4).T
+        out.append(basis @ basis.conj().T)
+    return out
+
+
+def diff(old: Path, new: Path) -> int:
+    status = 0
+    for name in ("classify.json", "escape.json"):
+        a, b = (d.joinpath(name).read_text().splitlines() for d in (old, new))
+        differing = sum(x != y for x, y in zip(a, b)) + abs(len(a) - len(b))
+        print(f"{name}: {differing} of {len(b)} lines differ")
+        status |= name == "classify.json" and differing > 0
+    with np.load(old / "arrays.npz") as a, np.load(new / "arrays.npz") as b:
+        for key in ("cell_counts", "cells", "weights"):
+            same = a[key].shape == b[key].shape and a[key].tobytes() == b[key].tobytes()
+            print(f"{key}: {'bit-identical' if same else 'DIFFERENT'}")
+            status |= not same
+    deviation = 0.0
+    for p, q in zip(_projectors(old / "escape.json"), _projectors(new / "escape.json")):
+        if (p is None) != (q is None) or (p is not None and p.shape != q.shape):
+            print("escape: an escaping subspace changed dimension or failed")
+            return 1
+        if p is not None:
+            deviation = max(deviation, float(np.abs(p - q).max(initial=0.0)))
+    print(f"escape projectors: max deviation {deviation:.1e}")
+    return int(status)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    group = parser.add_mutually_exclusive_group(required=True)
+    group.add_argument("--out", type=Path, help="directory for the snapshot")
+    group.add_argument("--diff", type=Path, nargs=2, metavar=("OLD", "NEW"),
+                       help="compare two snapshot directories")
+    args = parser.parse_args(argv)
+    if args.out is not None:
+        snapshot(args.out)
+        return 0
+    return diff(*args.diff)
+
+
+if __name__ == "__main__":
+    sys.exit(main())
