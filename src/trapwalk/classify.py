@@ -1,9 +1,9 @@
 """Trapping detection, family classification, escaping states, trapped weight.
 
-A constant eigenvalue of the momentum-space walk operator U(k) = S(k) C is a
-common root of the nine coefficients, in (x, y) = (e^{i kx}, e^{i ky}), of its
-characteristic polynomial ``det(z S^-1 - C)``, read off the principal minors
-of C.  Families follow from the rank of the stationary amplitude matrix A
+Every public entry here reads one flat-band decision, ``laurent._flat_bands``:
+the constant eigenvalues of the momentum-space walk operator U(k) = S(k) C,
+each chiral pair confirmed by the 2x2 cell solved at its seed eigenphase.
+Families follow from the rank of that cell's stationary amplitude matrix A
 (4, 3, 2 for Types I, IIa, IIb).
 """
 
@@ -16,10 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import coins as _coins
-from . import laurent as _laurent
-from .errors import KernelInconsistencyError, NotTrappingError
+from .errors import NotTrappingError
+from .laurent import _flat_bands
 from .linalg import fix_vector_phase, numerical_rank, require_unitary
-from .spectral import _momentum_operator
 
 __all__ = [
     "ClassificationResult",
@@ -32,75 +31,9 @@ __all__ = [
     "classification_to_json",
 ]
 
-# A decision value below its threshold counts as zero; one within ten times
-# its threshold marks the result marginal.
-_FLAT_TOL = 1e-8
-# Rounding splits a double root of the quadratic center by ~sqrt(eps).
-_DOUBLE_ROOT_TOL = 1e-6
-# Polishing momenta: k = 0, where U = C, and a generic one for bands crossing there.
-_POLISH_K = (np.array([0.0, 2.23]), np.array([0.0, -1.19]))
-# The edge coefficients of laurent._charpoly, each -z (C_jj w + M) with w = z^2.
-_EDGES = ([0, 1, 1, 2], [1, 0, 2, 1])
-
-
-def _flat_roots(coeffs: np.ndarray):
-    """Values w = z^2 of the flat chiral pairs +-z with multiplicities, and the
-    (value, threshold) pairs of the decisions taken.  ``coeffs`` is the tensor
-    of ``laurent._charpoly``; a flat z zeroes all nine of its polynomials.
-    """
-    # each corner is M z^2 with M a mixed 2x2 minor
-    corners = float(np.abs(coeffs[::2, ::2, 2]).max())
-    decisions = [(corners, _FLAT_TOL)]
-    if corners >= _FLAT_TOL:
-        return [], decisions
-    edges = coeffs[_EDGES]
-    edge_size = float(np.abs(edges).max())
-    decisions.append((edge_size, _FLAT_TOL))
-    if edge_size >= _FLAT_TOL:
-        # one flat pair at the least-squares root of the linear edges; w = 0
-        # (no slope) never zeroes the center, which is det C there
-        w = np.linalg.lstsq(edges[:, 3:4], -edges[:, 1], rcond=None)[0][0]
-        residual = float(np.abs(coeffs @ np.sqrt(w) ** np.arange(5)).max())
-        decisions.append((residual, _FLAT_TOL))
-        return ([(w, 1)] if residual < _FLAT_TOL else []), decisions
-    # no edges: every band is flat, at the roots of w^2 + (M_LR + M_DU) w + det C
-    alpha, det = coeffs[1, 1, 2], coeffs[1, 1, 0]
-    split = np.sqrt(alpha * alpha - 4.0 * det)
-    decisions.append((float(abs(split)), _DOUBLE_ROOT_TOL))
-    if abs(split) < _DOUBLE_ROOT_TOL:
-        return [(-alpha / 2.0, 2)], decisions
-    return [((-alpha + split) / 2.0, 1), ((-alpha - split) / 2.0, 1)], decisions
-
-
-def _flat_spectrum(c):
-    """Constant eigenvalues with multiplicities, and whether a decision was marginal.
-
-    ``c`` must be a checked unitary coin.  Each root +-sqrt(w) of multiplicity m
-    becomes the nearest eigenvalue of U(0) = C, or of U at the other momentum
-    where the (m+1)-th nearest is within _FLAT_TOL at k = 0 but not there.
-    """
-    roots, decisions = _flat_roots(_laurent._charpoly(c))
-    results = []
-    if roots:
-        ev = np.linalg.eigvals(_momentum_operator(c, *_POLISH_K))
-        for w, mult in roots:
-            for z in (np.sqrt(w), -np.sqrt(w)):
-                dist = np.abs(ev - z)
-                gap = np.sort(dist, axis=1)[:, mult]
-                k = int(gap[0] < _FLAT_TOL < gap[1])
-                lam = ev[k, np.argmin(dist[k])]
-                results.append((complex(lam / abs(lam)), mult))
-
-    def _canonical_angle(lam: complex) -> float:
-        ang = float(np.angle(lam)) % (2 * np.pi)
-        return 0.0 if ang > 2 * np.pi - 1e-9 else ang
-
-    results.sort(key=lambda item: _canonical_angle(item[0]))
-    return results, any(thr <= value < 10 * thr for value, thr in decisions)
-
 
 def detect_point_spectrum(coin) -> list[tuple[complex, int]]:
-    """Constant eigenvalues of the momentum walk operator, in closed form.
+    """Constant eigenvalues of the momentum walk operator, each with its 2x2 cell.
 
     Parameters
     ----------
@@ -112,8 +45,7 @@ def detect_point_spectrum(coin) -> list[tuple[complex, int]]:
     list of (eigenphase, multiplicity)
         Sorted by principal angle; empty for non-trapping coins.
     """
-    spectrum, _ = _flat_spectrum(require_unitary(coin))
-    return spectrum
+    return _flat_bands(require_unitary(coin))[0]
 
 
 @dataclass(frozen=True)
@@ -125,7 +57,8 @@ class ClassificationResult:
     arrangements.  ``fully_trapped`` marks coins with four constant
     eigenvalues (no state can leave the 3x3 neighborhood of its start).
     ``marginal`` flags a closed-form decision (mixed-minor size, edge size,
-    root residual or double-root split) within ten times its threshold.
+    root residual or double-root split) within ten times its threshold, or
+    a flat pair left out because its cell failed the kernel solve or check.
     """
 
     trapping: bool
@@ -137,36 +70,6 @@ class ClassificationResult:
     params: _coins.FamilyParams | None = None
     fully_trapped: bool = False
     marginal: bool = False
-
-
-def _seed_phases(eigenphases) -> list[complex]:
-    """One representative per chiral pair: eigenphases with angle in [0, pi)."""
-    out = []
-    for lam, _ in eigenphases:
-        ang = np.angle(lam)
-        if -1e-12 <= ang < np.pi - 1e-12:
-            out.append(lam)
-    return out
-
-
-def _flat_bands(c):
-    """Point spectrum, marginal flag and the localized cells of each chiral pair.
-
-    ``c`` must be a checked unitary coin.  ``seed_cells`` maps each seed
-    eigenphase to its cells; since S(k + pi) = -S(k), the cells at the
-    partner eigenphase -lam are exactly their chiral partners.  A pair whose
-    cell the kernel solve or cell check rejects is dropped as marginal.
-    """
-    spectrum, marginal = _flat_spectrum(c)
-    seed_cells = {}
-    for lam in _seed_phases(spectrum):
-        try:
-            seed_cells[lam] = _laurent._localized_cells(c, lam)
-        except (KernelInconsistencyError, ValueError):
-            partner = min(spectrum, key=lambda item: abs(item[0] + lam))
-            spectrum = [item for item in spectrum if item[0] != lam and item is not partner]
-            marginal = True
-    return spectrum, marginal, seed_cells
 
 
 def _rank_and_escaping(spectrum, seed_cells) -> tuple[int, np.ndarray]:

@@ -22,6 +22,10 @@ interpolation is exactly the discrete Fourier transform.  So the entries
 are evaluated by an inverse FFT, the determinant is taken pointwise, and
 one FFT returns its coefficients.  A polynomial is identically zero when
 its explicit coefficients are all negligible.
+
+The flat-band decision, ``_flat_bands``, lives here beside the polynomial
+``det(z S^-1 - C)`` it reads and the kernel solve that confirms each chiral
+pair of flat bands; ``classify`` and ``localized_cells`` read it.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ import numpy as np
 from . import coins as _coins
 from .errors import DegenerateMinorError, KernelInconsistencyError, NotTrappingError
 from .linalg import fix_vector_phase, require_unitary
+from .spectral import _momentum_operator
 
 __all__ = [
     "PRUNE_TOL",
@@ -48,7 +53,24 @@ __all__ = [
 
 PRUNE_TOL = 1e-14          # absolute coefficient pruning
 ZERO_REL_TOL = 1e-10       # identity-zero test: largest coefficient magnitude allowed
-KERNEL_REL_TOL = 1e-9      # singular-value threshold of the coefficient-system kernel
+
+# The thresholds of the flat-band decision, _flat_bands, and what each guards:
+# - _FLAT_TOL: a mixed 2x2 minor, edge polynomial or root residual of _charpoly
+#   below it is zero.  _DOUBLE_ROOT_TOL: a smaller split of the quadratic center
+#   is a double root (rounding splits one by ~sqrt(eps)).  A value within ten
+#   times its threshold makes the decision marginal.
+# - [-1e-12, pi - 1e-12): a pair's first polished member seeds it if its angle
+#   lies here, else the second, so a pair at +-1 polished off the axis seeds once.
+# - KERNEL_REL_TOL: the relative singular value under which the 16 x 8 cell
+#   system has a kernel, and how near a confirmed eigenphase localized_cells
+#   takes one.  coins.AmplitudeCell.validate (1e-10): the cell check.  A pair
+#   whose seed fails the solve or the check is not flat, and marginal.
+# - 1e-9: an angle that close below 2 pi sorts as 0, the canonical angle.
+# - linalg.RANK_TOL: the rank of the seed cell's A (the family) and the kernel
+#   of A^H (the escaping subspace), in classify.
+_FLAT_TOL = 1e-8
+_DOUBLE_ROOT_TOL = 1e-6
+KERNEL_REL_TOL = 1e-9
 
 # D = C - diag(x^i y^j) with these exponents (i, j) = -d, one per direction.
 _SHIFT_EXPONENTS = tuple((-dx, -dy) for dx, dy in _coins.DISPLACEMENTS)
@@ -75,6 +97,78 @@ def _charpoly(c: np.ndarray) -> np.ndarray:
     # C padded with the identity off a set of directions has its minor there as det
     padded = np.where(_KEPT[:, :, None] & _KEPT[:, None, :], c, np.eye(4))
     return _MINOR_SCATTER @ np.linalg.det(padded)
+
+
+# Polishing momenta: k = 0, where U = C, and a generic one for bands crossing there.
+_POLISH_K = (np.array([0.0, 2.23]), np.array([0.0, -1.19]))
+# The edge coefficients of _charpoly, each -z (C_jj w + M) with w = z^2.
+_EDGES = ([0, 1, 1, 2], [1, 0, 2, 1])
+
+
+def _flat_roots(coeffs: np.ndarray):
+    """Values w = z^2 of the flat chiral pairs +-z with multiplicities, and the
+    (value, threshold) pairs of the decisions taken.  ``coeffs`` is the tensor
+    of ``_charpoly``; a flat z zeroes all nine of its polynomials.
+    """
+    # each corner is M z^2 with M a mixed 2x2 minor
+    corners = float(np.abs(coeffs[::2, ::2, 2]).max())
+    decisions = [(corners, _FLAT_TOL)]
+    if corners >= _FLAT_TOL:
+        return [], decisions
+    edges = coeffs[_EDGES]
+    edge_size = float(np.abs(edges).max())
+    decisions.append((edge_size, _FLAT_TOL))
+    if edge_size >= _FLAT_TOL:
+        # one flat pair at the least-squares root of the linear edges; w = 0
+        # (no slope) never zeroes the center, which is det C there
+        w = np.linalg.lstsq(edges[:, 3:4], -edges[:, 1], rcond=None)[0][0]
+        residual = float(np.abs(coeffs @ np.sqrt(w) ** np.arange(5)).max())
+        decisions.append((residual, _FLAT_TOL))
+        return ([(w, 1)] if residual < _FLAT_TOL else []), decisions
+    # no edges: every band is flat, at the roots of w^2 + (M_LR + M_DU) w + det C
+    alpha, det = coeffs[1, 1, 2], coeffs[1, 1, 0]
+    split = np.sqrt(alpha * alpha - 4.0 * det)
+    decisions.append((float(abs(split)), _DOUBLE_ROOT_TOL))
+    if abs(split) < _DOUBLE_ROOT_TOL:
+        return [(-alpha / 2.0, 2)], decisions
+    return [((-alpha + split) / 2.0, 1), ((-alpha - split) / 2.0, 1)], decisions
+
+
+def _flat_bands(c: np.ndarray):
+    """The one flat-band decision: point spectrum, marginal flag and seed cells.
+
+    ``c`` must be a checked unitary coin.  Each root +-sqrt(w) of multiplicity
+    m becomes the nearest eigenvalue of U(0) = C, or of U at the other
+    momentum where the (m+1)-th nearest is within _FLAT_TOL at k = 0 but not
+    there.  A chiral pair counts only if its seed's cells solve and check.
+    ``seed_cells`` maps each seed to its cells; since S(k + pi) = -S(k), the
+    cells at the partner -lam are their chiral partners.
+    """
+    def angle(item):
+        ang = float(np.angle(item[0])) % (2 * np.pi)
+        return 0.0 if ang > 2 * np.pi - 1e-9 else ang
+
+    roots, decisions = _flat_roots(_charpoly(c))
+    marginal = any(thr <= value < 10 * thr for value, thr in decisions)
+    spectrum, seeds = [], []
+    if roots:
+        ev = np.linalg.eigvals(_momentum_operator(c, *_POLISH_K))
+    for w, mult in roots:
+        pair = []
+        for z in (np.sqrt(w), -np.sqrt(w)):
+            dist = np.abs(ev - z)
+            gap = np.sort(dist, axis=1)[:, mult]
+            k = int(gap[0] < _FLAT_TOL < gap[1])
+            lam = ev[k, np.argmin(dist[k])]
+            pair.append(complex(lam / abs(lam)))
+        seed = pair[0] if -1e-12 <= np.angle(pair[0]) < np.pi - 1e-12 else pair[1]
+        try:
+            seeds.append((seed, _localized_cells(c, seed)))
+        except (KernelInconsistencyError, ValueError):
+            marginal = True
+            continue
+        spectrum += [(lam, mult) for lam in pair]
+    return sorted(spectrum, key=angle), marginal, dict(sorted(seeds, key=angle))
 
 
 class LaurentPoly:
@@ -382,20 +476,20 @@ def localized_cells(coin, eigenphase: complex) -> list[_coins.AmplitudeCell]:
     eigenvalue matches; lattice translates of the same quasi-1D pair are
     not reported separately.  Each cell is validated once, here.
 
-    Raises NotTrappingError unless every coefficient of ``det(z S^-1 - C)``
-    in (x, y) is at most 1e-9 at z = ``eigenphase``.
+    Raises NotTrappingError unless ``eigenphase`` is within ``KERNEL_REL_TOL``
+    of a confirmed flat eigenphase; the cells are solved at ``eigenphase``.
     """
     c = require_unitary(coin)
     lam = complex(eigenphase)
     if not abs(abs(lam) - 1.0) <= 1e-9:
         raise ValueError(f"eigenphase must have unit modulus, got |{lam}| = {abs(lam)}")
-    if not float(np.max(np.abs(_charpoly(c) @ lam ** np.arange(5)))) <= 1e-9:
+    if not any(abs(lam - flat) <= KERNEL_REL_TOL for flat, _ in _flat_bands(c)[0]):
         raise NotTrappingError(f"{lam} is not a constant eigenvalue of the walk operator")
     return _localized_cells(c, lam)
 
 
 def _localized_cells(c: np.ndarray, lam: complex) -> list[_coins.AmplitudeCell]:
-    """The cells of a checked coin at an eigenphase ``lam`` already known to be flat."""
+    """The cells of a checked coin at ``lam``; raises if none solves or checks."""
     adjusted = np.conj(lam) * c
     kernel = _cell_kernel(adjusted)
     if kernel.shape[1] == 0:

@@ -53,39 +53,70 @@ def test_marginal_flag():
     rotation[:2, :2] = [[np.cos(eps), -np.sin(eps)], [np.sin(eps), np.cos(eps)]]
     near = coins.grover_coin() @ rotation
     corners = np.abs(laurent._charpoly(near)[::2, ::2, 2]).max()
-    assert classify._FLAT_TOL <= corners < 10 * classify._FLAT_TOL
+    assert laurent._FLAT_TOL <= corners < 10 * laurent._FLAT_TOL
     result = classify.classify_coin(near)
     assert result.family == "NotTrapping" and result.marginal
     assert json.loads(classify.classification_to_json(result))["marginal"] is True
     # at eta = 1e-7 the edge polynomials are 2.5e-8 in size: one flat pair, flagged
     coin = coins.coin_type_iia(coins.TypeIIaParams(0.7, 0.5, 0.9, 1e-7, 0.3, 1.1, 2.2, 0.7, 1.9))
-    edges = np.abs(laurent._charpoly(coin)[classify._EDGES]).max()
-    assert classify._FLAT_TOL <= edges < 10 * classify._FLAT_TOL
+    edges = np.abs(laurent._charpoly(coin)[laurent._EDGES]).max()
+    assert laurent._FLAT_TOL <= edges < 10 * laurent._FLAT_TOL
     result = classify.classify_coin(coin)
     assert result.family == "TypeIIa" and result.marginal
 
 
-@pytest.mark.parametrize("eps", [1e-10, 1e-9, 2e-9, 3e-9, 5e-9, 1e-8, 2e-8, 3e-8])
-def test_near_trapping_band_has_an_answer(eps, tmp_path, capsys):
+# Grover times cos(eps) I + sin(eps) G on two directions, G^2 = -I
+ROTATION = np.array([[0.0, -1.0], [1.0, 0.0]])
+NEAR_TRAPPING = [
+    pytest.param(eps, (0, 1), ROTATION, "TypeIIa" if eps <= 1e-9 else "NotTrapping", id=str(eps))
+    for eps in [1e-10, 1e-9, 2e-9, 3e-9, 5e-9, 1e-8, 2e-8, 3e-8]
+] + [
+    pytest.param(-1e-11, (0, 1), np.array([[0, 1j], [1j, 0]]), "TypeIIa",
+                 id="i_sigma_x_LD_-1e-11"),
+    pytest.param(3e-9, (0, 2), ROTATION, "NotTrapping", id="rotation_LU_3e-09"),
+]
+
+
+@pytest.mark.parametrize("eps, pair, generator, family", NEAR_TRAPPING)
+def test_near_trapping_band_has_an_answer(eps, pair, generator, family, tmp_path, capsys):
     # Grover rotated between L and D by eps: from 2e-9 on, the flat pair the
     # closed form finds fails the kernel solve (5e-9, 1e-8) or the cell check
-    # (2e-9, 3e-9), or the mixed minors (2e-8 on); all are marginal NotTrapping
+    # (2e-9, 3e-9), or the mixed minors (2e-8 on); all are marginal NotTrapping.
+    # The last two polish a pair at +-1 to members that are not exactly
+    # antipodal, which must still give the pair one seed, not none or two.
     rotation = np.eye(4, dtype=complex)
-    rotation[:2, :2] = [[np.cos(eps), -np.sin(eps)], [np.sin(eps), np.cos(eps)]]
+    rotation[np.ix_(pair, pair)] = np.cos(eps) * np.eye(2) + np.sin(eps) * generator
     coin = coins.grover_coin() @ rotation
     result = classify.classify_coin(coin)
-    if eps <= 1e-9:
-        assert result.family == "TypeIIa" and not result.marginal
+    assert result.family == family and result.marginal == (family == "NotTrapping")
+    # every public entry reads the same decision
+    spectrum = classify.detect_point_spectrum(coin)
+    assert spectrum == list(result.eigenphases) and bool(spectrum) == result.trapping
+    for lam, _ in spectrum:
+        assert laurent.localized_cells(coin, lam)
+    psi = np.array([1, 0, 0, 0])
+    if result.trapping:
+        assert classify.escaping_subspace(coin).shape == (4, result.escaping_dim)
+        weight = classify.trapped_weight(coin, psi, grid_n=64)
+        assert abs(weight - classify.trapped_weight(coins.grover_coin(), psi, grid_n=64)) < 1e-6
     else:
-        assert result.family == "NotTrapping" and result.marginal
         with pytest.raises(NotTrappingError):
             classify.escaping_subspace(coin)
         with pytest.raises(NotTrappingError):
-            classify.trapped_weight(coin, np.array([1, 0, 0, 0]))
+            classify.trapped_weight(coin, psi)
     path = tmp_path / "coin.json"
     coins.write_coin_json(path, coin)
     assert cli.main(["classify", "-i", str(path)]) == 0
     assert json.loads(capsys.readouterr().out)["family"] == result.family
+    for command in ("escape", "region"):
+        # a JSON document, or the one-line JSON error and a nonzero exit
+        status = cli.main([command, "-i", str(path)])
+        out, err = capsys.readouterr()
+        if status == 0:
+            json.loads(out)
+        else:
+            assert err.count("\n") == 1 and set(json.loads(err)) == {"error", "message"}
+        assert (status == 0) == result.trapping
 
 
 def test_chiral_pairing(rng):

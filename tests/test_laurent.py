@@ -237,11 +237,21 @@ def test_quasi_1d_localized_cell_equals_stationary_cell(variant):
     assert laurent.verification_residual(coin, cell) < 1e-14
 
 
-def test_localized_rejects_non_constant_eigenphase():
+def test_localized_rejects_non_constant_eigenphase(rng):
     with pytest.raises(NotTrappingError):
         laurent.localized_eigenstate(coins.grover_coin(), 1j)
     with pytest.raises(NotTrappingError):
         laurent.localized_eigenstate(hadamard_tensor_coin(), 1.0)
+    # an eigenphase is matched to the flat spectrum within KERNEL_REL_TOL;
+    # farther off it is rejected before the kernel solve can fail
+    sample = [coins.grover_coin()] + [coins.coin_for(draw(rng)) for draw in DRAWERS.values()]
+    for coin in sample:
+        for lam, _ in classify.detect_point_spectrum(coin):
+            for delta in (1e-10, 1e-9):
+                assert laurent.localized_cells(coin, lam * np.exp(1j * delta))
+            for delta in (2e-9, 1e-8, 1e-7):
+                with pytest.raises(NotTrappingError):
+                    laurent.localized_cells(coin, lam * np.exp(1j * delta))
 
 
 def test_direct_sum_multiplicity_block_assertion():

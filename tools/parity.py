@@ -12,8 +12,9 @@ DIR receives
 
 * ``classify.json``: the classify JSON of every coin, or its error;
 * ``escape.json``: the escaping-subspace basis of every coin, or its error;
-* ``arrays.npz``: the localized cells at each seed eigenphase and the
-  trapped-weight operator at grid 64 (NaN where the coin does not trap).
+* ``arrays.npz``: the localized cells at every eigenphase the classification
+  reports, chiral partners included, and the trapped-weight operator at
+  grid 64 (NaN where the coin does not trap).
 
 ``--diff`` compares two snapshots: the JSON files byte for byte, the cells
 and operators bit for bit, and the escaping-subspace projectors to their
@@ -68,8 +69,7 @@ def snapshot(out: Path) -> None:
         amps = []
         if result is not None and result.trapping:
             for lam, _ in result.eigenphases:
-                if 0.0 <= np.angle(lam) < np.pi:
-                    amps += [cell.amplitudes for cell in laurent.localized_cells(coin, lam)]
+                amps += [cell.amplitudes for cell in laurent.localized_cells(coin, lam)]
             weights.append(classify.trapped_weight_operator(coin, grid_n=64))
         else:
             weights.append(np.full((4, 4), np.nan, dtype=complex))
