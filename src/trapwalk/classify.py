@@ -208,9 +208,9 @@ def classify_coin(coin) -> ClassificationResult:
     one-dimensional trapping coins and are reported as DirectSumDegenerate.
     Parameter recovery is attempted for every family unless the coin is
     fully trapped; ``params`` stays None when it fails or when
-    ``lam * coin_for(params)``, lam the seed eigenphase, misses the coin by
-    more than 1e-9.  A coin too near a trapping coin for the kernel solve
-    or the cell check is NotTrapping and ``marginal``.
+    ``lam * coin_for(params)``, lam the first reported eigenphase, misses
+    the coin by more than 1e-9.  A coin too near a trapping coin for the
+    kernel solve or the cell check is NotTrapping and ``marginal``.
     """
     c = require_unitary(coin)
     spectrum, marginal, seed_cells = _flat_bands(c)

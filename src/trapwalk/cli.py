@@ -166,9 +166,7 @@ def _dispersion_from_coin(coin) -> "_spectral.DispersionSpec":
         raise TrapwalkError("coin is not trapping; no trapping dispersion to report")
     if result.fully_trapped:
         raise TrapwalkError("fully trapped coin: the spectrum is flat, no dispersion")
-    if result.params is None:
-        raise TrapwalkError(f"cannot derive a dispersion for family {result.family}")
-    return _spectral.dispersion_spec(result.params)
+    return _spectral._coin_dispersion(coin, result.eigenphases[0][0], result.family)
 
 
 def _resolve_spec(args) -> "_spectral.DispersionSpec":

@@ -59,8 +59,6 @@ ZERO_REL_TOL = 1e-10       # identity-zero test: largest coefficient magnitude a
 #   below it is zero.  _DOUBLE_ROOT_TOL: a smaller split of the quadratic center
 #   is a double root (rounding splits one by ~sqrt(eps)).  A value within ten
 #   times its threshold makes the decision marginal.
-# - [-1e-12, pi - 1e-12): a pair's first polished member seeds it if its angle
-#   lies here, else the second, so a pair at +-1 polished off the axis seeds once.
 # - KERNEL_REL_TOL: the relative singular value under which the 16 x 8 cell
 #   system has a kernel, and how near a confirmed eigenphase localized_cells
 #   takes one.  coins.AmplitudeCell.validate (1e-10): the cell check.  A pair
@@ -140,9 +138,10 @@ def _flat_bands(c: np.ndarray):
     ``c`` must be a checked unitary coin.  Each root +-sqrt(w) of multiplicity
     m becomes the nearest eigenvalue of U(0) = C, or of U at the other
     momentum where the (m+1)-th nearest is within _FLAT_TOL at k = 0 but not
-    there.  A chiral pair counts only if its seed's cells solve and check.
-    ``seed_cells`` maps each seed to its cells; since S(k + pi) = -S(k), the
-    cells at the partner -lam are their chiral partners.
+    there.  A pair's seed is its member that sorts first in the spectrum, and
+    the pair counts only if the seed's cells solve and check.  ``seed_cells``
+    maps each seed to its cells; since S(k + pi) = -S(k), the cells at the
+    partner -lam are their chiral partners.
     """
     def angle(item):
         ang = float(np.angle(item[0])) % (2 * np.pi)
@@ -160,14 +159,14 @@ def _flat_bands(c: np.ndarray):
             gap = np.sort(dist, axis=1)[:, mult]
             k = int(gap[0] < _FLAT_TOL < gap[1])
             lam = ev[k, np.argmin(dist[k])]
-            pair.append(complex(lam / abs(lam)))
-        seed = pair[0] if -1e-12 <= np.angle(pair[0]) < np.pi - 1e-12 else pair[1]
+            pair.append((complex(lam / abs(lam)), mult))
+        seed = min(pair, key=angle)[0]
         try:
             seeds.append((seed, _localized_cells(c, seed)))
         except (KernelInconsistencyError, ValueError):
             marginal = True
             continue
-        spectrum += [(lam, mult) for lam in pair]
+        spectrum += pair
     return sorted(spectrum, key=angle), marginal, dict(sorted(seeds, key=angle))
 
 
@@ -477,15 +476,24 @@ def localized_cells(coin, eigenphase: complex) -> list[_coins.AmplitudeCell]:
     not reported separately.  Each cell is validated once, here.
 
     Raises NotTrappingError unless ``eigenphase`` is within ``KERNEL_REL_TOL``
-    of a confirmed flat eigenphase; the cells are solved at ``eigenphase``.
+    of a confirmed flat eigenphase.  Near a seed the cells are solved at
+    ``eigenphase``; near a partner they are the chiral partners of the seed's
+    confirmed cells, gauge-fixed again.
     """
     c = require_unitary(coin)
     lam = complex(eigenphase)
     if not abs(abs(lam) - 1.0) <= 1e-9:
         raise ValueError(f"eigenphase must have unit modulus, got |{lam}| = {abs(lam)}")
-    if not any(abs(lam - flat) <= KERNEL_REL_TOL for flat, _ in _flat_bands(c)[0]):
+    spectrum, _, seed_cells = _flat_bands(c)
+    flat = next((z for z, _ in spectrum if abs(lam - z) <= KERNEL_REL_TOL), None)
+    if flat is None:
         raise NotTrappingError(f"{lam} is not a constant eigenvalue of the walk operator")
-    return _localized_cells(c, lam)
+    if flat in seed_cells:
+        return _localized_cells(c, lam)
+    seed = min(seed_cells, key=lambda s: abs(s + flat))
+    partners = (cell.chiral_partner() for cell in seed_cells[seed])
+    return [_coins.AmplitudeCell(*fix_vector_phase(p.amplitudes), eigenphase=p.eigenphase,
+                                 norm=p.norm) for p in partners]
 
 
 def _localized_cells(c: np.ndarray, lam: complex) -> list[_coins.AmplitudeCell]:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import settings
+from scipy.linalg import expm
 
 from trapwalk import coins
 
@@ -54,6 +55,13 @@ def random_unitary(rng, n=4) -> np.ndarray:
     z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     q, r = np.linalg.qr(z)
     return q * (np.diag(r) / np.abs(np.diag(r))).conj()
+
+
+def perturbed(coin, eps, rng) -> np.ndarray:
+    """``coin`` times expm(i eps H) for a Hermitian Gaussian H drawn from ``rng``."""
+    h = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    h = (h + h.conj().T) / 2
+    return coin @ expm(1j * eps * h)
 
 
 def hadamard_tensor_coin() -> np.ndarray:

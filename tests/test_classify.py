@@ -9,7 +9,7 @@ from trapwalk.errors import NotTrappingError
 from trapwalk.linalg import require_unitary
 
 from conftest import (DEGENERATE_COINS, DRAWERS, draw_type_i, draw_type_iia, draw_type_iib,
-                      hadamard_tensor_coin, random_unitary)
+                      hadamard_tensor_coin, perturbed, random_unitary)
 
 QUARTER = np.pi / 4
 GROVER_PARAMS = coins.TypeIIaParams(QUARTER, QUARTER, QUARTER, np.pi)
@@ -713,14 +713,19 @@ def test_recover_roundtrip_up_to_global_phase(rng):
 
 
 def test_params_rebuild_phase_rotated_coins(rng):
-    # coin = lam * coin_for(params), lam the flat eigenphase with angle in [0, pi)
+    # coin = lam * coin_for(params), lam the first reported eigenphase; also
+    # for coins perturbed so that the pair sits within 1e-9 of +-1, on
+    # either side of the real axis, which rebuild to the perturbation
     for family, drawer in DRAWERS.items():
         for _ in range(10):
-            coin = np.exp(1j * rng.uniform(0.1, 3.0)) * coins.coin_for(drawer(rng))
-            res = classify.classify_coin(coin)
-            assert res.family == family and res.params is not None
-            lam = next(l for l, _ in res.eigenphases if 0 <= np.angle(l) < np.pi)
-            assert np.max(np.abs(lam * coins.coin_for(res.params) - coin)) < 1e-12
+            rotated = np.exp(1j * rng.uniform(0.1, 3.0)) * coins.coin_for(drawer(rng))
+            near = perturbed(coins.coin_for(drawer(rng)), 1e-11, rng)
+            for coin, tol in ((rotated, 1e-12), (near, 1e-10)):
+                res = classify.classify_coin(coin)
+                assert res.family == family and res.params is not None
+                lam = res.eigenphases[0][0]
+                assert coin is rotated or abs(lam.imag) < 1e-9
+                assert np.max(np.abs(lam * coins.coin_for(res.params) - coin)) < tol
 
 
 def test_params_that_miss_the_coin_are_dropped(monkeypatch):

@@ -7,7 +7,7 @@ import pytest
 
 from trapwalk import classify, cli, coins, spectral
 
-from conftest import draw_type_i, draw_type_iia, draw_type_iib
+from conftest import draw_type_i, draw_type_iia, draw_type_iib, perturbed
 
 
 def run(*argv):
@@ -128,6 +128,36 @@ def test_region_from_coin_file(tmp_path, capsys):
     assert doc["S"] == pytest.approx(np.pi / 2, abs=1e-9)
 
 
+def test_dispersion_of_a_coin_without_params(tmp_path, capsys):
+    # a Type I draw perturbed by 5e-10 traps, but its recovered parameters
+    # miss it by more than 1e-9; its dispersion is read off the coin
+    rng = np.random.default_rng(3)
+    params = draw_type_i(rng)
+    coin = perturbed(coins.coin_for(params), 5e-10, rng)
+    result = classify.classify_coin(coin)
+    assert result.family == "TypeI" and result.params is None
+    coin_path = tmp_path / "coin.json"
+    coins.write_coin_json(coin_path, coin)
+    assert run("spectrum", "-i", str(coin_path), "--grid", "4") == 0
+    assert run("region", "-i", str(coin_path)) == 0
+    capsys.readouterr()
+    spec, reference = cli._dispersion_from_coin(coin), spectral.dispersion_spec(params)
+    assert spec.kind == reference.kind
+    assert max(abs(spec.rho_x - reference.rho_x), abs(spec.rho_y - reference.rho_y)) < 1e-8
+
+
+def test_region_of_a_coin_just_past_the_amplitude_budget(tmp_path, capsys):
+    # Grover perturbed by 1e-9 still traps, but its diagonal reads
+    # rho_x + rho_y = 1 + 1e-10; the region is Grover's, on the boundary
+    coin = perturbed(coins.grover_coin(), 1e-9, np.random.default_rng(0))
+    assert classify.classify_coin(coin).family == "TypeIIa"
+    assert abs(coin[3, 3]) + abs(coin[2, 2]) > 1.0 + 1e-11
+    coin_path = tmp_path / "coin.json"
+    coins.write_coin_json(coin_path, coin)
+    assert run("region", "-i", str(coin_path)) == 0
+    assert json.loads(capsys.readouterr().out)["S"] == pytest.approx(np.pi / 2, abs=1e-8)
+
+
 def test_spectrum_csv(tmp_path):
     out = tmp_path / "spectrum.csv"
     status = run("spectrum", "--family", "I", "--delta1", repr(np.pi / 3),
@@ -197,7 +227,7 @@ def test_areasweep_csv(tmp_path):
 
 def reference_spectrum_text(coin, n):
     """The spectrum CSV as it was written row by row, kept as reference."""
-    spec = spectral.dispersion_spec(classify.classify_coin(coin).params)
+    spec = cli._dispersion_from_coin(coin)
     ks = -np.pi + 2.0 * np.pi * (np.arange(n) + 0.5) / n
     kx, ky = (k.ravel() for k in np.meshgrid(ks, ks, indexing="ij"))
     columns = (kx, ky, spectral.omega(spec, kx, ky), *spectral.group_velocity(spec, kx, ky),

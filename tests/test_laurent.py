@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from trapwalk import classify, coins, laurent
 from trapwalk.errors import DegenerateMinorError, NotTrappingError
 from trapwalk.laurent import LaurentPoly
 
-from conftest import DEGENERATE_COINS, DRAWERS, hadamard_tensor_coin, random_unitary
+from conftest import DEGENERATE_COINS, DRAWERS, hadamard_tensor_coin, perturbed, random_unitary
 
 QUARTER = np.pi / 4
 GROVER_PARAMS = coins.TypeIIaParams(QUARTER, QUARTER, QUARTER, np.pi)
@@ -235,6 +236,58 @@ def test_quasi_1d_localized_cell_equals_stationary_cell(variant):
     for field in dataclasses.fields(expected):
         assert getattr(cell, field.name) == getattr(expected, field.name), field.name
     assert laurent.verification_residual(coin, cell) < 1e-14
+
+
+def _scan_coin(seed, base, index):
+    """Coin ``index`` of base ``base`` in a seeded near-trapping scan.
+
+    The bases are Grover, then five Type IIa and three Type I draws; each is
+    perturbed 150 times by expm(i eps H), eps log-uniform in [1e-11, 3e-8].
+    """
+    rng = np.random.default_rng(seed)
+    bases = [coins.grover_coin()] + [coins.coin_for(DRAWERS[family](rng))
+                                     for family in ["TypeIIa"] * 5 + ["TypeI"] * 3]
+    for b, k in itertools.product(range(len(bases)), range(150)):
+        eps = float(np.exp(rng.uniform(np.log(1e-11), np.log(3e-8))))
+        coin = perturbed(bases[b], eps, rng)
+        if (b, k) == (base, index):
+            return coin
+
+
+@pytest.mark.parametrize("seed, base, index, family", [
+    (0, 5, 93, "NotTrapping"), (2, 5, 148, "TypeIIa"), (2, 8, 23, "TypeI")])
+def test_localized_cells_at_every_reported_eigenphase(seed, base, index, family):
+    # Near-trapping coins whose partner eigenphase lies too far from the seed's
+    # antipode for a kernel solve there: the partner's cells are the chiral
+    # partners of the seed's.  The first coin's member at angle -9e-10 fails
+    # its solve, so as the seed it leaves the pair out.
+    coin = _scan_coin(seed, base, index)
+    result = classify.classify_coin(coin)
+    assert result.family == family and result.marginal == (family == "NotTrapping")
+    _, _, seed_cells = laurent._flat_bands(coin)
+    for lam, _ in result.eigenphases:
+        cells = laurent.localized_cells(coin, lam)
+        if lam not in seed_cells:
+            seed = next(s for s in seed_cells if abs(s + lam) < 1e-8)
+            expected = [cell.chiral_partner() for cell in seed_cells[seed]]
+            assert [cell.eigenphase for cell in cells] == [-seed] * len(expected)
+            for cell, partner in zip(cells, expected):
+                assert np.max(np.abs(cell.amplitudes - partner.amplitudes)) < 1e-14
+
+
+def test_partner_cells_match_a_solve_at_the_partner(rng):
+    # the partner cells, gauge-fixed again, agree with a kernel solve at the
+    # partner eigenphase, also where the chiral flip would negate a cell
+    # with a = b = 0
+    sample = DEGENERATE_COINS + [coins.coin_for(draw(rng)) for draw in DRAWERS.values()]
+    for coin in sample:
+        _, _, seed_cells = laurent._flat_bands(coin)
+        for seed in seed_cells:
+            cells = laurent.localized_cells(coin, -seed)
+            solved = laurent._localized_cells(coin, -seed)
+            assert len(cells) == len(solved)
+            for cell, ref in zip(cells, solved):
+                assert np.max(np.abs(cell.amplitudes - ref.amplitudes)) < 1e-13
 
 
 def test_localized_rejects_non_constant_eigenphase(rng):

@@ -78,6 +78,64 @@ def test_momentum_operator_broadcasts_like_scalar_calls(rng):
 
 # -------------------------------------------------------------- dispersion spec
 
+def _paper_dispersion(p) -> spectral.DispersionSpec:
+    """The paper's dispersion parameters of each family, as reference.
+
+    Type I:   rho_x = cos(delta1) cos(delta2), rho_y = sin(delta1) sin(delta2),
+              beta = 0.
+    Type IIa: rho_x = cos^2(delta1) sin(2 delta2) sin(eta/2) and the
+              y-analog with delta3; beta = (eta - pi)/2.  A negative
+              sin(eta/2) is folded into the phase offsets.
+    Type IIb: one-dimensional, rho = cos(delta) along the spreading axis,
+              beta = phi, phase offset pi - alpha.
+    """
+    if isinstance(p, coins.TypeIParams):
+        return spectral.DispersionSpec(
+            kind="2d", beta=0.0,
+            rho_x=np.cos(p.delta1) * np.cos(p.delta2), rho_y=np.sin(p.delta1) * np.sin(p.delta2),
+            phi_x=p.phi_g - p.phi_d, phi_y=p.phi_h - p.phi_f,
+        )
+    if isinstance(p, coins.TypeIIaParams):
+        sgn = np.sin(p.eta / 2.0)
+        rho_x = np.cos(p.delta1) ** 2 * np.sin(2.0 * p.delta2) * sgn
+        rho_y = np.sin(p.delta1) ** 2 * np.sin(2.0 * p.delta3) * sgn
+        phi_x, phi_y = p.phi_g - p.phi_d, p.phi_h - p.phi_f
+        if sgn < 0.0:
+            # -rho cos(k + phi) = |rho| cos(k + phi + pi)
+            rho_x, rho_y, phi_x, phi_y = -rho_x, -rho_y, phi_x + np.pi, phi_y + np.pi
+        return spectral.DispersionSpec(kind="2d", beta=(p.eta - np.pi) / 2.0,
+                                       rho_x=rho_x, rho_y=rho_y, phi_x=phi_x, phi_y=phi_y)
+    rho = np.cos(p.delta)
+    offset = np.pi - p.alpha  # cos(delta) cos(k - alpha) = -rho cos(k + offset)
+    if p.variant == 1:
+        return spectral.DispersionSpec(kind="1d_x", beta=p.phi, rho_x=rho, rho_y=0.0,
+                                       phi_x=offset, phi_y=0.0)
+    return spectral.DispersionSpec(kind="1d_y", beta=p.phi, rho_x=0.0, rho_y=rho,
+                                   phi_x=0.0, phi_y=offset)
+
+
+def _spec_deviation(spec, reference) -> float:
+    assert spec.kind == reference.kind
+    return max(abs(spec.beta - reference.beta), abs(spec.rho_x - reference.rho_x),
+               abs(spec.rho_y - reference.rho_y),
+               abs(np.exp(1j * spec.phi_x) - np.exp(1j * reference.phi_x)),
+               abs(np.exp(1j * spec.phi_y) - np.exp(1j * reference.phi_y)))
+
+
+def test_dispersion_read_off_the_coin_matches_the_paper():
+    # the criterion-4 draws, and every tenth of them times a global phase, read
+    # with lam the first reported eigenphase against their recovered parameters
+    rng = np.random.default_rng(104)
+    draws = [drawer(rng) for drawer in DRAWERS.values() for _ in range(1000)]
+    worst = max(_spec_deviation(spectral.dispersion_spec(p), _paper_dispersion(p)) for p in draws)
+    for p in draws[::10]:
+        coin = np.exp(1j * rng.uniform(0, 2 * np.pi)) * coins.coin_for(p)
+        res = classify.classify_coin(coin)
+        spec = spectral._coin_dispersion(coin, res.eigenphases[0][0], res.family)
+        worst = max(worst, _spec_deviation(spec, _paper_dispersion(res.params)))
+    assert worst <= 1e-13
+
+
 def test_dispersion_values_full_rank():
     spec = spectral.dispersion_spec(FIG2_PARAMS)
     assert spec.beta == 0.0

@@ -12,13 +12,18 @@ DIR receives
 
 * ``classify.json``: the classify JSON of every coin, or its error;
 * ``escape.json``: the escaping-subspace basis of every coin, or its error;
+* ``dispersion.json``: the ``DispersionSpec`` fields that ``trapwalk spectrum -i``
+  and ``region -i`` read off every coin and off the coin times a fixed random
+  global phase (seed 17), or their errors;
 * ``arrays.npz``: the localized cells at every eigenphase the classification
   reports, chiral partners included, and the trapped-weight operator at
   grid 64 (NaN where the coin does not trap).
 
 ``--diff`` compares two snapshots: the JSON files byte for byte, the cells
-and operators bit for bit, and the escaping-subspace projectors to their
-largest entrywise deviation.
+and operators bit for bit (with the largest cell deviation when they
+differ), the escaping-subspace projectors to their largest entrywise
+deviation, and the dispersions to their largest deviation in rho, e^{i beta},
+e^{i phi}, and in omega, group velocity and area as this tree computes them.
 """
 
 from __future__ import annotations
@@ -48,13 +53,26 @@ def _error(exc: Exception) -> str:
     return json.dumps({"error": type(exc).__name__, "message": str(exc)})
 
 
+def _dispersion(coin) -> dict:
+    from trapwalk import cli
+
+    try:
+        spec = cli._dispersion_from_coin(coin)
+    except Exception as exc:
+        return json.loads(_error(exc))
+    return vars(spec)
+
+
 def snapshot(out: Path) -> None:
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
     from trapwalk import classify, laurent
 
     out.mkdir(parents=True, exist_ok=True)
-    classified, escapes, cells, weights = [], [], [], []
+    classified, escapes, dispersions, cells, weights = [], [], [], [], []
+    rng = np.random.default_rng(17)
     for coin in coin_set():
+        phase = np.exp(1j * rng.uniform(0, 2 * np.pi))
+        dispersions.append(json.dumps([_dispersion(coin), _dispersion(phase * coin)]))
         try:
             result = classify.classify_coin(coin)
             classified.append(classify.classification_to_json(result))
@@ -76,6 +94,7 @@ def snapshot(out: Path) -> None:
         cells.append(np.array(amps, dtype=complex).reshape(-1, 8))
     (out / "classify.json").write_text("\n".join(classified) + "\n")
     (out / "escape.json").write_text("\n".join(escapes) + "\n")
+    (out / "dispersion.json").write_text("\n".join(dispersions) + "\n")
     np.savez(out / "arrays.npz", weights=np.array(weights),
              cell_counts=np.array([len(c) for c in cells]), cells=np.concatenate(cells))
     print(f"{len(classified)} coins written to {out}")
@@ -95,7 +114,7 @@ def _projectors(path: Path) -> list[np.ndarray | None]:
 
 def diff(old: Path, new: Path) -> int:
     status = 0
-    for name in ("classify.json", "escape.json"):
+    for name in ("classify.json", "escape.json", "dispersion.json"):
         a, b = (d.joinpath(name).read_text().splitlines() for d in (old, new))
         differing = sum(x != y for x, y in zip(a, b)) + abs(len(a) - len(b))
         print(f"{name}: {differing} of {len(b)} lines differ")
@@ -105,6 +124,10 @@ def diff(old: Path, new: Path) -> int:
             same = a[key].shape == b[key].shape and a[key].tobytes() == b[key].tobytes()
             print(f"{key}: {'bit-identical' if same else 'DIFFERENT'}")
             status |= not same
+            if key == "cells" and not same and a[key].shape == b[key].shape:
+                dev = np.abs(a[key] - b[key]).max(axis=1)
+                print(f"cells: {np.count_nonzero(dev)} of {len(dev)} differ, max deviation "
+                      f"{dev.max():.1e}, rows above 1e-8: {np.flatnonzero(dev > 1e-8).tolist()}")
     deviation = 0.0
     for p, q in zip(_projectors(old / "escape.json"), _projectors(new / "escape.json")):
         if (p is None) != (q is None) or (p is not None and p.shape != q.shape):
@@ -113,7 +136,39 @@ def diff(old: Path, new: Path) -> int:
         if p is not None:
             deviation = max(deviation, float(np.abs(p - q).max(initial=0.0)))
     print(f"escape projectors: max deviation {deviation:.1e}")
-    return int(status)
+    return int(status) | _diff_dispersions(old / "dispersion.json", new / "dispersion.json")
+
+
+def _spec_lines(path: Path) -> list:
+    return [spec for line in path.read_text().splitlines() for spec in json.loads(line)]
+
+
+def _diff_dispersions(old: Path, new: Path) -> int:
+    """Largest deviations between two snapshots' dispersions; 1 if a kind or refusal changed."""
+    sys.path[:0] = [str(ROOT / "src")]
+    from trapwalk import spectral
+
+    ks = -np.pi + 2.0 * np.pi * (np.arange(8) + 0.5) / 8
+    kx, ky = (k.ravel() for k in np.meshgrid(ks, ks, indexing="ij"))
+    worst = dict.fromkeys(("rho", "e^{i beta}", "e^{i phi}", "omega", "v", "area"), 0.0)
+    changed, compared = 0, 0
+    for p, q in zip(_spec_lines(old), _spec_lines(new)):
+        if "error" in p or "error" in q or p["kind"] != q["kind"]:
+            changed += p != q and not ("error" in p and "error" in q)
+            continue
+        compared += 1
+        p, q = spectral.DispersionSpec(**p), spectral.DispersionSpec(**q)
+        for name, f in (("rho", lambda s: np.array([s.rho_x, s.rho_y])),
+                        ("e^{i beta}", lambda s: np.exp(1j * s.beta)),
+                        ("e^{i phi}", lambda s: np.exp(1j * np.array([s.phi_x, s.phi_y]))),
+                        ("omega", lambda s: spectral.omega(s, kx, ky)),
+                        ("v", lambda s: np.array(spectral.group_velocity(s, kx, ky))),
+                        ("area", lambda s: spectral.spread_region(s).area)):
+            dev = np.abs(f(p) - f(q))
+            worst[name] = max(worst[name], float(np.nanmax(dev, initial=0.0)))
+    print(f"dispersions: {compared} compared, {changed} changed kind or refusal; max deviation "
+          + ", ".join(f"{name} {value:.1e}" for name, value in worst.items()))
+    return int(changed > 0)
 
 
 def main(argv=None) -> int:
