@@ -9,6 +9,7 @@ Families follow from the rank of that cell's stationary amplitude matrix A
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -164,7 +165,18 @@ def trapped_weight_operator(coin, grid_n: int = 256) -> np.ndarray:
         If the coin has no constant eigenvalue.
     """
     c = require_unitary(coin)
-    grid_n = _check_grid(grid_n)
+    # a copy, so that a caller who writes to W leaves the cached one intact
+    return _weight_operator(c.tobytes(), _check_grid(grid_n)).copy()
+
+
+@functools.lru_cache(maxsize=8)
+def _weight_operator(coin_bytes: bytes, grid_n: int) -> np.ndarray:
+    """``trapped_weight_operator`` of the checked coin with these bytes.
+
+    A coin's W is asked for once per initial state, so the last few are
+    kept; an exception (a coin that does not trap) is not cached.
+    """
+    c = np.frombuffer(coin_bytes, dtype=np.complex128).reshape(4, 4)
     spectrum, _, seed_cells = _flat_bands(c)
     if not spectrum:
         raise NotTrappingError("coin is not trapping")

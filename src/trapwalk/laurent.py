@@ -477,8 +477,9 @@ def localized_cells(coin, eigenphase: complex) -> list[_coins.AmplitudeCell]:
 
     Raises NotTrappingError unless ``eigenphase`` is within ``KERNEL_REL_TOL``
     of a confirmed flat eigenphase.  Near a seed the cells are solved at
-    ``eigenphase``; near a partner they are the chiral partners of the seed's
-    confirmed cells, gauge-fixed again.
+    ``eigenphase`` (at the seed itself, the seed's own solve is reused);
+    near a partner they are the chiral partners of the seed's confirmed
+    cells, gauge-fixed again.
     """
     c = require_unitary(coin)
     lam = complex(eigenphase)
@@ -489,7 +490,9 @@ def localized_cells(coin, eigenphase: complex) -> list[_coins.AmplitudeCell]:
     if flat is None:
         raise NotTrappingError(f"{lam} is not a constant eigenvalue of the walk operator")
     if flat in seed_cells:
-        return _localized_cells(c, lam)
+        # at the seed itself, bit for bit, _flat_bands has made this very solve
+        same = np.complex128(lam).tobytes() == np.complex128(flat).tobytes()
+        return seed_cells[flat] if same else _localized_cells(c, lam)
     seed = min(seed_cells, key=lambda s: abs(s + flat))
     partners = (cell.chiral_partner() for cell in seed_cells[seed])
     return [_coins.AmplitudeCell(*fix_vector_phase(p.amplitudes), eigenphase=p.eigenphase,

@@ -8,6 +8,12 @@ u0 - t + 2i, v0 - t + 2j (0 <= i, j <= t): a square block in (u, v), where
 the dense (2t+3)^2 window of (x, y) would be three quarters zeros.
 Amplitudes are kept on such blocks and only the occupied sites are
 computed; the dense window is built for snapshots and inspection.
+
+One kernel, ``_step_block``, steps a block into the array it is given.
+``step`` hands it fresh arrays, so the states it returns share no memory;
+``simulate``, whose intermediate states never leave it, holds two buffers
+per block sized for its last step and steps into them in turn: about
+2 x 64 (t+1)^2 bytes for a walk from one site.
 """
 
 from __future__ import annotations
@@ -41,6 +47,15 @@ __all__ = [
 # (u0 - 1, v0 - 1): a step (dx, dy) moves (u, v) by (dx + dy, dx - dy), each
 # +-1, and the block indices run in steps of two along u and v.
 _SHIFTS = tuple(((dx + dy + 1) // 2, (dx - dy + 1) // 2) for dx, dy in DISPLACEMENTS)
+
+# Sites per chunk of the coin product in _step_block: 8192 sites are 512 KB
+# of complex128 amplitudes, which stay in L2 until they are scattered.
+_CHUNK_SITES = 8192
+# Chunk products start on a multiple of this many sites.  BLAS can round a
+# site by its place in the kernel's column unroll (groups of 4 in OpenBLAS's
+# x86-64 zgemm), so aligned chunks sum every site as one product over the
+# whole block does, bit for bit.
+_ALIGN = 64
 
 
 @dataclass(frozen=True)
@@ -131,25 +146,48 @@ def state_from_cell(cell: AmplitudeCell) -> WalkState:
     return WalkState(t=1, blocks=((0, 0, even), (1, -1, odd)))
 
 
-def _step_block(c: np.ndarray, u0: int, v0: int, amps: np.ndarray):
+def _step_block(c: np.ndarray, u0: int, v0: int, amps: np.ndarray, out: np.ndarray):
+    """One step of the block ``amps`` (4, a, b), written into ``out`` (4, a+1, b+1).
+
+    The coin product is formed a chunk of at most ``_CHUNK_SITES`` sites
+    (whole rows) at a time, so that it is still in cache when its four
+    components are scattered to their shifted places.
+    """
     _, a, b = amps.shape
-    mixed = (c @ amps.reshape(4, -1)).reshape(4, a, b)
-    out = np.empty((4, a + 1, b + 1), dtype=np.complex128)
+    flat = amps.reshape(4, -1)
+    rows = max(1, _CHUNK_SITES // b)
+    for i in range(0, a, rows):
+        stop = min(i + rows, a)
+        # a few sites of overlap keep the product's ends aligned
+        lo, hi = i * b // _ALIGN * _ALIGN, -(-stop * b // _ALIGN) * _ALIGN
+        mixed = (c @ flat[:, lo:hi])[:, i * b - lo:stop * b - lo].reshape(4, stop - i, b)
+        for k, (di, dj) in enumerate(_SHIFTS):
+            out[k, di + i:di + stop, dj:dj + b] = mixed[k]
     for k, (di, dj) in enumerate(_SHIFTS):
-        out[k, di:di + a, dj:dj + b] = mixed[k]
         out[k, (1 - di) * a, :] = 0.0  # the row and the column this
         out[k, :, (1 - dj) * b] = 0.0  # component does not reach
     return u0 - 1, v0 - 1, out
 
 
-def _advance(state: WalkState, c: np.ndarray) -> WalkState:
-    return WalkState(t=state.t + 1,
-                     blocks=tuple(_step_block(c, *block) for block in state.blocks))
+def _grown(amps: np.ndarray) -> tuple[int, int, int]:
+    """Shape of a block one step after ``amps``."""
+    _, a, b = amps.shape
+    return 4, a + 1, b + 1
+
+
+def _advance(state: WalkState, c: np.ndarray, outs) -> WalkState:
+    return WalkState(t=state.t + 1, blocks=tuple(
+        _step_block(c, *block, out) for block, out in zip(state.blocks, outs)))
 
 
 def step(state: WalkState, coin) -> WalkState:
-    """One walk step: coin everywhere, then the conditional displacement."""
-    return _advance(state, require_unitary(coin))
+    """One walk step: coin everywhere, then the conditional displacement.
+
+    The new state's blocks are freshly allocated; they share no memory
+    with ``state`` or with any other state.
+    """
+    outs = [np.empty(_grown(amps), dtype=np.complex128) for _, _, amps in state.blocks]
+    return _advance(state, require_unitary(coin), outs)
 
 
 @dataclass(frozen=True)
@@ -185,7 +223,8 @@ def simulate(coin, initial: WalkState, steps: int,
 
     Records P(0, 0, t) for every step and keeps full distributions at the
     requested snapshot times, which must lie in [initial.t, initial.t + steps]
-    (time 0 snapshots refer to the initial state).
+    (time 0 snapshots refer to the initial state).  Each block is stepped
+    into two buffers sized for its last step, in turn (module docstring).
     """
     if steps < 1:
         raise ValueError("steps must be at least 1")
@@ -201,8 +240,12 @@ def simulate(coin, initial: WalkState, steps: int,
     snapshots: dict[int, Snapshot] = {}
     if state.t in wanted:
         snapshots[state.t] = Snapshot(t=state.t, prob=state.probability())
-    for _ in range(steps):
-        state = _advance(state, c)
+    buffers = [[np.empty(4 * (a + steps) * (b + steps), dtype=np.complex128) for _ in range(2)]
+               for _, a, b in (amps.shape for _, _, amps in initial.blocks)]
+    for n in range(steps):
+        shapes = [_grown(amps) for _, _, amps in state.blocks]
+        state = _advance(state, c, [pair[n % 2][:math.prod(shape)].reshape(shape)
+                                    for pair, shape in zip(buffers, shapes)])
         p_origin[state.t - initial.t] = state.origin_probability()
         if state.t in wanted:
             snapshots[state.t] = Snapshot(t=state.t, prob=state.probability())

@@ -542,9 +542,41 @@ def test_trapped_weight_operator_requires_trapping():
         classify.trapped_weight_operator(hadamard_tensor_coin())
 
 
+def test_trapped_weight_operator_is_computed_once_per_coin(monkeypatch, rng):
+    coin = coins.coin_for(draw_type_iia(rng))
+    calls = count_checks(monkeypatch)
+    first = classify.trapped_weight_operator(coin, grid_n=24)
+    assert calls["built"] >= 1
+    calls.update(unitary=0, validate=0, built=0)
+    again = classify.trapped_weight_operator(coin.tolist(), grid_n=24)
+    assert again.tobytes() == first.tobytes()
+    assert calls == {"unitary": 1, "validate": 0, "built": 0}
+    # each caller gets its own copy: writing to one leaves the next call intact
+    again[:] = np.nan
+    assert classify.trapped_weight_operator(coin, grid_n=24).tobytes() == first.tobytes()
+    psi = np.array([0.5, 0.5j, 0.5j, 0.5])
+    assert classify.trapped_weight(coin, psi, grid_n=24) == np.vdot(psi, first @ psi).real
+    # another grid is another operator
+    assert classify.trapped_weight_operator(coin, grid_n=25).tobytes() != first.tobytes()
+    assert calls["built"] >= 1
+
+
+def test_trapped_weight_operator_raises_for_a_non_trapping_coin_every_time():
+    for _ in range(3):
+        with pytest.raises(NotTrappingError):
+            classify.trapped_weight_operator(hadamard_tensor_coin(), grid_n=8)
+        with pytest.raises(NotTrappingError):
+            classify.trapped_weight(hadamard_tensor_coin(), [1.0, 0.0, 0.0, 0.0], grid_n=8)
+
+
 def count_checks(monkeypatch) -> dict:
-    """Count require_unitary calls, cell validations and the cells laurent builds."""
+    """Count require_unitary calls, cell validations and the cells laurent builds.
+
+    The cache of trapped-weight operators starts empty, so that an entry
+    that computes W builds its cells here.
+    """
     calls = {"unitary": 0, "validate": 0, "built": 0}
+    classify._weight_operator.cache_clear()
 
     def unitary(coin, *args, **kwargs):
         calls["unitary"] += 1

@@ -290,6 +290,28 @@ def test_partner_cells_match_a_solve_at_the_partner(rng):
                 assert np.max(np.abs(cell.amplitudes - ref.amplitudes)) < 1e-13
 
 
+def test_localized_cells_at_a_seed_reuse_its_solve(monkeypatch, rng):
+    # at a seed eigenphase the cells are the seed's own solve in _flat_bands:
+    # bit for bit a second solve there, with no second solve made
+    sample = DEGENERATE_COINS + [coins.grover_coin()]
+    sample += [coins.coin_for(draw(rng)) for draw in DRAWERS.values() for _ in range(2)]
+    solve = laurent._localized_cells
+    solves = []
+    monkeypatch.setattr(laurent, "_localized_cells",
+                        lambda c, lam: solves.append(lam) or solve(c, lam))
+    for coin in sample:
+        _, _, seed_cells = laurent._flat_bands(coin)
+        for seed in seed_cells:
+            del solves[:]
+            cells = laurent.localized_cells(coin, seed)
+            assert len(solves) == len(seed_cells)
+            solved = solve(coin, seed)
+            assert len(cells) == len(solved) >= 1
+            for cell, ref in zip(cells, solved):
+                assert cell.amplitudes.tobytes() == ref.amplitudes.tobytes()
+                assert (cell.eigenphase, cell.norm) == (ref.eigenphase, ref.norm)
+
+
 def test_localized_rejects_non_constant_eigenphase(rng):
     with pytest.raises(NotTrappingError):
         laurent.localized_eigenstate(coins.grover_coin(), 1j)

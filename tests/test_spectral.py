@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from trapwalk import classify, coins, spectral
+from trapwalk import classify, coins, laurent, spectral
 from trapwalk.linalg import unitarity_defect
 
-from conftest import DRAWERS, draw_type_i
+from conftest import DRAWERS, draw_type_i, perturbed
 
 QUARTER = np.pi / 4
 FIG2_PARAMS = coins.TypeIParams(np.pi / 3, QUARTER)
@@ -134,6 +134,25 @@ def test_dispersion_read_off_the_coin_matches_the_paper():
         spec = spectral._coin_dispersion(coin, res.eigenphases[0][0], res.family)
         worst = max(worst, _spec_deviation(spec, _paper_dispersion(res.params)))
     assert worst <= 1e-13
+
+
+def test_beta_of_near_trapping_coins_stays_on_its_side_of_the_cut():
+    # A Type I draw times expm(i 5e-10 H): -det(C / lam) can lie ~2e-9 past
+    # the cut, within the flat decision's scale, where beta must read ~0, not -pi.
+    base = coins.coin_for(draw_type_i(np.random.default_rng(3)))
+    trapping = 0
+    for s in range(40):
+        coin = perturbed(base, 5e-10, np.random.default_rng(s))
+        result = classify.classify_coin(coin)
+        if result.trapping:
+            trapping += 1
+            spec = spectral._coin_dispersion(coin, result.eigenphases[0][0], result.family)
+            assert abs(spec.beta) < 1e-8, s
+    assert trapping >= 30
+
+
+def test_beta_cut_tolerance_is_the_flat_decisions():
+    assert spectral._BETA_CUT_TOL == laurent._FLAT_TOL
 
 
 def test_dispersion_values_full_rank():

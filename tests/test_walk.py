@@ -414,6 +414,80 @@ def test_simulate_checks_the_coin_once(monkeypatch):
     assert traj.p_origin.shape == (21,)
 
 
+KERNEL_PARAMS = {
+    "grover": coins.TypeIIaParams(QUARTER, QUARTER, QUARTER, np.pi),
+    "fig2": coins.TypeIParams(np.pi / 3, QUARTER),
+    "fig6": coins.TypeIIbParams(variant=1, delta=QUARTER),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_PARAMS))
+def test_simulate_matches_a_loop_of_steps_bit_for_bit(name):
+    # 130 steps: the blocks outgrow one chunk of the coin product, and
+    # simulate's two reused buffers must give what fresh states give
+    params = KERNEL_PARAMS[name]
+    coin = coins.coin_for(params)
+    starts = [walk.initial_state(FIG2_INITIAL)]
+    starts += [walk.state_from_cell(cell) for cell in coins.stationary_cell(params)]
+    steps = 130
+    for start in starts:
+        times = (start.t + 1, start.t + 77, start.t + steps)
+        traj = walk.simulate(coin, start, steps, snapshot_times=times)
+        state, p_origin = start, [start.origin_probability()]
+        for _ in range(steps):
+            state = walk.step(state, coin)
+            p_origin.append(state.origin_probability())
+            if state.t in times:
+                assert traj.snapshots[state.t].prob.tobytes() == state.probability().tobytes()
+        assert traj.p_origin.tobytes() == np.array(p_origin).tobytes()
+
+
+def _one_product_step(state, c):
+    """The step with the coin product formed over each whole block at once."""
+    blocks = []
+    for u0, v0, amps in state.blocks:
+        _, a, b = amps.shape
+        mixed = (c @ amps.reshape(4, -1)).reshape(4, a, b)
+        out = np.zeros((4, a + 1, b + 1), dtype=np.complex128)
+        for k, (di, dj) in enumerate(walk._SHIFTS):
+            out[k, di:di + a, dj:dj + b] = mixed[k]
+        blocks.append((u0 - 1, v0 - 1, out))
+    return walk.WalkState(t=state.t + 1, blocks=tuple(blocks))
+
+
+@pytest.mark.parametrize("chunk, steps", [(37, 24), (walk._CHUNK_SITES, 130)])
+def test_chunked_coin_product_matches_one_product(monkeypatch, rng, chunk, steps):
+    # BLAS may round a site by where its column falls in the kernel's unroll;
+    # chunks that start off that grid would move the last bits
+    monkeypatch.setattr(walk, "_CHUNK_SITES", chunk)
+    for drawer in DRAWERS.values():
+        params = drawer(rng)
+        coin = coins.coin_for(params)
+        starts = [walk.initial_state(_unit(rng))]
+        starts += [walk.state_from_cell(cell) for cell in coins.stationary_cell(params)]
+        for start in starts:
+            state = reference = start
+            for _ in range(steps):
+                state = walk.step(state, coin)
+                reference = _one_product_step(reference, coin)
+            for (u0, v0, amps), (r0, s0, ref) in zip(state.blocks, reference.blocks):
+                assert (u0, v0) == (r0, s0) and amps.tobytes() == ref.tobytes()
+
+
+def test_step_returns_fresh_states():
+    coin = coins.grover_coin()
+    states = [walk.initial_state(FIG2_INITIAL)]
+    for _ in range(6):
+        states.append(walk.step(states[-1], coin))
+    kept = [amps.copy() for _, _, amps in states[1].blocks]
+    for _ in range(4):
+        states.append(walk.step(states[-1], coin))
+    assert all(np.array_equal(amps, copy) for (_, _, amps), copy in zip(states[1].blocks, kept))
+    arrays = [amps for state in states for _, _, amps in state.blocks]
+    for i, x in enumerate(arrays):
+        assert not any(np.shares_memory(x, y) for y in arrays[i + 1:])
+
+
 def test_trajectory_csv_matches_csv_writer(tmp_path):
     traj = walk.simulate(coins.grover_coin(), walk.initial_state(FIG2_INITIAL), 9)
     synthetic = walk.Trajectory(steps=3, p_origin=np.array([1.0, 0.0, 5e-324, 1 / 3]),

@@ -17,11 +17,13 @@ DIR receives
   global phase (seed 17), or their errors;
 * ``arrays.npz``: the localized cells at every eigenphase the classification
   reports, chiral partners included, and the trapped-weight operator at
-  grid 64 (NaN where the coin does not trap).
+  grid 64 (NaN where the coin does not trap);
+* ``walk.npz``: for the Grover, fig2, fig4 and fig6 coins, a 150-step
+  ``simulate`` from one fixed coin state: P(0, 0, t) and the final snapshot.
 
-``--diff`` compares two snapshots: the JSON files byte for byte, the cells
-and operators bit for bit (with the largest cell deviation when they
-differ), the escaping-subspace projectors to their largest entrywise
+``--diff`` compares two snapshots: the JSON files byte for byte, the cells,
+operators and walks bit for bit (with the largest cell deviation when the
+cells differ), the escaping-subspace projectors to their largest entrywise
 deviation, and the dispersions to their largest deviation in rho, e^{i beta},
 e^{i phi}, and in omega, group velocity and area as this tree computes them.
 """
@@ -65,7 +67,7 @@ def _dispersion(coin) -> dict:
 
 def snapshot(out: Path) -> None:
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
-    from trapwalk import classify, laurent
+    from trapwalk import classify, cli, coins, laurent, walk
 
     out.mkdir(parents=True, exist_ok=True)
     classified, escapes, dispersions, cells, weights = [], [], [], [], []
@@ -97,6 +99,16 @@ def snapshot(out: Path) -> None:
     (out / "dispersion.json").write_text("\n".join(dispersions) + "\n")
     np.savez(out / "arrays.npz", weights=np.array(weights),
              cell_counts=np.array([len(c) for c in cells]), cells=np.concatenate(cells))
+    walk_coins = {"grover": coins.grover_coin()}
+    walk_coins.update((name, coins.coin_for(config["params"]))
+                      for name, config in cli._figure_configs().items())
+    walks = {}
+    for name, coin in walk_coins.items():
+        traj = walk.simulate(coin, walk.initial_state([0.5, 0.5j, 0.5j, 0.5]), 150,
+                             snapshot_times=(150,))
+        walks[f"{name}_p_origin"] = traj.p_origin
+        walks[f"{name}_prob"] = traj.snapshots[150].prob
+    np.savez(out / "walk.npz", **walks)
     print(f"{len(classified)} coins written to {out}")
 
 
@@ -128,6 +140,12 @@ def diff(old: Path, new: Path) -> int:
                 dev = np.abs(a[key] - b[key]).max(axis=1)
                 print(f"cells: {np.count_nonzero(dev)} of {len(dev)} differ, max deviation "
                       f"{dev.max():.1e}, rows above 1e-8: {np.flatnonzero(dev > 1e-8).tolist()}")
+    with np.load(old / "walk.npz") as a, np.load(new / "walk.npz") as b:
+        keys = sorted(set(a.files) | set(b.files))
+        differing = [key for key in keys if key not in a.files or key not in b.files
+                     or a[key].tobytes() != b[key].tobytes()]
+        print(f"walks: {len(differing)} of {len(keys)} arrays differ {differing}")
+        status |= bool(differing)
     deviation = 0.0
     for p, q in zip(_projectors(old / "escape.json"), _projectors(new / "escape.json")):
         if (p is None) != (q is None) or (p is not None and p.shape != q.shape):
