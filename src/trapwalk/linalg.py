@@ -48,17 +48,36 @@ def unitarity_defect(m) -> float:
 _EYE4 = np.eye(4)
 _EYE4.flags.writeable = False
 
+# Bytes of coins that passed at the default tolerance; emptied when full.
+_PASSED: set[bytes] = set()
+_PASSED_MAX = 16
+
 
 def require_unitary(m, tol: float = UNITARITY_TOL) -> np.ndarray:
     """The four-state coin ``m`` as a complex128 (4, 4) array, checked unitary.
 
     Raises ValueError for another shape or non-finite entries and
     NotUnitaryError when the unitarity defect exceeds ``tol``.
+
+    The bytes of up to ``_PASSED_MAX`` coins that passed at the default
+    tolerance are remembered (the set is emptied when full), so a coin
+    checked again, as by ``walk.step`` in a loop, costs a lookup instead of
+    a product.  Equal bytes are equal entries, so a remembered coin is
+    finite and unitary; a coin changed in place has other bytes and is
+    checked afresh.  A non-default ``tol`` always checks.
     """
-    a = as_complex_matrix(m, (4, 4))
+    a = np.asarray(m, dtype=np.complex128)
+    memo = tol == UNITARITY_TOL and a.shape == (4, 4)
+    if memo and (key := a.tobytes()) in _PASSED:
+        return a
+    a = as_complex_matrix(a, (4, 4))
     defect = _defect(a, _EYE4)
     if defect > tol:
         raise NotUnitaryError(f"unitarity defect {defect:.3e} exceeds tolerance {tol:.1e}")
+    if memo:
+        if len(_PASSED) >= _PASSED_MAX:
+            _PASSED.clear()
+        _PASSED.add(key)
     return a
 
 

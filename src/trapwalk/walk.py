@@ -10,10 +10,20 @@ Amplitudes are kept on such blocks and only the occupied sites are
 computed; the dense window is built for snapshots and inspection.
 
 One kernel, ``_step_block``, steps a block into the array it is given.
-``step`` hands it fresh arrays, so the states it returns share no memory;
-``simulate``, whose intermediate states never leave it, holds two buffers
-per block sized for its last step and steps into them in turn: about
-2 x 64 (t+1)^2 bytes for a walk from one site.
+``step`` hands it fresh zeroed arrays, so the states it returns share no
+memory; ``simulate``, whose intermediate states never leave it, holds two
+buffers per block sized for its last step and steps into them in turn
+(about 2 x 64 (t+1)^2 bytes for a walk from one site), zeroing the one row
+and column per component that a step does not write.
+
+The coin product is one BLAS call per block of at most ``_CHUNK_SITES``
+sites, with no chunk bookkeeping; larger blocks are multiplied a chunk at
+a time.  A coin whose imaginary parts are all zero, such as Grover and the
+fig2 and fig6 coins, is multiplied by its real part: the complex128
+amplitudes are read as interleaved float64 re, im pairs, so one real
+``dgemm`` forms the complex product.  That choice, and the conversion of
+the given state's blocks to C-contiguous complex128, is made once per
+``step`` or ``simulate`` call.  Every other coin takes the complex product.
 """
 
 from __future__ import annotations
@@ -51,10 +61,11 @@ _SHIFTS = tuple(((dx + dy + 1) // 2, (dx - dy + 1) // 2) for dx, dy in DISPLACEM
 # Sites per chunk of the coin product in _step_block: 8192 sites are 512 KB
 # of complex128 amplitudes, which stay in L2 until they are scattered.
 _CHUNK_SITES = 8192
-# Chunk products start on a multiple of this many sites.  BLAS can round a
-# site by its place in the kernel's column unroll (groups of 4 in OpenBLAS's
-# x86-64 zgemm), so aligned chunks sum every site as one product over the
-# whole block does, bit for bit.
+# Chunk products start on a multiple of this many sites (twice as many
+# float64 columns in a real product).  BLAS can round a site by its place in
+# the kernel's column unroll (groups of 4 in OpenBLAS's x86-64 zgemm), so
+# aligned chunks sum every site as one product over the whole block does,
+# bit for bit.
 _ALIGN = 64
 
 
@@ -149,24 +160,62 @@ def state_from_cell(cell: AmplitudeCell) -> WalkState:
 def _step_block(c: np.ndarray, u0: int, v0: int, amps: np.ndarray, out: np.ndarray):
     """One step of the block ``amps`` (4, a, b), written into ``out`` (4, a+1, b+1).
 
-    The coin product is formed a chunk of at most ``_CHUNK_SITES`` sites
-    (whole rows) at a time, so that it is still in cache when its four
-    components are scattered to their shifted places.
+    ``c`` is the matrix ``_product_matrix`` gives and ``amps`` is
+    C-contiguous complex128; a real ``c`` multiplies the re, im pairs as two
+    float64 columns per site.  Every entry of ``out`` but the row and the
+    column each component does not reach is written; those must be zero
+    already.  A block of more than ``_CHUNK_SITES`` sites is multiplied a
+    chunk (whole rows) at a time, so that each chunk's product is still in
+    cache when its four components are scattered to their shifted places.
     """
     _, a, b = amps.shape
-    flat = amps.reshape(4, -1)
+    flat = amps.reshape(4, -1).view(c.dtype)
+    if a * b <= _CHUNK_SITES:
+        _scatter((c @ flat).view(np.complex128).reshape(4, a, b), out, 0)
+        return u0 - 1, v0 - 1, out
+    per_site = flat.shape[1] // (a * b)
     rows = max(1, _CHUNK_SITES // b)
     for i in range(0, a, rows):
         stop = min(i + rows, a)
         # a few sites of overlap keep the product's ends aligned
         lo, hi = i * b // _ALIGN * _ALIGN, -(-stop * b // _ALIGN) * _ALIGN
-        mixed = (c @ flat[:, lo:hi])[:, i * b - lo:stop * b - lo].reshape(4, stop - i, b)
-        for k, (di, dj) in enumerate(_SHIFTS):
-            out[k, di + i:di + stop, dj:dj + b] = mixed[k]
-    for k, (di, dj) in enumerate(_SHIFTS):
-        out[k, (1 - di) * a, :] = 0.0  # the row and the column this
-        out[k, :, (1 - dj) * b] = 0.0  # component does not reach
+        mixed = (c @ flat[:, per_site * lo:per_site * hi]).view(np.complex128)
+        _scatter(mixed[:, i * b - lo:stop * b - lo].reshape(4, stop - i, b), out, i)
     return u0 - 1, v0 - 1, out
+
+
+def _scatter(mixed: np.ndarray, out: np.ndarray, i: int) -> None:
+    """Write the coin product ``mixed`` of block rows i, i + 1, ... to their
+    shifted places in ``out``."""
+    _, rows, b = mixed.shape
+    for k, (di, dj) in enumerate(_SHIFTS):
+        out[k, di + i:di + i + rows, dj:dj + b] = mixed[k]
+
+
+def _clear_edges(out: np.ndarray) -> np.ndarray:
+    """Zero the row and the column of ``out`` that ``_step_block`` leaves unwritten.
+
+    Component k lands at the offsets ``_SHIFTS[k]`` = (0, 0), (0, 1), (1, 0),
+    (1, 1), so L and D miss the last row and U and R the first; L and U
+    miss the last column and D and R the first.
+    """
+    out[:2, -1] = 0.0
+    out[2:, 0] = 0.0
+    out[::2, :, -1] = 0.0
+    out[1::2, :, 0] = 0.0
+    return out
+
+
+def _product_matrix(coin) -> np.ndarray:
+    """The checked coin as ``_step_block`` multiplies by it.
+
+    A coin whose imaginary parts are all zero (Grover, the fig2 and fig6
+    coins) gives its real part: one real product over the interleaved re, im
+    pairs is the complex product, at well under half the cost.  Any other
+    coin is returned as it is.
+    """
+    c = require_unitary(coin)
+    return c if np.count_nonzero(c.imag) else np.ascontiguousarray(c.real)
 
 
 def _grown(amps: np.ndarray) -> tuple[int, int, int]:
@@ -180,14 +229,22 @@ def _advance(state: WalkState, c: np.ndarray, outs) -> WalkState:
         _step_block(c, *block, out) for block, out in zip(state.blocks, outs)))
 
 
+def _contiguous(state: WalkState) -> WalkState:
+    """``state`` with every block C-contiguous complex128, as the kernel reads it."""
+    return WalkState(t=state.t, blocks=tuple(
+        (u0, v0, np.ascontiguousarray(amps, dtype=np.complex128)) for u0, v0, amps in state.blocks))
+
+
 def step(state: WalkState, coin) -> WalkState:
     """One walk step: coin everywhere, then the conditional displacement.
 
     The new state's blocks are freshly allocated; they share no memory
     with ``state`` or with any other state.
     """
-    outs = [np.empty(_grown(amps), dtype=np.complex128) for _, _, amps in state.blocks]
-    return _advance(state, require_unitary(coin), outs)
+    c = _product_matrix(coin)
+    state = _contiguous(state)
+    return _advance(state, c, [np.zeros(_grown(amps), dtype=np.complex128)
+                               for _, _, amps in state.blocks])
 
 
 @dataclass(frozen=True)
@@ -228,13 +285,13 @@ def simulate(coin, initial: WalkState, steps: int,
     """
     if steps < 1:
         raise ValueError("steps must be at least 1")
-    c = require_unitary(coin)
+    c = _product_matrix(coin)
     wanted = set(int(t) for t in snapshot_times)
     outside = [t for t in sorted(wanted) if not initial.t <= t <= initial.t + steps]
     if outside:
         raise ValueError(f"snapshot times {outside} lie outside "
                          f"[{initial.t}, {initial.t + steps}]")
-    state = initial
+    state = _contiguous(initial)
     p_origin = np.zeros(steps + 1)
     p_origin[0] = state.origin_probability()
     snapshots: dict[int, Snapshot] = {}
@@ -244,7 +301,7 @@ def simulate(coin, initial: WalkState, steps: int,
                for _, a, b in (amps.shape for _, _, amps in initial.blocks)]
     for n in range(steps):
         shapes = [_grown(amps) for _, _, amps in state.blocks]
-        state = _advance(state, c, [pair[n % 2][:math.prod(shape)].reshape(shape)
+        state = _advance(state, c, [_clear_edges(pair[n % 2][:math.prod(shape)].reshape(shape))
                                     for pair, shape in zip(buffers, shapes)])
         p_origin[state.t - initial.t] = state.origin_probability()
         if state.t in wanted:

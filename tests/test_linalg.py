@@ -36,6 +36,51 @@ def test_require_unitary_returns_the_checked_coin():
         linalg.require_unitary(1.5 * grover_coin())
 
 
+def test_a_coin_changed_in_place_is_checked_again():
+    coin = grover_coin()
+    state = walk.step(walk.initial_state([1.0, 0.0, 0.0, 0.0]), coin)
+    walk.step(state, coin)
+    coin[0, 0] *= 1.5
+    with pytest.raises(NotUnitaryError):
+        walk.step(state, coin)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_coins_are_never_remembered(bad):
+    coin = grover_coin()
+    coin[2, 1] = bad
+    for _ in range(2):
+        with pytest.raises(ValueError, match="non-finite"):
+            linalg.require_unitary(coin)
+    assert coin.tobytes() not in linalg._PASSED
+
+
+def test_a_non_default_tol_always_checks():
+    # defect ~4e-13: within the default tolerance, not within 1e-14
+    coin = grover_coin() * (1 + 2e-13)
+    defect = linalg.unitarity_defect(coin)
+    assert 1e-14 < defect <= linalg.UNITARITY_TOL
+    linalg.require_unitary(coin)
+    assert coin.tobytes() in linalg._PASSED
+    with pytest.raises(NotUnitaryError):
+        linalg.require_unitary(coin, tol=1e-14)
+    # nor does a pass at a looser tol vouch for the default one
+    loose = grover_coin() * (1 + 1e-9)
+    linalg.require_unitary(loose, tol=1e-6)
+    assert loose.tobytes() not in linalg._PASSED
+    with pytest.raises(NotUnitaryError):
+        linalg.require_unitary(loose)
+
+
+def test_remembered_coins_stay_bounded(rng):
+    for _ in range(3 * linalg._PASSED_MAX):
+        coin = random_unitary(rng)
+        assert linalg.require_unitary(coin) is coin
+        assert coin.tobytes() in linalg._PASSED
+        assert len(linalg._PASSED) <= linalg._PASSED_MAX
+        assert linalg.require_unitary(coin.tolist()).tobytes() == coin.tobytes()
+
+
 # Every public entry that takes a coin checks its shape before using it.
 _STATE = walk.initial_state([1.0, 0.0, 0.0, 0.0])
 _CELL = stationary_cell(draw_type_i(np.random.default_rng(3)))[0]

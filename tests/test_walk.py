@@ -6,7 +6,7 @@ import pytest
 from trapwalk import coins, spectral, walk
 from trapwalk.linalg import require_unitary
 
-from conftest import DRAWERS, random_unitary
+from conftest import DRAWERS, hadamard_tensor_coin, random_unitary
 
 QUARTER = np.pi / 4
 FIG2_INITIAL = np.array([0.5, 0.5j, 0.5j, 0.5])
@@ -443,11 +443,15 @@ def test_simulate_matches_a_loop_of_steps_bit_for_bit(name):
 
 
 def _one_product_step(state, c):
-    """The step with the coin product formed over each whole block at once."""
+    """The step with the coin product formed over each whole block at once.
+
+    A real ``c`` (float64) multiplies the re, im pairs of the amplitudes as
+    one real product, as the kernel does for a coin with no imaginary part.
+    """
     blocks = []
     for u0, v0, amps in state.blocks:
         _, a, b = amps.shape
-        mixed = (c @ amps.reshape(4, -1)).reshape(4, a, b)
+        mixed = (c @ amps.reshape(4, -1).view(c.dtype)).view(np.complex128).reshape(4, a, b)
         out = np.zeros((4, a + 1, b + 1), dtype=np.complex128)
         for k, (di, dj) in enumerate(walk._SHIFTS):
             out[k, di:di + a, dj:dj + b] = mixed[k]
@@ -455,23 +459,97 @@ def _one_product_step(state, c):
     return walk.WalkState(t=state.t + 1, blocks=tuple(blocks))
 
 
+def _signed_permutation():
+    p = np.zeros((4, 4), dtype=complex)
+    p[[2, 0, 3, 1], [0, 1, 2, 3]] = [1.0, -1.0, -1.0, 1.0]
+    return p
+
+
+# Coins with no imaginary part, which step through the real product
+REAL_COINS = {
+    "grover": (coins.grover_coin(), KERNEL_PARAMS["grover"]),
+    "fig2": (coins.coin_for(KERNEL_PARAMS["fig2"]), KERNEL_PARAMS["fig2"]),
+    "fig6": (coins.coin_for(KERNEL_PARAMS["fig6"]), KERNEL_PARAMS["fig6"]),
+    "H(x)H": (hadamard_tensor_coin(), None),
+    "signed permutation": (_signed_permutation(), None),
+}
+
+
 @pytest.mark.parametrize("chunk, steps", [(37, 24), (walk._CHUNK_SITES, 130)])
 def test_chunked_coin_product_matches_one_product(monkeypatch, rng, chunk, steps):
     # BLAS may round a site by where its column falls in the kernel's unroll;
     # chunks that start off that grid would move the last bits
     monkeypatch.setattr(walk, "_CHUNK_SITES", chunk)
-    for drawer in DRAWERS.values():
-        params = drawer(rng)
-        coin = coins.coin_for(params)
+    cases = [(coins.coin_for(params), params)
+             for params in (drawer(rng) for drawer in DRAWERS.values())]
+    cases += list(REAL_COINS.values())
+    for coin, params in cases:
+        c = walk._product_matrix(coin)
+        assert c.dtype == (np.complex128 if np.any(coin.imag) else np.float64)
         starts = [walk.initial_state(_unit(rng))]
-        starts += [walk.state_from_cell(cell) for cell in coins.stationary_cell(params)]
+        if params is not None:
+            starts += [walk.state_from_cell(cell) for cell in coins.stationary_cell(params)]
         for start in starts:
             state = reference = start
             for _ in range(steps):
                 state = walk.step(state, coin)
-                reference = _one_product_step(reference, coin)
+                reference = _one_product_step(reference, c)
             for (u0, v0, amps), (r0, s0, ref) in zip(state.blocks, reference.blocks):
                 assert (u0, v0) == (r0, s0) and amps.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(REAL_COINS))
+def test_real_product_matches_the_complex_product(rng, name):
+    # the real and the complex BLAS kernels may round a site differently;
+    # P after 200 steps from this state differs by 1.4e-16 at most
+    coin = REAL_COINS[name][0]
+    start = walk.initial_state(_unit(rng))
+    traj = walk.simulate(coin, start, 200, snapshot_times=(200,))
+    reference = start
+    for _ in range(200):
+        reference = _one_product_step(reference, coin)
+    assert np.max(np.abs(traj.snapshots[200].prob - reference.probability())) <= 1e-15
+
+
+def test_coin_with_a_tiny_imaginary_part_takes_the_complex_product(rng):
+    coin = coins.grover_coin()
+    coin[1, 2] += 1e-300j
+    assert walk._product_matrix(coin).dtype == np.complex128
+    start = walk.initial_state(_unit(rng))
+    state, reference = start, start
+    for _ in range(100):
+        state = walk.step(state, coin)
+        reference = _one_product_step(reference, coin)
+    assert all(amps.tobytes() == ref.tobytes()
+               for (_, _, amps), (_, _, ref) in zip(state.blocks, reference.blocks))
+    traj = walk.simulate(coin, start, 100, snapshot_times=(100,))
+    assert traj.snapshots[100].prob.tobytes() == reference.probability().tobytes()
+
+
+@pytest.mark.parametrize("name", ["grover", "fig2"])
+def test_step_reads_any_block_layout(monkeypatch, rng, name):
+    # a user-built state may hold float64 or strided blocks, which the real
+    # product's float64 view would misread; they step to the values of the
+    # same amplitudes as C-contiguous complex128
+    amps = rng.normal(size=(4, 90, 110))
+    amps /= np.linalg.norm(amps)
+    wide = np.zeros((4, 180, 330), dtype=np.complex128)
+    wide[:, ::2, ::3] = amps
+    plain = walk.WalkState(t=110, blocks=((-89, -109, amps.astype(np.complex128)),))
+    odd = [walk.WalkState(t=110, blocks=((-89, -109, layout),))
+           for layout in (amps, wide[:, ::2, ::3], np.asfortranarray(plain.blocks[0][2]))]
+    real_coin = REAL_COINS[name][0]
+    for chunk in (walk._CHUNK_SITES, 10 ** 6):  # 9900 sites: chunked, then one product
+        monkeypatch.setattr(walk, "_CHUNK_SITES", chunk)
+        for coin in (real_coin, real_coin * np.exp(0.3j)):
+            expected = walk.step(plain, coin).blocks[0][2]
+            complex_product = _one_product_step(plain, coin).blocks[0][2]
+            assert np.max(np.abs(expected - complex_product)) <= 1e-16
+            prob = walk.simulate(coin, plain, 3, snapshot_times=(113,)).snapshots[113].prob
+            for state in odd:
+                assert walk.step(state, coin).blocks[0][2].tobytes() == expected.tobytes()
+                traj = walk.simulate(coin, state, 3, snapshot_times=(113,))
+                assert traj.snapshots[113].prob.tobytes() == prob.tobytes()
 
 
 def test_step_returns_fresh_states():

@@ -22,10 +22,12 @@ DIR receives
   ``simulate`` from one fixed coin state: P(0, 0, t) and the final snapshot.
 
 ``--diff`` compares two snapshots: the JSON files byte for byte, the cells,
-operators and walks bit for bit (with the largest cell deviation when the
-cells differ), the escaping-subspace projectors to their largest entrywise
-deviation, and the dispersions to their largest deviation in rho, e^{i beta},
-e^{i phi}, and in omega, group velocity and area as this tree computes them.
+operators and walks bit for bit (with the largest deviation of the cells
+and of each walk array that differs), the escaping-subspace projectors to
+their largest entrywise deviation, and the dispersions to their largest
+deviation in rho, e^{i beta}, e^{i phi}, and in omega, group velocity and
+area as this tree computes them.  It exits nonzero when the classify JSON,
+the cells, the operators or the walks differ, or a dispersion changes kind.
 """
 
 from __future__ import annotations
@@ -145,6 +147,11 @@ def diff(old: Path, new: Path) -> int:
         differing = [key for key in keys if key not in a.files or key not in b.files
                      or a[key].tobytes() != b[key].tobytes()]
         print(f"walks: {len(differing)} of {len(keys)} arrays differ {differing}")
+        for key in differing:
+            if key in a.files and key in b.files and a[key].shape == b[key].shape:
+                print(f"walk {key}: max deviation {np.abs(a[key] - b[key]).max():.1e}")
+            else:
+                print(f"walk {key}: missing or reshaped")
         status |= bool(differing)
     deviation = 0.0
     for p, q in zip(_projectors(old / "escape.json"), _projectors(new / "escape.json")):
