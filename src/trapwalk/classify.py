@@ -2,9 +2,9 @@
 
 Every public entry here reads one flat-band decision, ``laurent._flat_bands``:
 the constant eigenvalues of the momentum-space walk operator U(k) = S(k) C,
-each chiral pair confirmed by the 2x2 cell solved at its seed eigenphase.
-Families follow from the rank of that cell's stationary amplitude matrix A
-(4, 3, 2 for Types I, IIa, IIb).
+each chiral pair confirmed by the 2x2 cell solved at its seed eigenphase
+(or, when that fails, at its partner).  Families follow from the rank of
+that cell's stationary amplitude matrix A (4, 3, 2 for Types I, IIa, IIb).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 from . import coins as _coins
 from .errors import NotTrappingError
 from .laurent import _flat_bands
-from .linalg import fix_vector_phase, numerical_rank, require_unitary
+from .linalg import RANK_TOL, _rank_decision, fix_vector_phase, require_unitary
 
 __all__ = [
     "ClassificationResult",
@@ -58,8 +58,10 @@ class ClassificationResult:
     arrangements.  ``fully_trapped`` marks coins with four constant
     eigenvalues (no state can leave the 3x3 neighborhood of its start).
     ``marginal`` flags a closed-form decision (mixed-minor size, edge size,
-    root residual or double-root split) within ten times its threshold, or
-    a flat pair left out because its cell failed the kernel solve or check.
+    root residual or double-root split) within ten times its threshold, a
+    pair whose seed failed the kernel solve or the cell check (kept if its
+    partner passed them, else left out), or a rank of A with a kept singular
+    value within ten times ``linalg.RANK_TOL`` of the largest.
     """
 
     trapping: bool
@@ -73,15 +75,16 @@ class ClassificationResult:
     marginal: bool = False
 
 
-def _rank_and_escaping(spectrum, seed_cells) -> tuple[int, np.ndarray]:
-    """Rank of the first seed cell's A, and the escaping subspace: the kernel of A†.
+def _rank_and_escaping(spectrum, seed_cells) -> tuple[int, np.ndarray, bool]:
+    """Rank of the first seed cell's A, the escaping subspace (the kernel of A†),
+    and the rank's margin (a kept singular value within ten times RANK_TOL).
 
     A partner's A is ``A diag(1, -1, -1, 1)``, and a coin with one flat pair
     has one cell.  When all bands are flat their projectors sum to I: no state escapes.
     """
     cell = next(iter(seed_cells.values()))[0]
-    rank, kernel = numerical_rank(_coins._balance_pair(cell.amplitudes)[0])
-    return rank, kernel if sum(m for _, m in spectrum) < 4 else kernel[:, :0]
+    rank, kernel, marginal = _rank_decision(_coins._balance_pair(cell.amplitudes)[0], RANK_TOL)
+    return rank, kernel if sum(m for _, m in spectrum) < 4 else kernel[:, :0], marginal
 
 
 def escaping_subspace(coin) -> np.ndarray:
@@ -222,7 +225,8 @@ def classify_coin(coin) -> ClassificationResult:
     fully trapped; ``params`` stays None when it fails or when
     ``lam * coin_for(params)``, lam the first reported eigenphase, misses
     the coin by more than 1e-9.  A coin too near a trapping coin for the
-    kernel solve or the cell check is NotTrapping and ``marginal``.
+    kernel solve or the cell check at both members of its pair is
+    NotTrapping and ``marginal``.
     """
     c = require_unitary(coin)
     spectrum, marginal, seed_cells = _flat_bands(c)
@@ -233,8 +237,9 @@ def classify_coin(coin) -> ClassificationResult:
     total_mult = sum(m for _, m in spectrum)
     fully = total_mult >= 4
     phases = tuple(spectrum)
-    rank, escaping = _rank_and_escaping(spectrum, seed_cells)
+    rank, escaping, rank_marginal = _rank_and_escaping(spectrum, seed_cells)
     esc_dim = escaping.shape[1]
+    marginal |= rank_marginal
 
     if any(m >= 2 for _, m in spectrum):
         return ClassificationResult(
@@ -273,8 +278,8 @@ def _rebuilding_params(cell: _coins.AmplitudeCell, family: str, c) -> _coins.Fam
     return params if np.max(np.abs(rebuilt - c)) <= _REBUILD_TOL else None
 
 
-def _phase_of(z: complex, mag: float, tol: float = 1e-9) -> float | None:
-    return float(np.angle(z)) % (2 * np.pi) if mag > tol else None
+def _phase_of(z: complex, mag: float) -> float | None:
+    return float(np.angle(z)) % (2 * np.pi) if mag > 1e-9 else None
 
 
 def _recover_phases(amps, guards) -> tuple[float, float, float, float, float]:

@@ -68,6 +68,11 @@ DISPLACEMENTS = ((-1, 0), (0, -1), (0, 1), (1, 0))
 NORM_FULL_RANK = 2.0
 NORM_RANK_DEFICIENT = math.sqrt(2.0)
 
+# The near-trapping scale: a coin entry, structure test or flat-band decision
+# value below it is zero.  laurent's flat decision and direct-sum cells, the
+# Type IIb structure tests here and spectral's cut guard on beta all read it.
+_FLAT_TOL = 1e-8
+
 _HALF_PI = math.pi / 2.0
 _TWO_PI = 2.0 * math.pi
 
@@ -231,21 +236,21 @@ _IIB_SECTORS = {
 }
 
 
-def _iib_swaps(c, variant: int, tol: float = 1e-8) -> bool:
+def _iib_swaps(c, variant: int) -> bool:
     """Whether ``c`` swaps the variant's trapping pair (zero diagonal, unit off-diagonal)."""
     lo, hi = _IIB_SECTORS[variant].trapping
-    return abs(c[lo, lo]) < tol and abs(c[hi, hi]) < tol and abs(abs(c[lo, hi]) - 1.0) < tol
+    return max(abs(c[lo, lo]), abs(c[hi, hi]), abs(abs(c[lo, hi]) - 1.0)) < _FLAT_TOL
 
 
-def _iib_variant(c, tol: float = 1e-8) -> int | None:
+def _iib_variant(c) -> int | None:
     """The first Type IIb variant whose trapping pair ``c`` swaps, or None."""
-    return next((v for v in _IIB_SECTORS if _iib_swaps(c, v, tol)), None)
+    return next((v for v in _IIB_SECTORS if _iib_swaps(c, v)), None)
 
 
-def _iib_is_direct_sum(c, tol: float = 1e-8) -> bool:
-    """Whether ``c`` never mixes the two sectors (all eight cross entries below ``tol``)."""
+def _iib_is_direct_sum(c) -> bool:
+    """Whether ``c`` never mixes the two sectors (all eight cross entries below ``_FLAT_TOL``)."""
     u, t = _IIB_SECTORS[1].unitary, _IIB_SECTORS[1].trapping
-    return max(max(abs(c[i, j]), abs(c[j, i])) for i in u for j in t) < tol
+    return max(max(abs(c[i, j]), abs(c[j, i])) for i in u for j in t) < _FLAT_TOL
 
 
 def _iib_pair_cell(variant: int, swap_entry: complex, eigenphase: complex) -> AmplitudeCell:

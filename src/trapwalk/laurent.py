@@ -36,7 +36,7 @@ import numpy as np
 
 from . import coins as _coins
 from .errors import DegenerateMinorError, KernelInconsistencyError, NotTrappingError
-from .linalg import fix_vector_phase, require_unitary
+from .linalg import RANK_TOL, fix_vector_phase, require_unitary
 from .spectral import _momentum_operator
 
 __all__ = [
@@ -55,18 +55,21 @@ PRUNE_TOL = 1e-14          # absolute coefficient pruning
 ZERO_REL_TOL = 1e-10       # identity-zero test: largest coefficient magnitude allowed
 
 # The thresholds of the flat-band decision, _flat_bands, and what each guards:
-# - _FLAT_TOL: a mixed 2x2 minor, edge polynomial or root residual of _charpoly
-#   below it is zero.  _DOUBLE_ROOT_TOL: a smaller split of the quadratic center
-#   is a double root (rounding splits one by ~sqrt(eps)).  A value within ten
-#   times its threshold makes the decision marginal.
+# - coins._FLAT_TOL, the one near-trapping scale: a mixed 2x2 minor, edge
+#   polynomial or root residual of _charpoly below it is zero; so is a coin
+#   entry in the direct-sum pattern tests.  _DOUBLE_ROOT_TOL: a smaller split of
+#   the quadratic center is a double root (rounding splits one by ~sqrt(eps)).
+#   A value within ten times its threshold makes the decision marginal.
 # - KERNEL_REL_TOL: the relative singular value under which the 16 x 8 cell
 #   system has a kernel, and how near a confirmed eigenphase localized_cells
 #   takes one.  coins.AmplitudeCell.validate (1e-10): the cell check.  A pair
-#   whose seed fails the solve or the check is not flat, and marginal.
+#   counts as flat if its seed, or failing that its partner, passes the solve
+#   and the check; a pair whose seed fails either is marginal.
 # - 1e-9: an angle that close below 2 pi sorts as 0, the canonical angle.
-# - linalg.RANK_TOL: the rank of the seed cell's A (the family) and the kernel
-#   of A^H (the escaping subspace), in classify.
-_FLAT_TOL = 1e-8
+# - linalg.RANK_TOL: the one family rule.  A singular value of a cell's A below
+#   it over the largest is zero: it sets the cell's norm convention here, and
+#   the rank (the family, with its margin) and the kernel of A^H (the escaping
+#   subspace) in classify.
 _DOUBLE_ROOT_TOL = 1e-6
 KERNEL_REL_TOL = 1e-9
 
@@ -110,19 +113,19 @@ def _flat_roots(coeffs: np.ndarray):
     """
     # each corner is M z^2 with M a mixed 2x2 minor
     corners = float(np.abs(coeffs[::2, ::2, 2]).max())
-    decisions = [(corners, _FLAT_TOL)]
-    if corners >= _FLAT_TOL:
+    decisions = [(corners, _coins._FLAT_TOL)]
+    if corners >= _coins._FLAT_TOL:
         return [], decisions
     edges = coeffs[_EDGES]
     edge_size = float(np.abs(edges).max())
-    decisions.append((edge_size, _FLAT_TOL))
-    if edge_size >= _FLAT_TOL:
+    decisions.append((edge_size, _coins._FLAT_TOL))
+    if edge_size >= _coins._FLAT_TOL:
         # one flat pair at the least-squares root of the linear edges; w = 0
         # (no slope) never zeroes the center, which is det C there
         w = np.linalg.lstsq(edges[:, 3:4], -edges[:, 1], rcond=None)[0][0]
         residual = float(np.abs(coeffs @ np.sqrt(w) ** np.arange(5)).max())
-        decisions.append((residual, _FLAT_TOL))
-        return ([(w, 1)] if residual < _FLAT_TOL else []), decisions
+        decisions.append((residual, _coins._FLAT_TOL))
+        return ([(w, 1)] if residual < _coins._FLAT_TOL else []), decisions
     # no edges: every band is flat, at the roots of w^2 + (M_LR + M_DU) w + det C
     alpha, det = coeffs[1, 1, 2], coeffs[1, 1, 0]
     split = np.sqrt(alpha * alpha - 4.0 * det)
@@ -137,11 +140,12 @@ def _flat_bands(c: np.ndarray):
 
     ``c`` must be a checked unitary coin.  Each root +-sqrt(w) of multiplicity
     m becomes the nearest eigenvalue of U(0) = C, or of U at the other
-    momentum where the (m+1)-th nearest is within _FLAT_TOL at k = 0 but not
-    there.  A pair's seed is its member that sorts first in the spectrum, and
-    the pair counts only if the seed's cells solve and check.  ``seed_cells``
-    maps each seed to its cells; since S(k + pi) = -S(k), the cells at the
-    partner -lam are their chiral partners.
+    momentum where the (m+1)-th nearest is within coins._FLAT_TOL at k = 0 but
+    not there.  A pair's seed is its member that sorts first in the spectrum.
+    The pair counts if the seed's cells solve and check, or else, marginally,
+    its partner's.  ``seed_cells`` maps each seed to its cells; since
+    S(k + pi) = -S(k), the cells at the partner are their chiral partners, and
+    a seed whose own solve failed takes the partners of its partner's cells.
     """
     def angle(item):
         ang = float(np.angle(item[0])) % (2 * np.pi)
@@ -157,16 +161,19 @@ def _flat_bands(c: np.ndarray):
         for z in (np.sqrt(w), -np.sqrt(w)):
             dist = np.abs(ev - z)
             gap = np.sort(dist, axis=1)[:, mult]
-            k = int(gap[0] < _FLAT_TOL < gap[1])
+            k = int(gap[0] < _coins._FLAT_TOL < gap[1])
             lam = ev[k, np.argmin(dist[k])]
             pair.append((complex(lam / abs(lam)), mult))
-        seed = min(pair, key=angle)[0]
-        try:
-            seeds.append((seed, _localized_cells(c, seed)))
-        except (KernelInconsistencyError, ValueError):
-            marginal = True
-            continue
-        spectrum += pair
+        pair.sort(key=angle)
+        for i, (lam, _) in enumerate(pair):
+            try:
+                cells = _localized_cells(c, lam)
+            except (KernelInconsistencyError, ValueError):
+                marginal = True
+                continue
+            seeds.append((pair[0][0], _partner_cells(cells) if i else cells))
+            spectrum += pair
+            break
     return sorted(spectrum, key=angle), marginal, dict(sorted(seeds, key=angle))
 
 
@@ -434,23 +441,20 @@ def _cell_kernel(adjusted: np.ndarray) -> np.ndarray:
 
 
 def _cell_from_amplitudes(amps: np.ndarray, eigenphase: complex) -> _coins.AmplitudeCell:
+    """The gauge-fixed cell of kernel amplitudes, at the norm its family takes.
+
+    The norm is 2 when the cell's A has full rank at ``linalg.RANK_TOL`` (Type I)
+    and sqrt(2) otherwise: the rule by which classify reports the rank.
+    """
     # Gauge: first non-negligible amplitude real nonnegative.
     amps = fix_vector_phase(amps)
-    norm = np.linalg.norm(amps)
-    probe = _coins.AmplitudeCell(*(amps / norm), eigenphase=eigenphase, norm=1.0)
-    if probe.is_full_rank_case(1e-6) and not probe.is_rank_deficient_case(1e-6):
-        target = _coins.NORM_FULL_RANK
-    elif probe.is_rank_deficient_case(1e-6):
-        target = _coins.NORM_RANK_DEFICIENT
-    else:
-        raise KernelInconsistencyError(
-            "extracted amplitudes satisfy neither magnitude case; tolerance failure"
-        )
-    amps = amps * (target / norm)
+    s = np.linalg.svd(_coins._balance_pair(amps)[0], compute_uv=False)
+    target = _coins.NORM_FULL_RANK if s[-1] > RANK_TOL * s[0] else _coins.NORM_RANK_DEFICIENT
+    amps = amps * (target / np.linalg.norm(amps))
     return _coins.AmplitudeCell(*amps, eigenphase=complex(eigenphase), norm=target)
 
 
-def _degenerate_pattern_cells(adjusted, eigenphase: complex, tol: float = 1e-8):
+def _degenerate_pattern_cells(adjusted, eigenphase: complex):
     """Cells read off the direct-sum sparsity patterns of the adjusted coin.
 
     A Type IIb sector contributes its two-site pair when the adjusted coin
@@ -460,8 +464,8 @@ def _degenerate_pattern_cells(adjusted, eigenphase: complex, tol: float = 1e-8):
     cells = []
     for variant, sector in _coins._IIB_SECTORS.items():
         lo, hi = sector.trapping
-        if (_coins._iib_swaps(adjusted, variant, tol)
-                and abs(adjusted[lo, hi] * adjusted[hi, lo] - 1.0) < tol):
+        if (_coins._iib_swaps(adjusted, variant)
+                and abs(adjusted[lo, hi] * adjusted[hi, lo] - 1.0) < _coins._FLAT_TOL):
             cells.append(_coins._iib_pair_cell(variant, complex(adjusted[hi, lo]),
                                                complex(eigenphase)))
     return cells
@@ -477,9 +481,10 @@ def localized_cells(coin, eigenphase: complex) -> list[_coins.AmplitudeCell]:
 
     Raises NotTrappingError unless ``eigenphase`` is within ``KERNEL_REL_TOL``
     of a confirmed flat eigenphase.  Near a seed the cells are solved at
-    ``eigenphase`` (at the seed itself, the seed's own solve is reused);
-    near a partner they are the chiral partners of the seed's confirmed
-    cells, gauge-fixed again.
+    ``eigenphase`` (at the seed itself, the seed's own solve is reused; a
+    seed whose own solve failed returns its cells, the chiral partners of
+    those solved at its partner); near a partner they are the chiral
+    partners of the seed's confirmed cells, gauge-fixed again.
     """
     c = require_unitary(coin)
     lam = complex(eigenphase)
@@ -491,10 +496,15 @@ def localized_cells(coin, eigenphase: complex) -> list[_coins.AmplitudeCell]:
         raise NotTrappingError(f"{lam} is not a constant eigenvalue of the walk operator")
     if flat in seed_cells:
         # at the seed itself, bit for bit, _flat_bands has made this very solve
+        cells = seed_cells[flat]
         same = np.complex128(lam).tobytes() == np.complex128(flat).tobytes()
-        return seed_cells[flat] if same else _localized_cells(c, lam)
-    seed = min(seed_cells, key=lambda s: abs(s + flat))
-    partners = (cell.chiral_partner() for cell in seed_cells[seed])
+        return cells if same or cells[0].eigenphase != flat else _localized_cells(c, lam)
+    return _partner_cells(seed_cells[min(seed_cells, key=lambda s: abs(s + flat))])
+
+
+def _partner_cells(cells) -> list[_coins.AmplitudeCell]:
+    """The chiral partners of ``cells``, gauge-fixed again."""
+    partners = (cell.chiral_partner() for cell in cells)
     return [_coins.AmplitudeCell(*fix_vector_phase(p.amplitudes), eigenphase=p.eigenphase,
                                  norm=p.norm) for p in partners]
 

@@ -101,14 +101,19 @@ def numerical_rank(m, tol: float = RANK_TOL) -> tuple[int, np.ndarray]:
     """
     if not (0 < tol < 1):
         raise ValueError(f"tol must lie in (0, 1), got {tol!r}")
-    a = as_complex_matrix(m)
+    return _rank_decision(as_complex_matrix(m), tol)[:2]
+
+
+def _rank_decision(a: np.ndarray, tol: float) -> tuple[int, np.ndarray, bool]:
+    """``numerical_rank`` of a checked matrix, and its margin: whether a kept
+    singular value lies within ten times the threshold ``tol * s[0]``.
+    """
     u, s, _ = np.linalg.svd(a)
     if s.size == 0 or s[0] == 0.0:
-        return 0, u
-    rank = int(np.sum(s > tol * s[0]))
-    small = np.concatenate([s <= tol * s[0], np.ones(a.shape[0] - s.size, dtype=bool)])
-    kernel = u[:, small]
+        return 0, u, False
+    kept = s > tol * s[0]
+    kernel = u[:, np.concatenate([~kept, np.ones(a.shape[0] - s.size, dtype=bool)])]
     if kernel.shape[1]:
         kernel = np.column_stack([fix_vector_phase(kernel[:, i])
                                   for i in range(kernel.shape[1])])
-    return rank, kernel
+    return int(kept.sum()), kernel, bool(np.any(kept & (s < 10 * tol * s[0])))

@@ -91,13 +91,6 @@ def dispersion_spec(p: _coins.FamilyParams) -> DispersionSpec:
     return _coin_dispersion(_coins.coin_for(p), 1.0, p.family)
 
 
-# How far past the cut 2 beta of a trapping coin may read: a coin the flat
-# decision accepts lies up to its threshold, laurent._FLAT_TOL, from an
-# exactly flat one.  laurent imports this module, so the value is repeated
-# here (a test pins the two equal).
-_BETA_CUT_TOL = 1e-8
-
-
 def _coin_dispersion(c, lam: complex, family: str) -> DispersionSpec:
     """Dispersion of a coin with one flat pair +-lam, read off u = C / lam.
 
@@ -106,15 +99,16 @@ def _coin_dispersion(c, lam: complex, family: str) -> DispersionSpec:
     e^{2i beta} = -det u and the z^3 terms 2 e^{i beta} cos(omega(k)) =
     sum_j e^{i k.d_j} u_jj: rho_x = |u_RR| and phi_x = arg(-e^{-i beta} u_RR),
     the same for y with u_UU.  beta lies in (-pi, 0] for Types I and IIa and
-    in [0, pi) for Type IIb, up to ``_BETA_CUT_TOL`` at the cut; the quiet axis of a
-    Type IIb coin has zero amplitude.  A coin near a trapping one can read
+    in [0, pi) for Type IIb, up to ``coins._FLAT_TOL`` past the cut: a coin the
+    flat decision accepts lies up to that scale from an exactly flat one.  The
+    quiet axis of a Type IIb coin has zero amplitude.  A coin near a trapping one can read
     rho_x + rho_y above 1 by its distance from it; the amplitudes are then
     scaled back onto rho_x + rho_y = 1.
     """
     u = np.asarray(c) / lam
     two_beta = float(np.angle(-np.linalg.det(u)))
     side = 1.0 if family == "TypeIIb" else -1.0
-    beta = two_beta / 2.0 + (0.0 if side * two_beta >= -_BETA_CUT_TOL else side * math.pi)
+    beta = two_beta / 2.0 + (0.0 if side * two_beta >= -_coins._FLAT_TOL else side * math.pi)
     unphase = -complex(np.exp(-1j * beta))
     (rho_x, phi_x), (rho_y, phi_y) = (
         (float(abs(z)), float(np.angle(unphase * z))) for z in (u[3, 3], u[2, 2]))

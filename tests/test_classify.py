@@ -53,16 +53,30 @@ def test_marginal_flag():
     rotation[:2, :2] = [[np.cos(eps), -np.sin(eps)], [np.sin(eps), np.cos(eps)]]
     near = coins.grover_coin() @ rotation
     corners = np.abs(laurent._charpoly(near)[::2, ::2, 2]).max()
-    assert laurent._FLAT_TOL <= corners < 10 * laurent._FLAT_TOL
+    assert coins._FLAT_TOL <= corners < 10 * coins._FLAT_TOL
     result = classify.classify_coin(near)
     assert result.family == "NotTrapping" and result.marginal
     assert json.loads(classify.classification_to_json(result))["marginal"] is True
     # at eta = 1e-7 the edge polynomials are 2.5e-8 in size: one flat pair, flagged
     coin = coins.coin_type_iia(coins.TypeIIaParams(0.7, 0.5, 0.9, 1e-7, 0.3, 1.1, 2.2, 0.7, 1.9))
     edges = np.abs(laurent._charpoly(coin)[laurent._EDGES]).max()
-    assert laurent._FLAT_TOL <= edges < 10 * laurent._FLAT_TOL
+    assert coins._FLAT_TOL <= edges < 10 * coins._FLAT_TOL
     result = classify.classify_coin(coin)
     assert result.family == "TypeIIa" and result.marginal
+
+
+@pytest.mark.parametrize("gap, marginal", [(1e-7, True), (1e-5, False)])
+def test_rank_decision_states_its_margin(gap, marginal):
+    # Type I coins near the rank-3 boundary delta1 = delta2: the least singular
+    # value of A over the largest is gap / 2, kept above linalg.RANK_TOL
+    coin = coins.coin_for(coins.TypeIParams(0.7, 0.7 + gap, 0.3, 1.1, 2.0, 0.4, 5.0))
+    _, _, seed_cells = laurent._flat_bands(coin)
+    cell = next(iter(seed_cells.values()))[0]
+    ratios = np.linalg.svd(coins.balance_matrices(cell).a, compute_uv=False)
+    assert ratios[-1] / ratios[0] == pytest.approx(gap / 2, rel=1e-3)
+    result = classify.classify_coin(coin)
+    assert (result.family, result.rank_a, result.marginal) == ("TypeI", 4, marginal)
+    assert result.params is not None
 
 
 # Grover times cos(eps) I + sin(eps) G on two directions, G^2 = -I

@@ -254,25 +254,45 @@ def _scan_coin(seed, base, index):
             return coin
 
 
-@pytest.mark.parametrize("seed, base, index, family", [
-    (0, 5, 93, "NotTrapping"), (2, 5, 148, "TypeIIa"), (2, 8, 23, "TypeI")])
+# Scan coins whose seed member fails its kernel solve or cell check while its
+# partner passes: the pair counts as flat, and the classification is marginal.
+SEED_FAILS = [(0, 1, 14, "TypeIIa"), (0, 5, 93, "TypeIIa"), (2, 4, 145, "TypeIIa"),
+              (2, 6, 146, "TypeI"), (2, 7, 127, "TypeI")]
+
+
+@pytest.mark.parametrize("seed, base, index, family",
+                         [(2, 5, 148, "TypeIIa"), (2, 8, 23, "TypeI")] + SEED_FAILS)
 def test_localized_cells_at_every_reported_eigenphase(seed, base, index, family):
     # Near-trapping coins whose partner eigenphase lies too far from the seed's
     # antipode for a kernel solve there: the partner's cells are the chiral
-    # partners of the seed's.  The first coin's member at angle -9e-10 fails
-    # its solve, so as the seed it leaves the pair out.
+    # partners of the seed's.  For SEED_FAILS it is the other way round: the
+    # seed's cells are the chiral partners of those solved at the partner.
     coin = _scan_coin(seed, base, index)
     result = classify.classify_coin(coin)
-    assert result.family == family and result.marginal == (family == "NotTrapping")
+    assert result.family == family
+    assert result.marginal == ((seed, base, index, family) in SEED_FAILS)
     _, _, seed_cells = laurent._flat_bands(coin)
     for lam, _ in result.eigenphases:
         cells = laurent.localized_cells(coin, lam)
+        # within KERNEL_REL_TOL of a reported eigenphase, cells are returned too
+        assert laurent.localized_cells(coin, lam * np.exp(1e-10j))
         if lam not in seed_cells:
             seed = next(s for s in seed_cells if abs(s + lam) < 1e-8)
             expected = [cell.chiral_partner() for cell in seed_cells[seed]]
-            assert [cell.eigenphase for cell in cells] == [-seed] * len(expected)
+            assert [cell.eigenphase for cell in cells] == [p.eigenphase for p in expected]
             for cell, partner in zip(cells, expected):
                 assert np.max(np.abs(cell.amplitudes - partner.amplitudes)) < 1e-14
+
+
+def test_cell_norm_follows_the_rank_of_its_balance_matrix():
+    # a Type I coin 1e-6 from the rank-3 boundary delta1 = delta2: A keeps
+    # full rank at linalg.RANK_TOL, so its cell takes the full-rank norm
+    coin = coins.coin_for(coins.TypeIParams(0.7, 0.7 + 1e-6, 0.3, 1.1, 2.0, 0.4, 5.0))
+    result = classify.classify_coin(coin)
+    assert (result.family, result.rank_a) == ("TypeI", 4) and result.params is not None
+    for lam, _ in result.eigenphases:
+        for cell in laurent.localized_cells(coin, lam):
+            assert cell.norm == coins.NORM_FULL_RANK
 
 
 def test_partner_cells_match_a_solve_at_the_partner(rng):

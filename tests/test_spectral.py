@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from trapwalk import classify, coins, laurent, spectral
+from trapwalk import classify, coins, spectral
 from trapwalk.linalg import unitarity_defect
 
 from conftest import DRAWERS, draw_type_i, perturbed
@@ -149,10 +149,6 @@ def test_beta_of_near_trapping_coins_stays_on_its_side_of_the_cut():
             spec = spectral._coin_dispersion(coin, result.eigenphases[0][0], result.family)
             assert abs(spec.beta) < 1e-8, s
     assert trapping >= 30
-
-
-def test_beta_cut_tolerance_is_the_flat_decisions():
-    assert spectral._BETA_CUT_TOL == laurent._FLAT_TOL
 
 
 def test_dispersion_values_full_rank():

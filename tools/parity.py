@@ -19,20 +19,25 @@ DIR receives
   reports, chiral partners included, and the trapped-weight operator at
   grid 64 (NaN where the coin does not trap);
 * ``walk.npz``: for the Grover, fig2, fig4 and fig6 coins, a 150-step
-  ``simulate`` from one fixed coin state: P(0, 0, t) and the final snapshot.
+  ``simulate`` from one fixed coin state: P(0, 0, t) and the final snapshot;
+* ``near.json``: the classify JSON, or its error, of the 2700 coins of a
+  seeded near-trapping scan (``near_coins``), one line per coin.
 
 ``--diff`` compares two snapshots: the JSON files byte for byte, the cells,
 operators and walks bit for bit (with the largest deviation of the cells
 and of each walk array that differs), the escaping-subspace projectors to
 their largest entrywise deviation, and the dispersions to their largest
 deviation in rho, e^{i beta}, e^{i phi}, and in omega, group velocity and
-area as this tree computes them.  It exits nonzero when the classify JSON,
-the cells, the operators or the walks differ, or a dispersion changes kind.
+area as this tree computes them.  It lists each near-trapping coin whose
+family or ``marginal`` flag changed.  It exits nonzero when the classify JSON,
+the cells, the operators, the walks or the near-trapping JSON differ, or a
+dispersion changes kind.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -51,6 +56,35 @@ def coin_set() -> list[np.ndarray]:
     rng = np.random.default_rng(5)
     out += [random_unitary(rng) for _ in range(300)]
     return out + [coins.grover_coin(), hadamard_tensor_coin()] + DEGENERATE_COINS
+
+
+def near_coins():
+    """(seed, base, index) and coin of the near-trapping scan, in order.
+
+    For seeds 0 and 2 the bases are Grover, then five Type IIa and three Type I
+    draws; each is perturbed 150 times by expm(i eps H), eps log-uniform in
+    [1e-11, 3e-8].  The same recipe as ``_scan_coin`` in ``tests/test_laurent.py``,
+    kept here so that the tool runs in a tree without it.
+    """
+    from trapwalk import coins
+    from conftest import DRAWERS, perturbed
+
+    for seed in (0, 2):
+        rng = np.random.default_rng(seed)
+        bases = [coins.grover_coin()] + [coins.coin_for(DRAWERS[family](rng))
+                                         for family in ["TypeIIa"] * 5 + ["TypeI"] * 3]
+        for b, k in itertools.product(range(len(bases)), range(150)):
+            eps = float(np.exp(rng.uniform(np.log(1e-11), np.log(3e-8))))
+            yield (seed, b, k), perturbed(bases[b], eps, rng)
+
+
+def _classified(coin) -> str:
+    from trapwalk import classify
+
+    try:
+        return classify.classification_to_json(classify.classify_coin(coin))
+    except Exception as exc:
+        return _error(exc)
 
 
 def _error(exc: Exception) -> str:
@@ -111,7 +145,10 @@ def snapshot(out: Path) -> None:
         walks[f"{name}_p_origin"] = traj.p_origin
         walks[f"{name}_prob"] = traj.snapshots[150].prob
     np.savez(out / "walk.npz", **walks)
-    print(f"{len(classified)} coins written to {out}")
+    near = [json.dumps({"coin": key, "result": json.loads(_classified(coin))})
+            for key, coin in near_coins()]
+    (out / "near.json").write_text("\n".join(near) + "\n")
+    print(f"{len(classified)} coins and {len(near)} near-trapping coins written to {out}")
 
 
 def _projectors(path: Path) -> list[np.ndarray | None]:
@@ -161,7 +198,24 @@ def diff(old: Path, new: Path) -> int:
         if p is not None:
             deviation = max(deviation, float(np.abs(p - q).max(initial=0.0)))
     print(f"escape projectors: max deviation {deviation:.1e}")
+    status |= _diff_near(old / "near.json", new / "near.json")
     return int(status) | _diff_dispersions(old / "dispersion.json", new / "dispersion.json")
+
+
+def _diff_near(old: Path, new: Path) -> int:
+    """List the near-trapping coins whose family or marginal flag changed; 1 on any difference."""
+    a, b = (path.read_text().splitlines() for path in (old, new))
+    differing = sum(x != y for x, y in zip(a, b)) + abs(len(a) - len(b))
+    print(f"near.json: {differing} of {len(b)} lines differ")
+
+    def label(doc):
+        result = doc["result"]
+        return result.get("family", result.get("error")), bool(result.get("marginal"))
+
+    for x, y in zip(map(json.loads, a), map(json.loads, b)):
+        if label(x) != label(y):
+            print(f"near {tuple(y['coin'])}: {label(x)} -> {label(y)}")
+    return int(differing > 0)
 
 
 def _spec_lines(path: Path) -> list:
