@@ -18,7 +18,7 @@ import numpy as np
 
 from . import coins as _coins
 from .errors import NotTrappingError
-from .laurent import _flat_bands
+from .laurent import _band_cells, _flat_bands
 from .linalg import RANK_TOL, _rank_decision, fix_vector_phase, require_unitary
 
 __all__ = [
@@ -58,10 +58,11 @@ class ClassificationResult:
     arrangements.  ``fully_trapped`` marks coins with four constant
     eigenvalues (no state can leave the 3x3 neighborhood of its start).
     ``marginal`` flags a closed-form decision (mixed-minor size, edge size,
-    root residual or double-root split) within ten times its threshold, a
-    pair whose seed failed the kernel solve or the cell check (kept if its
-    partner passed them, else left out), or a rank of A with a kept singular
-    value within ten times ``linalg.RANK_TOL`` of the largest.
+    root residual or double-root split) within a factor ten of its threshold
+    on either side, a pair whose seed failed the kernel solve or the cell
+    check (kept if its partner passed them, else left out), or a rank of A
+    with a singular value within a factor ten of ``linalg.RANK_TOL`` times the
+    largest, on either side (``linalg._marginal``).
     """
 
     trapping: bool
@@ -75,14 +76,15 @@ class ClassificationResult:
     marginal: bool = False
 
 
-def _rank_and_escaping(spectrum, seed_cells) -> tuple[int, np.ndarray, bool]:
-    """Rank of the first seed cell's A, the escaping subspace (the kernel of A†),
-    and the rank's margin (a kept singular value within ten times RANK_TOL).
+def _rank_and_escaping(spectrum, solved) -> tuple[int, np.ndarray, bool]:
+    """Rank of the first cell's A at the first reported eigenphase, the escaping
+    subspace (the kernel of A†), and the rank's margin (a singular value within
+    a factor ten of RANK_TOL times the largest, on either side).
 
     A partner's A is ``A diag(1, -1, -1, 1)``, and a coin with one flat pair
     has one cell.  When all bands are flat their projectors sum to I: no state escapes.
     """
-    cell = next(iter(seed_cells.values()))[0]
+    cell = _band_cells(solved, spectrum[0][0])[0]
     rank, kernel, marginal = _rank_decision(_coins._balance_pair(cell.amplitudes)[0], RANK_TOL)
     return rank, kernel if sum(m for _, m in spectrum) < 4 else kernel[:, :0], marginal
 
@@ -99,10 +101,10 @@ def escaping_subspace(coin) -> np.ndarray:
     NotTrappingError
         If the coin has no constant eigenvalue.
     """
-    spectrum, _, seed_cells = _flat_bands(require_unitary(coin))
+    spectrum, _, solved = _flat_bands(require_unitary(coin))
     if not spectrum:
         raise NotTrappingError("coin is not trapping; every coin state escapes")
-    return _rank_and_escaping(spectrum, seed_cells)[1]
+    return _rank_and_escaping(spectrum, solved)[1]
 
 
 # Below this fraction of a = |A|^2 + |B|^2 the row formula for |v|^2 has
@@ -180,19 +182,17 @@ def _weight_operator(coin_bytes: bytes, grid_n: int) -> np.ndarray:
     kept; an exception (a coin that does not trap) is not cached.
     """
     c = np.frombuffer(coin_bytes, dtype=np.complex128).reshape(4, 4)
-    spectrum, _, seed_cells = _flat_bands(c)
+    spectrum, _, solved = _flat_bands(c)
     if not spectrum:
         raise NotTrappingError("coin is not trapping")
     k = -np.pi + 2.0 * np.pi * (np.arange(grid_n) + 0.5) / grid_n
     z = np.exp(1j * k)
     op = np.zeros((4, 4), dtype=np.complex128)
-    # The partner band's cells are the chiral partners of the seed band's.
-    for cells in seed_cells.values():
-        for group in (cells, [cell.chiral_partner() for cell in cells]):
-            # Distinct cells of a direct sum live in orthogonal sectors, so
-            # their projectors add without re-orthonormalization.
-            band = sum(_band_projector(cell, z, z) for cell in group)
-            op += band.conj().T @ band
+    for lam, _ in spectrum:
+        # Distinct cells of a direct sum live in orthogonal sectors, so
+        # their projectors add without re-orthonormalization.
+        band = sum(_band_projector(cell, z, z) for cell in _band_cells(solved, lam))
+        op += band.conj().T @ band
     return (op + op.conj().T) / 2
 
 
@@ -229,7 +229,7 @@ def classify_coin(coin) -> ClassificationResult:
     NotTrapping and ``marginal``.
     """
     c = require_unitary(coin)
-    spectrum, marginal, seed_cells = _flat_bands(c)
+    spectrum, marginal, solved = _flat_bands(c)
     if not spectrum:
         return ClassificationResult(
             trapping=False, eigenphases=(), family="NotTrapping", marginal=marginal,
@@ -237,7 +237,7 @@ def classify_coin(coin) -> ClassificationResult:
     total_mult = sum(m for _, m in spectrum)
     fully = total_mult >= 4
     phases = tuple(spectrum)
-    rank, escaping, rank_marginal = _rank_and_escaping(spectrum, seed_cells)
+    rank, escaping, rank_marginal = _rank_and_escaping(spectrum, solved)
     esc_dim = escaping.shape[1]
     marginal |= rank_marginal
 
@@ -247,13 +247,12 @@ def classify_coin(coin) -> ClassificationResult:
             escaping_dim=esc_dim, fully_trapped=fully, marginal=marginal,
         )
 
-    cells = next(iter(seed_cells.values()))
     family = _FAMILY_BY_RANK.get(rank)
     if family is None:
         raise NotTrappingError(f"amplitude matrix has unexpected rank {rank}")
 
     variant = _coins._iib_variant(c) if family == "TypeIIb" else None
-    params = None if fully else _rebuilding_params(cells[0], family, c)
+    params = None if fully else _rebuilding_params(_band_cells(solved, spectrum[0][0])[0], family, c)
     return ClassificationResult(
         trapping=True, eigenphases=phases, family=family, rank_a=rank,
         escaping_dim=esc_dim, variant=variant, params=params,

@@ -8,6 +8,7 @@ module rejects the input.
 
 import argparse
 import contextlib
+import dataclasses
 import functools
 import json
 import math
@@ -32,9 +33,9 @@ from .errors import TrapwalkError
 
 __all__ = ["main", "build_parser"]
 
-_ANGLE_ARGS = ("delta", "delta1", "delta2", "delta3", "eta", "phi",
-               "alpha", "beta", "gamma", "phi_d", "phi_e", "phi_f",
-               "phi_g", "phi_h")
+# The family parameter classes by their --family name: I, IIa, IIb.
+_FAMILIES = {cls.family.removeprefix("Type"): cls
+             for cls in (_coins.TypeIParams, _coins.TypeIIaParams, _coins.TypeIIbParams)}
 
 
 def _atomic_write(path: str, write):
@@ -71,39 +72,32 @@ def _emit_json(text: str, path: str | None):
 
 
 def _add_family_arguments(parser: argparse.ArgumentParser, required: bool = True):
-    parser.add_argument("--family", required=required, choices=["I", "IIa", "IIb"],
+    parser.add_argument("--family", required=required, choices=list(_FAMILIES),
                         help="coin family")
     parser.add_argument("--variant", type=int, choices=[1, 2], default=1,
                         help="rank-2 sub-family arrangement (IIb only)")
-    for name in _ANGLE_ARGS:
+    # every other field is an angle, flagged once each in first-seen order
+    for name in dict.fromkeys(f.name for cls in _FAMILIES.values()
+                              for f in dataclasses.fields(cls) if f.name != "variant"):
         parser.add_argument(f"--{name.replace('_', '-')}", type=float, default=None)
     parser.add_argument("--degrees", action="store_true",
                         help="interpret all angle arguments as degrees")
 
 
 def _family_params(args) -> _coins.FamilyParams:
-    def angle(name, default=0.0):
-        value = getattr(args, name)
+    """The family's parameters; a field with no default needs its flag."""
+    cls, values = _FAMILIES[args.family], {}
+    for field in dataclasses.fields(cls):
+        value = getattr(args, field.name)
+        if value is None and field.default is dataclasses.MISSING:
+            raise TrapwalkError(f"--{field.name.replace('_', '-')} is required "
+                                f"for family {args.family}")
         if value is None:
-            return default
-        return math.radians(value) if args.degrees else float(value)
-
-    def required(name):
-        if getattr(args, name) is None:
-            raise TrapwalkError(f"--{name.replace('_', '-')} is required for family {args.family}")
-        return angle(name)
-
-    phases = {k: angle(k) for k in ("phi_d", "phi_e", "phi_f", "phi_g", "phi_h")}
-    if args.family == "I":
-        return _coins.TypeIParams(required("delta1"), required("delta2"), **phases)
-    if args.family == "IIa":
-        return _coins.TypeIIaParams(required("delta1"), required("delta2"),
-                                    required("delta3"), required("eta"), **phases)
-    return _coins.TypeIIbParams(
-        variant=args.variant, delta=required("delta"), phi=angle("phi"),
-        alpha=angle("alpha"), beta=angle("beta"), gamma=angle("gamma"),
-        phi_f=angle("phi_f"),
-    )
+            value = field.default
+        elif args.degrees and field.name != "variant":
+            value = math.radians(value)
+        values[field.name] = value
+    return cls(**values)
 
 
 def _cmd_coin(args) -> int:

@@ -36,7 +36,7 @@ import numpy as np
 
 from . import coins as _coins
 from .errors import DegenerateMinorError, KernelInconsistencyError, NotTrappingError
-from .linalg import RANK_TOL, fix_vector_phase, require_unitary
+from .linalg import RANK_TOL, _marginal, fix_vector_phase, require_unitary
 from .spectral import _momentum_operator
 
 __all__ = [
@@ -59,10 +59,11 @@ ZERO_REL_TOL = 1e-10       # identity-zero test: largest coefficient magnitude a
 #   polynomial or root residual of _charpoly below it is zero; so is a coin
 #   entry in the direct-sum pattern tests.  _DOUBLE_ROOT_TOL: a smaller split of
 #   the quadratic center is a double root (rounding splits one by ~sqrt(eps)).
-#   A value within ten times its threshold makes the decision marginal.
+#   A value within a factor ten of its threshold, on either side
+#   (linalg._marginal), makes the decision marginal.
 # - KERNEL_REL_TOL: the relative singular value under which the 16 x 8 cell
-#   system has a kernel, and how near a confirmed eigenphase localized_cells
-#   takes one.  coins.AmplitudeCell.validate (1e-10): the cell check.  A pair
+#   system has a kernel, and how near a reported eigenphase localized_cells
+#   answers.  coins.AmplitudeCell.validate (1e-10): the cell check.  A pair
 #   counts as flat if its seed, or failing that its partner, passes the solve
 #   and the check; a pair whose seed fails either is marginal.
 # - 1e-9: an angle that close below 2 pi sorts as 0, the canonical angle.
@@ -136,24 +137,23 @@ def _flat_roots(coeffs: np.ndarray):
 
 
 def _flat_bands(c: np.ndarray):
-    """The one flat-band decision: point spectrum, marginal flag and seed cells.
+    """The one flat-band decision: point spectrum, marginal flag and solved cells.
 
     ``c`` must be a checked unitary coin.  Each root +-sqrt(w) of multiplicity
     m becomes the nearest eigenvalue of U(0) = C, or of U at the other
     momentum where the (m+1)-th nearest is within coins._FLAT_TOL at k = 0 but
     not there.  A pair's seed is its member that sorts first in the spectrum.
     The pair counts if the seed's cells solve and check, or else, marginally,
-    its partner's.  ``seed_cells`` maps each seed to its cells; since
-    S(k + pi) = -S(k), the cells at the partner are their chiral partners, and
-    a seed whose own solve failed takes the partners of its partner's cells.
+    its partner's.  ``solved`` maps the member solved in each pair to its
+    cells; ``_band_cells`` reads the cells of any reported eigenphase off it.
     """
     def angle(item):
         ang = float(np.angle(item[0])) % (2 * np.pi)
         return 0.0 if ang > 2 * np.pi - 1e-9 else ang
 
     roots, decisions = _flat_roots(_charpoly(c))
-    marginal = any(thr <= value < 10 * thr for value, thr in decisions)
-    spectrum, seeds = [], []
+    marginal = any(_marginal(value, thr) for value, thr in decisions)
+    spectrum, solved = [], []
     if roots:
         ev = np.linalg.eigvals(_momentum_operator(c, *_POLISH_K))
     for w, mult in roots:
@@ -165,16 +165,28 @@ def _flat_bands(c: np.ndarray):
             lam = ev[k, np.argmin(dist[k])]
             pair.append((complex(lam / abs(lam)), mult))
         pair.sort(key=angle)
-        for i, (lam, _) in enumerate(pair):
+        for lam, _ in pair:
             try:
-                cells = _localized_cells(c, lam)
+                solved.append((lam, _localized_cells(c, lam)))
             except (KernelInconsistencyError, ValueError):
                 marginal = True
                 continue
-            seeds.append((pair[0][0], _partner_cells(cells) if i else cells))
             spectrum += pair
             break
-    return sorted(spectrum, key=angle), marginal, dict(sorted(seeds, key=angle))
+    return sorted(spectrum, key=angle), marginal, dict(sorted(solved, key=angle))
+
+
+def _band_cells(solved, z: complex) -> list[_coins.AmplitudeCell]:
+    """The cells of the reported eigenphase ``z``: those ``_flat_bands`` solved
+    there, or else, since S(k + pi) = -S(k), the chiral partners of those it
+    solved at the pair's other member, gauge-fixed again.  Partner cells are
+    built here only.
+    """
+    if z in solved:
+        return solved[z]
+    partners = (cell.chiral_partner() for cell in solved[min(solved, key=lambda s: abs(s + z))])
+    return [_coins.AmplitudeCell(*fix_vector_phase(p.amplitudes), eigenphase=p.eigenphase,
+                                 norm=p.norm) for p in partners]
 
 
 class LaurentPoly:
@@ -480,33 +492,26 @@ def localized_cells(coin, eigenphase: complex) -> list[_coins.AmplitudeCell]:
     not reported separately.  Each cell is validated once, here.
 
     Raises NotTrappingError unless ``eigenphase`` is within ``KERNEL_REL_TOL``
-    of a confirmed flat eigenphase.  Near a seed the cells are solved at
-    ``eigenphase`` (at the seed itself, the seed's own solve is reused; a
-    seed whose own solve failed returns its cells, the chiral partners of
-    those solved at its partner); near a partner they are the chiral
-    partners of the seed's confirmed cells, gauge-fixed again.
+    of a reported flat eigenphase.  At a reported eigenphase itself the cells
+    are those of the flat-band decision: the ones solved there, or the chiral
+    partners of those solved at its pair's other member.  Near one they are
+    solved at ``eigenphase``, and are those same cells when that solve or its
+    cell check fails.
     """
     c = require_unitary(coin)
     lam = complex(eigenphase)
     if not abs(abs(lam) - 1.0) <= 1e-9:
         raise ValueError(f"eigenphase must have unit modulus, got |{lam}| = {abs(lam)}")
-    spectrum, _, seed_cells = _flat_bands(c)
+    spectrum, _, solved = _flat_bands(c)
     flat = next((z for z, _ in spectrum if abs(lam - z) <= KERNEL_REL_TOL), None)
     if flat is None:
         raise NotTrappingError(f"{lam} is not a constant eigenvalue of the walk operator")
-    if flat in seed_cells:
-        # at the seed itself, bit for bit, _flat_bands has made this very solve
-        cells = seed_cells[flat]
-        same = np.complex128(lam).tobytes() == np.complex128(flat).tobytes()
-        return cells if same or cells[0].eigenphase != flat else _localized_cells(c, lam)
-    return _partner_cells(seed_cells[min(seed_cells, key=lambda s: abs(s + flat))])
-
-
-def _partner_cells(cells) -> list[_coins.AmplitudeCell]:
-    """The chiral partners of ``cells``, gauge-fixed again."""
-    partners = (cell.chiral_partner() for cell in cells)
-    return [_coins.AmplitudeCell(*fix_vector_phase(p.amplitudes), eigenphase=p.eigenphase,
-                                 norm=p.norm) for p in partners]
+    if lam != flat:
+        try:
+            return _localized_cells(c, lam)
+        except (KernelInconsistencyError, ValueError):
+            pass
+    return _band_cells(solved, flat)
 
 
 def _localized_cells(c: np.ndarray, lam: complex) -> list[_coins.AmplitudeCell]:

@@ -105,8 +105,8 @@ def numerical_rank(m, tol: float = RANK_TOL) -> tuple[int, np.ndarray]:
 
 
 def _rank_decision(a: np.ndarray, tol: float) -> tuple[int, np.ndarray, bool]:
-    """``numerical_rank`` of a checked matrix, and its margin: whether a kept
-    singular value lies within ten times the threshold ``tol * s[0]``.
+    """``numerical_rank`` of a checked matrix, and its margin: whether a
+    singular value is ``_marginal`` against the threshold ``tol * s[0]``.
     """
     u, s, _ = np.linalg.svd(a)
     if s.size == 0 or s[0] == 0.0:
@@ -116,4 +116,11 @@ def _rank_decision(a: np.ndarray, tol: float) -> tuple[int, np.ndarray, bool]:
     if kernel.shape[1]:
         kernel = np.column_stack([fix_vector_phase(kernel[:, i])
                                   for i in range(kernel.shape[1])])
-    return int(kept.sum()), kernel, bool(np.any(kept & (s < 10 * tol * s[0])))
+    return int(kept.sum()), kernel, any(_marginal(value, tol * s[0]) for value in s)
+
+
+def _marginal(value: float, threshold: float) -> bool:
+    """Whether a decision value lies within a factor ten of its threshold, on
+    either side: ``threshold / 10 <= value < 10 * threshold``.
+    """
+    return bool(threshold / 10 <= value < 10 * threshold)

@@ -63,20 +63,37 @@ def test_marginal_flag():
     assert coins._FLAT_TOL <= edges < 10 * coins._FLAT_TOL
     result = classify.classify_coin(coin)
     assert result.family == "TypeIIa" and result.marginal
+    # a Type IIa coin times expm(i 2e-9 H): its root residual of 3.2e-9 is decided
+    # zero, but within ten times below its threshold; the seed solves and checks,
+    # so only the decision value flags it
+    base = coins.coin_type_iia(coins.TypeIIaParams(0.7, 0.5, 0.9, 2.0, 0.3, 1.1, 2.2, 0.7, 1.9))
+    coin = perturbed(base, 2e-9, np.random.default_rng(204))
+    residual = laurent._flat_roots(laurent._charpoly(coin))[1][-1][0]
+    assert coins._FLAT_TOL / 10 <= residual < coins._FLAT_TOL
+    spectrum, _, solved = laurent._flat_bands(coin)
+    assert spectrum[0][0] in solved
+    result = classify.classify_coin(coin)
+    assert result.family == "TypeIIa" and result.marginal
 
 
-@pytest.mark.parametrize("gap, marginal", [(1e-7, True), (1e-5, False)])
-def test_rank_decision_states_its_margin(gap, marginal):
+RANK_MARGINS = [(1e-5, "TypeI", 4, False), (1e-7, "TypeI", 4, True), (1e-8, "TypeIIa", 3, True)]
+
+
+@pytest.mark.parametrize("gap, family, rank, marginal", RANK_MARGINS,
+                         ids=[f"{gap}-{marginal}" for gap, *_, marginal in RANK_MARGINS])
+def test_rank_decision_states_its_margin(gap, family, rank, marginal):
     # Type I coins near the rank-3 boundary delta1 = delta2: the least singular
-    # value of A over the largest is gap / 2, kept above linalg.RANK_TOL
+    # value of A over the largest is gap / 2.  Within a factor ten of
+    # linalg.RANK_TOL, kept above it (1e-7) or dropped below it (1e-8), the
+    # rank is marginal; a dropped one makes the coin Type IIa, with no params.
     coin = coins.coin_for(coins.TypeIParams(0.7, 0.7 + gap, 0.3, 1.1, 2.0, 0.4, 5.0))
     _, _, seed_cells = laurent._flat_bands(coin)
     cell = next(iter(seed_cells.values()))[0]
     ratios = np.linalg.svd(coins.balance_matrices(cell).a, compute_uv=False)
     assert ratios[-1] / ratios[0] == pytest.approx(gap / 2, rel=1e-3)
     result = classify.classify_coin(coin)
-    assert (result.family, result.rank_a, result.marginal) == ("TypeI", 4, marginal)
-    assert result.params is not None
+    assert (result.family, result.rank_a, result.marginal) == (family, rank, marginal)
+    assert (result.params is not None) == (family == "TypeI")
 
 
 # Grover times cos(eps) I + sin(eps) G on two directions, G^2 = -I

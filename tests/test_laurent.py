@@ -260,28 +260,43 @@ SEED_FAILS = [(0, 1, 14, "TypeIIa"), (0, 5, 93, "TypeIIa"), (2, 4, 145, "TypeIIa
               (2, 6, 146, "TypeI"), (2, 7, 127, "TypeI")]
 
 
+# Scan coins whose kernel solve or cell check fails within KERNEL_REL_TOL of
+# the seed, though both pass at the seed itself.
+NEAR_SEED_FAILS = [(0, 0, 39, "TypeIIa"), (0, 1, 43, "TypeIIa"), (0, 5, 142, "TypeIIa"),
+                   (2, 6, 120, "TypeI")]
+
+
 @pytest.mark.parametrize("seed, base, index, family",
-                         [(2, 5, 148, "TypeIIa"), (2, 8, 23, "TypeI")] + SEED_FAILS)
+                         [(2, 5, 148, "TypeIIa"), (2, 8, 23, "TypeI")]
+                         + NEAR_SEED_FAILS + SEED_FAILS)
 def test_localized_cells_at_every_reported_eigenphase(seed, base, index, family):
-    # Near-trapping coins whose partner eigenphase lies too far from the seed's
-    # antipode for a kernel solve there: the partner's cells are the chiral
-    # partners of the seed's.  For SEED_FAILS it is the other way round: the
-    # seed's cells are the chiral partners of those solved at the partner.
+    # Near-trapping scan coins.  The partner's cells are the chiral partners of
+    # the seed's, also where the partner lies too far from the seed's antipode
+    # for a kernel solve there, as for (2, 5, 148) and (2, 8, 23).  For
+    # SEED_FAILS it is the other way round: the seed's cells are the chiral
+    # partners of those solved at the partner.
+    # All are marginal: (2, 5, 148) and (2, 8, 23) by their root residuals,
+    # 2.35e-9 and 3.97e-9, within a factor ten below coins._FLAT_TOL.
     coin = _scan_coin(seed, base, index)
     result = classify.classify_coin(coin)
     assert result.family == family
-    assert result.marginal == ((seed, base, index, family) in SEED_FAILS)
+    assert result.marginal
     _, _, seed_cells = laurent._flat_bands(coin)
     for lam, _ in result.eigenphases:
         cells = laurent.localized_cells(coin, lam)
-        # within KERNEL_REL_TOL of a reported eigenphase, cells are returned too
-        assert laurent.localized_cells(coin, lam * np.exp(1e-10j))
         if lam not in seed_cells:
             seed = next(s for s in seed_cells if abs(s + lam) < 1e-8)
             expected = [cell.chiral_partner() for cell in seed_cells[seed]]
             assert [cell.eigenphase for cell in cells] == [p.eigenphase for p in expected]
             for cell, partner in zip(cells, expected):
                 assert np.max(np.abs(cell.amplitudes - partner.amplitudes)) < 1e-14
+        # within KERNEL_REL_TOL of lam the cells are solved there, or are these
+        # when that solve or its cell check fails
+        for delta in (1e-12, 1e-10, 5e-10, 9e-10, -1e-12, -1e-10, -5e-10, -9e-10):
+            near = laurent.localized_cells(coin, lam * np.exp(1j * delta))
+            assert near
+            for cell in near:
+                cell.validate()
 
 
 def test_cell_norm_follows_the_rank_of_its_balance_matrix():
@@ -301,10 +316,10 @@ def test_partner_cells_match_a_solve_at_the_partner(rng):
     # with a = b = 0
     sample = DEGENERATE_COINS + [coins.coin_for(draw(rng)) for draw in DRAWERS.values()]
     for coin in sample:
-        _, _, seed_cells = laurent._flat_bands(coin)
-        for seed in seed_cells:
-            cells = laurent.localized_cells(coin, -seed)
-            solved = laurent._localized_cells(coin, -seed)
+        spectrum, _, solved_cells = laurent._flat_bands(coin)
+        for lam in (z for z, _ in spectrum if z not in solved_cells):
+            cells = laurent.localized_cells(coin, lam)
+            solved = laurent._localized_cells(coin, lam)
             assert len(cells) == len(solved)
             for cell, ref in zip(cells, solved):
                 assert np.max(np.abs(cell.amplitudes - ref.amplitudes)) < 1e-13

@@ -24,8 +24,9 @@ DIR receives
   seeded near-trapping scan (``near_coins``), one line per coin.
 
 ``--diff`` compares two snapshots: the JSON files byte for byte, the cells,
-operators and walks bit for bit (with the largest deviation of the cells
-and of each walk array that differs), the escaping-subspace projectors to
+operators and walks bit for bit (with the number of cells and of operators
+that differ and their largest deviation, NaN-aware, and the largest deviation
+of each walk array that differs), the escaping-subspace projectors to
 their largest entrywise deviation, and the dispersions to their largest
 deviation in rho, e^{i beta}, e^{i phi}, and in omega, group velocity and
 area as this tree computes them.  It lists each near-trapping coin whose
@@ -175,9 +176,9 @@ def diff(old: Path, new: Path) -> int:
             same = a[key].shape == b[key].shape and a[key].tobytes() == b[key].tobytes()
             print(f"{key}: {'bit-identical' if same else 'DIFFERENT'}")
             status |= not same
-            if key == "cells" and not same and a[key].shape == b[key].shape:
-                dev = np.abs(a[key] - b[key]).max(axis=1)
-                print(f"cells: {np.count_nonzero(dev)} of {len(dev)} differ, max deviation "
+            if key != "cell_counts" and not same and a[key].shape == b[key].shape:
+                dev = _deviations(a[key], b[key])
+                print(f"{key}: {np.count_nonzero(dev)} of {len(dev)} differ, max deviation "
                       f"{dev.max():.1e}, rows above 1e-8: {np.flatnonzero(dev > 1e-8).tolist()}")
     with np.load(old / "walk.npz") as a, np.load(new / "walk.npz") as b:
         keys = sorted(set(a.files) | set(b.files))
@@ -200,6 +201,17 @@ def diff(old: Path, new: Path) -> int:
     print(f"escape projectors: max deviation {deviation:.1e}")
     status |= _diff_near(old / "near.json", new / "near.json")
     return int(status) | _diff_dispersions(old / "dispersion.json", new / "dispersion.json")
+
+
+def _deviations(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Largest entrywise deviation of each row (cell, or coin's operator) of two
+    equal-shape arrays: NaN in both (a coin that does not trap) is none, NaN in one
+    is infinite.
+    """
+    dev = np.abs(a - b).reshape(len(a), -1)
+    dev[np.isnan(dev)] = np.inf
+    dev[(np.isnan(a) & np.isnan(b)).reshape(dev.shape)] = 0.0
+    return dev.max(axis=1, initial=0.0)
 
 
 def _diff_near(old: Path, new: Path) -> int:
