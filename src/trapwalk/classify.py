@@ -221,10 +221,10 @@ def classify_coin(coin) -> ClassificationResult:
     amplitude matrix A and maps rank 4/3/2 to Type I/IIa/IIb.  Coins whose
     constant eigenvalues carry multiplicity two or more are direct sums of
     one-dimensional trapping coins and are reported as DirectSumDegenerate.
-    Parameter recovery is attempted for every family unless the coin is
-    fully trapped; ``params`` stays None when it fails or when
-    ``lam * coin_for(params)``, lam the first reported eigenphase, misses
-    the coin by more than 1e-9.  A coin too near a trapping coin for the
+    Unless the coin is fully trapped, ``params`` is what
+    :func:`recover_parameters` returns for the cell at the first reported
+    eigenphase lam, so ``lam * coin_for(params)`` rebuilds the coin to 1e-9;
+    it stays None when recovery raises.  A coin too near a trapping coin for the
     kernel solve or the cell check at both members of its pair is
     NotTrapping and ``marginal``.
     """
@@ -252,29 +252,17 @@ def classify_coin(coin) -> ClassificationResult:
         raise NotTrappingError(f"amplitude matrix has unexpected rank {rank}")
 
     variant = _coins._iib_variant(c) if family == "TypeIIb" else None
-    params = None if fully else _rebuilding_params(_band_cells(solved, spectrum[0][0])[0], family, c)
+    params = None
+    if not fully:
+        try:
+            params = recover_parameters(_band_cells(solved, spectrum[0][0])[0], family, c)
+        except (ValueError, ArithmeticError):
+            pass
     return ClassificationResult(
         trapping=True, eigenphases=phases, family=family, rank_a=rank,
         escaping_dim=esc_dim, variant=variant, params=params,
         fully_trapped=fully, marginal=marginal,
     )
-
-
-# Recovered parameters are kept only if they rebuild the coin this closely.
-_REBUILD_TOL = 1e-9
-
-
-def _rebuilding_params(cell: _coins.AmplitudeCell, family: str, c) -> _coins.FamilyParams | None:
-    """Recovered parameters with ``lam * coin_for(params) == c``, lam the cell's eigenphase.
-
-    None when recovery fails or the parameters do not rebuild the coin.
-    """
-    try:
-        params = recover_parameters(cell, family, coin=c)
-        rebuilt = complex(cell.eigenphase) * _coins.coin_for(params)
-    except (ValueError, ArithmeticError):
-        return None
-    return params if np.max(np.abs(rebuilt - c)) <= _REBUILD_TOL else None
 
 
 def _phase_of(z: complex, mag: float) -> float | None:
@@ -285,59 +273,75 @@ def _recover_phases(amps, guards) -> tuple[float, float, float, float, float]:
     """Phases (phi_d, phi_e, phi_f, phi_g, phi_h) of a gauge-fixed cell.
 
     ``guards`` holds, for each amplitude a..h, the magnitude that multiplies
-    its phase.  A phase whose guard vanishes is read off its partner
-    amplitude (phi_h from c, phi_d from b), or set to zero.
+    its phase.  A phase whose guard vanishes is read off its partners through
+    arg c = phi_h - phi_f and arg b = phi_d + phi_e - phi_g, or set to zero.
     """
     _, b, c, d, e, f, g, h = amps
     _, gb, gc, gd, ge, gf, gg, gh = guards
-    phi_f = _phase_of(f, gf) or 0.0
-    phi_h = _phase_of(h, gh)
-    if phi_h is None:
+    phi_f, phi_h = _phase_of(f, gf), _phase_of(h, gh)
+    if phi_f is None or phi_h is None:
         arg_c = _phase_of(c, gc)
-        phi_h = (phi_f + arg_c) if arg_c is not None else 0.0
-    phi_e = _phase_of(e, ge) or 0.0
+        if phi_f is None:
+            phi_f = phi_h - arg_c if phi_h is not None and arg_c is not None else 0.0
+        if phi_h is None:
+            phi_h = phi_f + arg_c if arg_c is not None else 0.0
     phi_g = _phase_of(g, gg) or 0.0
-    phi_d = _phase_of(d, gd)
-    if phi_d is None:
+    phi_d, phi_e = _phase_of(d, gd), _phase_of(e, ge)
+    if phi_d is None or phi_e is None:
         arg_b = _phase_of(b, gb)
-        phi_d = (arg_b - phi_e + phi_g) if arg_b is not None else 0.0
+        if phi_e is None:
+            phi_e = arg_b - phi_d + phi_g if arg_b is not None and phi_d is not None else 0.0
+        if phi_d is None:
+            phi_d = arg_b - phi_e + phi_g if arg_b is not None else 0.0
     return phi_d, phi_e, phi_f, phi_g, phi_h
 
 
-def recover_parameters(cell: _coins.AmplitudeCell, family: str,
-                       coin=None) -> _coins.FamilyParams:
-    """Family parameters reproducing a given stationary cell.
+# Recovered parameters stand only if they rebuild the coin this closely.
+_REBUILD_TOL = 1e-9
+
+
+def recover_parameters(cell: _coins.AmplitudeCell, family: str, coin) -> _coins.FamilyParams:
+    """Family parameters of a trapping coin, read off its cell and the coin.
 
     The families are built with flat eigenvalues +-1, so the coin is read
-    as ``conj(lam) * coin`` with lam the cell's eigenphase, and the result
-    satisfies ``coin = lam * coin_for(params)``.  The gauge
-    (``linalg.fix_vector_phase``) makes the first amplitude above 1e-8 of
-    the largest one real and nonnegative.  For the
+    as ``conj(lam) * coin`` with lam the cell's eigenphase.  The parameters
+    are returned only if ``lam * coin_for(params)`` rebuilds the coin to
+    1e-9 in every entry; this is the one rule by which recovered parameters
+    stand.  The gauge (``linalg.fix_vector_phase``) makes the first
+    amplitude above 1e-8 of the largest one real and nonnegative.  For the
     rank-3 family the cell does not determine the extra rotation angle
-    ``eta``, so the coin itself is required: ``eta`` is read off the
-    structured product form by a Frobenius projection.  The rank-2 family
-    is read off the coin's unitary 2x2 block and trapping swap, so it
-    requires the coin too.
+    ``eta``, which is read off the structured product form of the coin by a
+    Frobenius projection.  The rank-2 family is read off the coin's unitary
+    2x2 block and trapping swap.
 
     Raises
     ------
     ValueError
-        If the cell violates the magnitude pattern of the requested family,
-        if a rank-2 coin is in neither sector arrangement, or if
-        ``family`` is 'TypeIIa' or 'TypeIIb' and no coin is supplied.
+        If the coin is not 4x4, if ``family`` is not TypeI, TypeIIa or
+        TypeIIb, if the parameters cannot be read (a rank-2 coin in neither
+        sector arrangement, angles outside the family's domain), or if they
+        miss the coin by more than 1e-9.
     """
-    if coin is not None:
-        coin = np.conj(complex(cell.eigenphase)) * np.asarray(coin)
+    lam = complex(cell.eigenphase)
+    coin = np.asarray(coin, dtype=np.complex128)
+    if coin.shape != (4, 4):
+        raise ValueError(f"expected a 4x4 coin, got shape {coin.shape}")
+    params = _read_parameters(cell, family, np.conj(lam) * coin)
+    miss = np.max(np.abs(lam * _coins.coin_for(params) - coin))
+    if not miss <= _REBUILD_TOL:
+        raise ValueError(f"recovered {family} parameters miss the coin by {miss:.1e} "
+                         f"(tolerance {_REBUILD_TOL:.0e})")
+    return params
+
+
+def _read_parameters(cell: _coins.AmplitudeCell, family: str, coin) -> _coins.FamilyParams:
+    """The parameters ``recover_parameters`` checks, read off the cell and ``conj(lam) * coin``."""
     if family == "TypeIIb":
-        if coin is None:
-            raise ValueError("recovering the rank-2 family requires the coin")
         return _recover_iib(coin)
     amps = fix_vector_phase(cell.amplitudes)
     a, b, c, d, e = amps[:5]
 
     if family == "TypeI":
-        if not (cell.is_full_rank_case() and not cell.is_rank_deficient_case()):
-            raise ValueError("cell does not satisfy the full-rank magnitude pattern")
         delta1 = math.atan2(abs(a), abs(b))
         delta2 = math.atan2(abs(c), abs(d))
         s1, c1 = math.sin(delta1), math.cos(delta1)
@@ -346,10 +350,6 @@ def recover_parameters(cell: _coins.AmplitudeCell, family: str,
         return _coins.TypeIParams(delta1, delta2, *phases)
 
     if family == "TypeIIa":
-        if not cell.is_rank_deficient_case():
-            raise ValueError("cell does not satisfy the rank-deficient magnitude pattern")
-        if coin is None:
-            raise ValueError("recovering eta for the rank-3 family requires the coin")
         delta1 = math.atan2(math.hypot(abs(a), abs(c)), math.hypot(abs(b), abs(e)))
         delta3 = math.atan2(abs(a), abs(c))
         delta2 = math.atan2(abs(b), abs(e))

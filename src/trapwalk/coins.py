@@ -337,22 +337,6 @@ class AmplitudeCell:
         """det A = b c f g - a d e h; zero exactly for the rank-deficient case."""
         return self.b * self.c * self.f * self.g - self.a * self.d * self.e * self.h
 
-    def _magnitude_case(self, pairs, tol: float) -> bool:
-        scale = max(float(np.max(np.abs(self.amplitudes))), 1e-300)
-        return all(abs(abs(p) - abs(q)) <= tol * scale for p, q in pairs)
-
-    def is_full_rank_case(self, tol: float = 1e-8) -> bool:
-        """Magnitude pattern |a|=|h|, |c|=|f|, |g|=|b|, |d|=|e|."""
-        return self._magnitude_case(
-            [(self.a, self.h), (self.c, self.f), (self.g, self.b), (self.d, self.e)], tol
-        )
-
-    def is_rank_deficient_case(self, tol: float = 1e-8) -> bool:
-        """Magnitude pattern |a|=|f|, |c|=|h|, |b|=|d|, |g|=|e|."""
-        return self._magnitude_case(
-            [(self.a, self.f), (self.c, self.h), (self.b, self.d), (self.g, self.e)], tol
-        )
-
     def validate(self, tol: float = 1e-10) -> None:
         """Check the detailed-balance amplitude constraints and the norm tag.
 

@@ -677,7 +677,7 @@ def test_recover_full_rank_roundtrip(rng):
         params = draw_type_i(rng)
         coin = coins.coin_type_i(params)
         cell, _ = coins.stationary_cell(params)
-        recovered = classify.recover_parameters(cell, "TypeI")
+        recovered = classify.recover_parameters(cell, "TypeI", coin)
         assert recovered.delta1 == pytest.approx(params.delta1, abs=1e-10)
         assert recovered.delta2 == pytest.approx(params.delta2, abs=1e-10)
         rebuilt = coins.coin_type_i(recovered)
@@ -685,12 +685,14 @@ def test_recover_full_rank_roundtrip(rng):
 
 
 def test_recover_gauge_skips_amplitudes_below_relative_threshold():
-    # |a| = |h| = 3e-9 lies above an absolute 1e-9 cut but below 1e-8 of the
-    # largest amplitude, so b sets the gauge and a's phase changes nothing
-    cell, _ = coins.stationary_cell(coins.TypeIParams(0.7, 1.1, 0.3, 1.2, 2.1, 0.4, 0.9))
-    assert 3e-9 < 1e-8 * np.max(np.abs(cell.amplitudes))
+    # |a| = |h| = 5e-10 lies below the absolute 1e-9 cut and below 1e-8 of
+    # the largest amplitude, so b sets the gauge and a's phase changes nothing
+    params = coins.TypeIParams(5e-10, 1.1, 0.3, 1.2, 2.1, 0.4, 0.9)
+    coin = coins.coin_for(params)
+    cell, _ = coins.stationary_cell(params)
+    assert abs(cell.a) < min(1e-9, 1e-8 * np.max(np.abs(cell.amplitudes)))
     recovered = [classify.recover_parameters(
-        dataclasses.replace(cell, a=3e-9 * np.exp(1j * theta), h=3e-9j), "TypeI")
+        dataclasses.replace(cell, a=abs(cell.a) * np.exp(1j * theta)), "TypeI", coin)
         for theta in (0.0, 2.0)]
     assert recovered[0] == recovered[1]
 
@@ -728,27 +730,47 @@ def test_recover_quasi_1d_roundtrip_through_classify(rng):
     assert seen == {1, 2}
 
 
-def test_recover_quasi_1d_requires_coin():
+def test_recover_quasi_1d_rejects_coin_in_neither_arrangement():
     cell, _ = coins.stationary_cell(coins.TypeIIbParams(variant=1, delta=0.7))
-    with pytest.raises(ValueError):
-        classify.recover_parameters(cell, "TypeIIb")
     with pytest.raises(ValueError):
         classify.recover_parameters(cell, "TypeIIb", coin=coins.grover_coin())
 
 
-def test_recover_rejects_mismatched_cell():
-    # |a| != |h| and |a| != |f|: violates both magnitude patterns
+def test_recover_rejects_mismatched_cell(rng):
+    # |a| != |h| and |a| != |f|: no family cell, so no parameters read off it
+    # rebuild either coin
     bad = coins.AmplitudeCell(0.9, 0.1, 0.3, 0.2, 0.2, 0.4, 0.1, 0.5, norm=1.0)
     with pytest.raises(ValueError):
-        classify.recover_parameters(bad, "TypeI")
+        classify.recover_parameters(bad, "TypeI", coins.coin_for(draw_type_i(rng)))
     with pytest.raises(ValueError):
-        classify.recover_parameters(bad, "TypeIIa", coin=coins.grover_coin())
+        classify.recover_parameters(bad, "TypeIIa", coins.grover_coin())
 
 
-def test_recover_rank3_requires_coin():
+def test_recover_raises_when_parameters_miss_the_coin():
+    # Grover's cell against Grover with one column rotated by 1e-6: no
+    # parameters read off them rebuild that coin (they miss it by ~6e-7)
+    coin = coins.grover_coin() @ np.diag([np.exp(1e-6j), 1, 1, 1])
     cell, _ = coins.stationary_cell(GROVER_PARAMS)
-    with pytest.raises(ValueError):
-        classify.recover_parameters(cell, "TypeIIa")
+    with pytest.raises(ValueError, match="miss the coin"):
+        classify.recover_parameters(cell, "TypeIIa", coin)
+    with pytest.raises(ValueError, match="4x4"):
+        classify.recover_parameters(cell, "TypeIIa", coins.grover_coin()[None])
+
+
+@pytest.mark.parametrize("delta2, delta3", [(np.pi / 2, 0.7), (0.5, 0.0)])
+def test_type_iia_angle_endpoints_keep_parameters(rng, delta2, delta3):
+    # at delta3 = 0 phi_f is read off h and c (a = f = 0); at delta2 = pi/2
+    # phi_e - phi_g is read off b and d (e = g = 0)
+    for _ in range(10):
+        eta = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.1, np.pi))
+        params = coins.TypeIIaParams(rng.uniform(0.1, 1.4), delta2, delta3, eta,
+                                     *rng.uniform(0, 2 * np.pi, 5))
+        coin = coins.coin_for(params)
+        res = classify.classify_coin(coin)
+        assert res.family == "TypeIIa" and not res.fully_trapped
+        assert res.params is not None
+        lam = res.eigenphases[0][0]
+        assert np.max(np.abs(lam * coins.coin_for(res.params) - coin)) <= 1e-9
 
 
 # ------------------------------------------------------------------ round trips
@@ -792,9 +814,8 @@ def test_params_rebuild_phase_rotated_coins(rng):
 
 
 def test_params_that_miss_the_coin_are_dropped(monkeypatch):
-    # a recovery that does not rebuild the coin is reported as no parameters
-    wrong = dataclasses.replace(GROVER_PARAMS, eta=2.0)
-    monkeypatch.setattr(classify, "recover_parameters", lambda cell, family, coin=None: wrong)
+    # parameters read wrong do not rebuild the coin and are reported as none
+    monkeypatch.setattr(classify, "_recover_eta", lambda *args: 2.0)
     res = classify.classify_coin(coins.grover_coin())
     assert res.family == "TypeIIa" and res.params is None
 

@@ -220,12 +220,10 @@ def test_cell_constraints_all_families(rng):
 def test_case_split_matches_family(rng):
     for _ in range(15):
         cell, _ = coins.stationary_cell(draw_type_i(rng))
-        assert cell.is_full_rank_case() and not cell.is_rank_deficient_case()
         assert abs(cell.balance_det()) > 1e-8
     for drawer in (draw_type_iia, draw_type_iib):
         for _ in range(15):
             cell, _ = coins.stationary_cell(drawer(rng))
-            assert cell.is_rank_deficient_case()
             assert abs(cell.balance_det()) < 1e-12
 
 

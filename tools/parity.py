@@ -21,7 +21,10 @@ DIR receives
 * ``walk.npz``: for the Grover, fig2, fig4 and fig6 coins, a 150-step
   ``simulate`` from one fixed coin state: P(0, 0, t) and the final snapshot;
 * ``near.json``: the classify JSON, or its error, of the 2700 coins of a
-  seeded near-trapping scan (``near_coins``), one line per coin.
+  seeded near-trapping scan (``near_coins``), one line per coin;
+* ``boundary.json``: the classify JSON, or its error, of 100 seeded
+  random-phase family coins with one angle at an endpoint of its range
+  (``boundary_coins``), one line per coin.
 
 ``--diff`` compares two snapshots: the JSON files byte for byte, the cells,
 operators and walks bit for bit (with the number of cells and of operators
@@ -30,9 +33,10 @@ of each walk array that differs), the escaping-subspace projectors to
 their largest entrywise deviation, and the dispersions to their largest
 deviation in rho, e^{i beta}, e^{i phi}, and in omega, group velocity and
 area as this tree computes them.  It lists each near-trapping coin whose
-family or ``marginal`` flag changed.  It exits nonzero when the classify JSON,
-the cells, the operators, the walks or the near-trapping JSON differ, or a
-dispersion changes kind.
+family or ``marginal`` flag changed, and each boundary coin whose family or
+whether it has ``params`` changed.  It exits nonzero when the classify JSON,
+the cells, the operators, the walks, the near-trapping or the boundary JSON
+differ, or a dispersion changes kind.
 """
 
 from __future__ import annotations
@@ -77,6 +81,41 @@ def near_coins():
         for b, k in itertools.product(range(len(bases)), range(150)):
             eps = float(np.exp(rng.uniform(np.log(1e-11), np.log(3e-8))))
             yield (seed, b, k), perturbed(bases[b], eps, rng)
+
+
+# The angles of each family that may sit at an endpoint, 0 or pi/2, of their range.
+_ENDPOINT_ANGLES = {"TypeI": ("delta1", "delta2"), "TypeIIa": ("delta2", "delta3"),
+                    "TypeIIb": ("delta",)}
+
+
+def boundary_coins():
+    """(family, angle, endpoint, index) and coin of the boundary set, in order.
+
+    For each angle of ``_ENDPOINT_ANGLES``, ten coins with that angle at 0 and
+    ten at pi/2.  The other angles are uniform in [0.1, pi/2 - 0.1], the phases
+    in [0, 2 pi), Type IIa's eta in +-[0.1, pi] and Type IIb's phi in [0, pi),
+    all from one generator (seed 23).  Built with the public family
+    constructors only, so the tool runs in older trees too.
+    """
+    from trapwalk import coins
+
+    rng = np.random.default_rng(23)
+    for family, names in _ENDPOINT_ANGLES.items():
+        for name, end, k in itertools.product(names, (0.0, np.pi / 2), range(10)):
+            angles = dict(zip(("delta1", "delta2", "delta3"), rng.uniform(0.1, np.pi / 2 - 0.1, 3)))
+            angles[name] = end
+            phases = rng.uniform(0, 2 * np.pi, 5)
+            if family == "TypeI":
+                params = coins.TypeIParams(angles["delta1"], angles["delta2"], *phases)
+            elif family == "TypeIIa":
+                eta = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.1, np.pi))
+                params = coins.TypeIIaParams(angles["delta1"], angles["delta2"], angles["delta3"],
+                                             eta, *phases)
+            else:
+                params = coins.TypeIIbParams(
+                    variant=int(rng.integers(1, 3)), delta=end, phi=float(rng.uniform(0, np.pi)),
+                    alpha=phases[0], beta=phases[1], gamma=phases[2], phi_f=phases[3])
+            yield (family, name, float(end), k), coins.coin_for(params)
 
 
 def _classified(coin) -> str:
@@ -146,10 +185,14 @@ def snapshot(out: Path) -> None:
         walks[f"{name}_p_origin"] = traj.p_origin
         walks[f"{name}_prob"] = traj.snapshots[150].prob
     np.savez(out / "walk.npz", **walks)
-    near = [json.dumps({"coin": key, "result": json.loads(_classified(coin))})
-            for key, coin in near_coins()]
-    (out / "near.json").write_text("\n".join(near) + "\n")
-    print(f"{len(classified)} coins and {len(near)} near-trapping coins written to {out}")
+    counts = []
+    for name, scan in (("near.json", near_coins), ("boundary.json", boundary_coins)):
+        lines = [json.dumps({"coin": key, "result": json.loads(_classified(coin))})
+                 for key, coin in scan()]
+        (out / name).write_text("\n".join(lines) + "\n")
+        counts.append(len(lines))
+    print(f"{len(classified)} coins, {counts[0]} near-trapping and {counts[1]} boundary "
+          f"coins written to {out}")
 
 
 def _projectors(path: Path) -> list[np.ndarray | None]:
@@ -199,7 +242,8 @@ def diff(old: Path, new: Path) -> int:
         if p is not None:
             deviation = max(deviation, float(np.abs(p - q).max(initial=0.0)))
     print(f"escape projectors: max deviation {deviation:.1e}")
-    status |= _diff_near(old / "near.json", new / "near.json")
+    status |= _diff_scan(old, new, "near.json", "marginal")
+    status |= _diff_scan(old, new, "boundary.json", "params")
     return int(status) | _diff_dispersions(old / "dispersion.json", new / "dispersion.json")
 
 
@@ -214,19 +258,21 @@ def _deviations(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return dev.max(axis=1, initial=0.0)
 
 
-def _diff_near(old: Path, new: Path) -> int:
-    """List the near-trapping coins whose family or marginal flag changed; 1 on any difference."""
-    a, b = (path.read_text().splitlines() for path in (old, new))
+def _diff_scan(old: Path, new: Path, name: str, flag: str) -> int:
+    """List the coins of one scan file whose family, or whether their result has
+    a ``flag`` that is set, changed; 1 on any difference.
+    """
+    a, b = ((d / name).read_text().splitlines() for d in (old, new))
     differing = sum(x != y for x, y in zip(a, b)) + abs(len(a) - len(b))
-    print(f"near.json: {differing} of {len(b)} lines differ")
+    print(f"{name}: {differing} of {len(b)} lines differ")
 
     def label(doc):
         result = doc["result"]
-        return result.get("family", result.get("error")), bool(result.get("marginal"))
+        return result.get("family", result.get("error")), bool(result.get(flag))
 
     for x, y in zip(map(json.loads, a), map(json.loads, b)):
         if label(x) != label(y):
-            print(f"near {tuple(y['coin'])}: {label(x)} -> {label(y)}")
+            print(f"{name} {tuple(y['coin'])}: (family, {flag}) {label(x)} -> {label(y)}")
     return int(differing > 0)
 
 
