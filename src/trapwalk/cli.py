@@ -178,16 +178,16 @@ def _cmd_spectrum(args) -> int:
     spec = _resolve_spec(args)
     ks = -math.pi + 2.0 * math.pi * (np.arange(n) + 0.5) / n
     kx, ky = (k.ravel() for k in np.meshgrid(ks, ks, indexing="ij"))
-    values = [_walk._float_texts(c) for c in (
+    grids = [c.reshape(n, n) for c in (
         _spectral.omega(spec, kx, ky), *_spectral.group_velocity(spec, kx, ky),
         _spectral.hessian_det(spec, kx, ky))]
-    k_texts = _walk._float_texts(ks)
+    k_cells = _walk._float_cells(ks)
 
     def chunks():
         yield "kx,ky,omega,vx,vy,detH\n"
-        for i, kx_text in enumerate(k_texts):
-            yield _walk._lines(kx_text + ",", [k_texts, *(v[i * n:(i + 1) * n] for v in values)],
-                               "\n")
+        for rows in _walk._row_blocks(n, n):
+            yield _walk._grid_lines(k_cells[rows], k_cells, [g[rows] for g in grids],
+                                    "\n").decode("ascii")
 
     _emit(chunks(), args.output)
     return 0
@@ -201,16 +201,15 @@ def _cmd_region(args) -> int:
 
 def _cmd_areasweep(args) -> int:
     grid, table = _spectral.area_sweep(args.n)
-    deltas = _walk._float_texts(grid)
-    areas = _walk._float_texts(table)
-    n = len(deltas)
+    cells, n = _walk._float_cells(grid), len(grid)
 
     def chunks():
         yield "delta1,delta2,S\n"
-        for i, d1 in enumerate(deltas):
-            row = areas[i * n:(i + 1) * n]
-            del row[i]  # the family excludes the diagonal
-            yield _walk._lines(d1 + ",", [deltas[:i] + deltas[i + 1:], row], "\n")
+        for rows in _walk._row_blocks(n, n):
+            # the family excludes the diagonal
+            off_diagonal = np.arange(n)[rows, None] != np.arange(n)
+            yield _walk._grid_lines(cells[rows], cells, [table[rows]], "\n",
+                                    off_diagonal).decode("ascii")
 
     _emit(chunks(), args.output)
     return 0

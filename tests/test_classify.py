@@ -828,3 +828,18 @@ def test_classification_json_schema():
     assert doc["rankA"] == 3 and doc["escaping_dim"] == 1
     assert len(doc["eigenphases"]) == 2
     assert doc["params"]["family"] == "TypeIIa"
+
+
+@pytest.mark.xfail(strict=True, reason="recovery loses the parameters of family coins within "
+                   "~1e-9 to 1e-7 of an angle endpoint (rebuild misses of 1e-9 to O(1))")
+def test_type_i_near_angle_endpoint_keeps_parameters():
+    # delta1 = 3e-9: |a| lies between the 1e-9 guard of _phase_of and the
+    # relative 1e-8 gauge cut, so a phase is read off round-off
+    rng = np.random.default_rng(7)
+    params = coins.TypeIParams(3e-9, rng.uniform(0.1, np.pi / 2 - 0.1), *rng.uniform(0, 2 * np.pi, 5))
+    coin = coins.coin_for(params)
+    res = classify.classify_coin(coin)
+    assert res.family == "TypeI" and not res.marginal
+    assert res.params is not None
+    lam = res.eigenphases[0][0]
+    assert np.max(np.abs(lam * coins.coin_for(res.params) - coin)) <= 1e-9

@@ -396,6 +396,53 @@ def test_distribution_csv_rejects_bad_floor(tmp_path, floor):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("params", [
+    coins.TypeIIaParams(QUARTER, QUARTER, QUARTER, np.pi),   # Grover
+    coins.TypeIIaParams(np.pi / 6, QUARTER, QUARTER, np.pi),  # fig4
+], ids=["grover", "fig4"])
+def test_distribution_csv_matches_csv_writer_across_row_blocks(tmp_path, params):
+    # grids of 123 and 263 rows are no multiple of the rows of one block
+    traj = walk.simulate(coins.coin_for(params), walk.initial_state(FIG2_INITIAL), 130,
+                         snapshot_times=(60, 130))
+    for snap in traj.snapshots.values():
+        assert len(walk._row_blocks(*snap.prob.shape)) > 1
+        for floor in (0.0, 1e-12):
+            walk.write_distribution_csv(tmp_path / "new.csv", snap, floor=floor)
+            reference_distribution_csv(tmp_path / "ref.csv", snap, floor=floor)
+            assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def _edge_floats() -> np.ndarray:
+    """Powers of 2 and 10 over the whole range with their neighbours, the
+    ends of the subnormal and normal ranges, both sides of repr's switches
+    to exponent form, integers at 2^53 and where Ryu's exact branches act,
+    and a few familiar fractions; both signs."""
+    powers = np.concatenate([np.ldexp(1.0, np.arange(-1074, 1024)),
+                             [float(f"1e{k}") for k in range(-323, 309)]])
+    named = [5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308, 1e-4, 1e16,
+             2.0 ** 53 - 1, 2.0 ** 53, 2.0 ** 53 + 2, 1.7976931348623157e308,
+             1.0, 100.0, 1e22, 1e23, 0.1, 0.3, 1 / 3]
+    values = np.concatenate([powers, named])
+    largest = np.finfo(np.float64).max
+    values = np.concatenate([values, np.nextafter(values, 0.0), np.nextafter(values, largest)])
+    return np.concatenate([values, -values])
+
+
+def test_float_texts_match_repr_on_edge_values():
+    values = _edge_floats()
+    assert walk._float_texts(values) == list(map(repr, values.tolist()))
+
+
+def test_float_texts_match_repr_on_random_bit_patterns():
+    rng = np.random.default_rng(2018)
+    bits = rng.integers(0, 2 ** 64, 200_000, dtype=np.uint64)
+    # every sign, exponent (NaN and infinities too) and mantissa; plus subnormals
+    subnormal = rng.integers(0, 2 ** 52, 20_000, dtype=np.uint64) | (rng.integers(
+        0, 2, 20_000, dtype=np.uint64) << np.uint64(63))
+    values = np.concatenate([bits, subnormal]).view(np.float64)
+    assert walk._float_texts(values) == list(map(repr, values.tolist()))
+
+
 def test_block_shifts_match_hand_written_table():
     # L, D, U, R land at these (u, v) block offsets
     assert walk._SHIFTS == ((0, 0), (0, 1), (1, 0), (1, 1))
@@ -568,9 +615,10 @@ def test_step_returns_fresh_states():
 
 def test_trajectory_csv_matches_csv_writer(tmp_path):
     traj = walk.simulate(coins.grover_coin(), walk.initial_state(FIG2_INITIAL), 9)
+    long = walk.simulate(coins.grover_coin(), walk.initial_state(FIG2_INITIAL), 300)
     synthetic = walk.Trajectory(steps=3, p_origin=np.array([1.0, 0.0, 5e-324, 1 / 3]),
                                 snapshots={})
-    for tr in (traj, synthetic):
+    for tr in (traj, long, synthetic):
         walk.write_trajectory_csv(tmp_path / "new.csv", tr)
         reference_trajectory_csv(tmp_path / "ref.csv", tr)
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()

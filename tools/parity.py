@@ -24,7 +24,12 @@ DIR receives
   seeded near-trapping scan (``near_coins``), one line per coin;
 * ``boundary.json``: the classify JSON, or its error, of 100 seeded
   random-phase family coins with one angle at an endpoint of its range
-  (``boundary_coins``), one line per coin.
+  (``boundary_coins``), one line per coin;
+* ``text.json``: the sha256 and size of every file the text-writing CLI
+  commands of ``text_commands`` write: the benchmark's long walk (Grover, 500
+  steps, snapshots at 250 and 500), ``figure fig2|fig4|fig6``, ``spectrum
+  --grid 128`` and ``region`` for the Grover and fig2 coins, and ``areasweep
+  --n 50``.
 
 ``--diff`` compares two snapshots: the JSON files byte for byte, the cells,
 operators and walks bit for bit (with the number of cells and of operators
@@ -36,15 +41,17 @@ area as this tree computes them.  It lists each near-trapping coin whose
 family or ``marginal`` flag changed, and each boundary coin whose family or
 whether it has ``params`` changed.  It exits nonzero when the classify JSON,
 the cells, the operators, the walks, the near-trapping or the boundary JSON
-differ, or a dispersion changes kind.
+differ, a dispersion changes kind, or any file of ``text.json`` differs.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import itertools
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -116,6 +123,48 @@ def boundary_coins():
                     variant=int(rng.integers(1, 3)), delta=end, phi=float(rng.uniform(0, np.pi)),
                     alpha=phases[0], beta=phases[1], gamma=phases[2], phi_f=phases[3])
             yield (family, name, float(end), k), coins.coin_for(params)
+
+
+def text_commands(inputs: Path) -> dict[str, list[str]]:
+    """CLI argument lists by name; each writes into the directory ``{out}``.
+
+    The Grover and fig2 coin JSON files are written to ``inputs`` first.
+    """
+    from trapwalk import cli, coins
+
+    paths = {name: str(inputs / f"{name}.json") for name in ("grover", "fig2")}
+    coins.write_coin_json(paths["grover"], coins.grover_coin(), family="TypeIIa")
+    coins.write_coin_json(paths["fig2"], coins.coin_for(cli._figure_configs()["fig2"]["params"]))
+    commands = {"walk_long": ["simulate", "-i", paths["grover"], "--initial",
+                              "[[0.5, 0], [0, 0.5], [0, 0.5], [0.5, 0]]", "--steps", "500",
+                              "--snapshots", "250,500", "--outdir", "{out}"]}
+    commands.update((f"figure_{name}", ["figure", name, "--outdir", "{out}"])
+                    for name in ("fig2", "fig4", "fig6"))
+    for name, path in paths.items():
+        commands[f"spectrum_{name}"] = ["spectrum", "-i", path, "--grid", "128",
+                                        "-o", "{out}/spectrum.csv"]
+        commands[f"region_{name}"] = ["region", "-i", path, "-o", "{out}/region.json"]
+    commands["areasweep"] = ["areasweep", "--n", "50", "-o", "{out}/areasweep.csv"]
+    return commands
+
+
+def _text_digests() -> dict:
+    """sha256 and size of every file ``text_commands`` write, by command/file."""
+    from trapwalk import cli
+
+    digests = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        for name, argv in text_commands(root).items():
+            out = root / name
+            out.mkdir()
+            if cli.main([arg.replace("{out}", str(out)) for arg in argv]) != 0:
+                raise RuntimeError(f"trapwalk {' '.join(argv)} failed")
+            for path in sorted(out.iterdir()):
+                data = path.read_bytes()
+                digests[f"{name}/{path.name}"] = {"sha256": hashlib.sha256(data).hexdigest(),
+                                                  "size": len(data)}
+    return digests
 
 
 def _classified(coin) -> str:
@@ -191,8 +240,10 @@ def snapshot(out: Path) -> None:
                  for key, coin in scan()]
         (out / name).write_text("\n".join(lines) + "\n")
         counts.append(len(lines))
+    texts = _text_digests()
+    (out / "text.json").write_text(json.dumps(texts, indent=1) + "\n")
     print(f"{len(classified)} coins, {counts[0]} near-trapping and {counts[1]} boundary "
-          f"coins written to {out}")
+          f"coins and {len(texts)} CLI text files written to {out}")
 
 
 def _projectors(path: Path) -> list[np.ndarray | None]:
@@ -244,7 +295,19 @@ def diff(old: Path, new: Path) -> int:
     print(f"escape projectors: max deviation {deviation:.1e}")
     status |= _diff_scan(old, new, "near.json", "marginal")
     status |= _diff_scan(old, new, "boundary.json", "params")
+    status |= _diff_texts(old / "text.json", new / "text.json")
     return int(status) | _diff_dispersions(old / "dispersion.json", new / "dispersion.json")
+
+
+def _diff_texts(old: Path, new: Path) -> int:
+    """List every CLI text file whose bytes differ or that one snapshot lacks; 1 if any."""
+    a, b = (json.loads(path.read_text()) for path in (old, new))
+    differing = [name for name in sorted(set(a) | set(b)) if a.get(name) != b.get(name)]
+    print(f"text.json: {len(differing)} of {len(b)} files differ")
+    for name in differing:
+        sizes = [doc[name]["size"] if name in doc else "missing" for doc in (a, b)]
+        print(f"text {name}: size {sizes[0]} -> {sizes[1]}")
+    return int(bool(differing))
 
 
 def _deviations(a: np.ndarray, b: np.ndarray) -> np.ndarray:
