@@ -325,8 +325,10 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (TrapwalkError, ValueError, OSError, KeyError) as exc:
-        doc = {"error": type(exc).__name__, "message": str(exc)}
+    except (TrapwalkError, ValueError, OSError, KeyError, MemoryError) as exc:
+        # numpy raises a private subclass of MemoryError
+        kind = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
+        doc = {"error": kind, "message": str(exc)}
         print(json.dumps(doc), file=sys.stderr)
         return 1
 

@@ -9,21 +9,40 @@ the dense (2t+3)^2 window of (x, y) would be three quarters zeros.
 Amplitudes are kept on such blocks and only the occupied sites are
 computed; the dense window is built for snapshots and inspection.
 
-One kernel, ``_step_block``, steps a block into the array it is given.
-``step`` hands it fresh zeroed arrays, so the states it returns share no
-memory; ``simulate``, whose intermediate states never leave it, holds two
-buffers per block sized for its last step and steps into them in turn
-(about 2 x 64 (t+1)^2 bytes for a walk from one site), zeroing the one row
-and column per component that a step does not write.
+``step`` takes one step of each block with ``_step_block``, into fresh
+zeroed arrays, so the states it returns share no memory.  ``simulate``,
+whose intermediate states never leave it, advances each block in sweeps
+(``_sweep_block``): one pass over the block's rows takes each window of
+rows, about ``_CHUNK_SITES`` sites, through up to ``_SWEEP_STEPS`` (8)
+steps, the levels one after another, since row i of a step needs only
+rows i - 1 and i of the step before.  A sweep reads the block from one of
+two buffers sized for the last step and writes it into the other, so the
+multi-MB blocks of a long walk cross L3 once per sweep rather than once
+per step; the levels between live in two small strips, one window of
+rows each, which they take in turn.  Sweeps end at every snapshot time
+and at the last step, and the strips are freed before a snapshot's
+distribution is built.  A walk from one site holds about 2 x 64 (t+1)^2
+bytes of buffers (32 MB at t = 500) and, while it steps, 2 x 64 (w + 2 t)
+bytes of strips for windows of w sites (1.2 MB at t = 500).
 
 The coin product is one BLAS call per block of at most ``_CHUNK_SITES``
-sites, with no chunk bookkeeping; larger blocks are multiplied a chunk at
-a time.  A coin whose imaginary parts are all zero, such as Grover and the
-fig2 and fig6 coins, is multiplied by its real part: the complex128
-amplitudes are read as interleaved float64 re, im pairs, so one real
-``dgemm`` forms the complex product.  That choice, and the conversion of
-the given state's blocks to C-contiguous complex128, is made once per
-``step`` or ``simulate`` call.  Every other coin takes the complex product.
+sites; larger blocks are multiplied a chunk at a time.  A coin whose
+imaginary parts are all zero, such as Grover and the fig2 and fig6 coins,
+is multiplied by its real part: the complex128 amplitudes are read as
+interleaved float64 re, im pairs, so one real ``dgemm`` forms the complex
+product.  That choice, and the conversion of the given state's blocks to
+C-contiguous complex128, is made once per ``step`` or ``simulate`` call.
+Only such coins sweep more than one step.  Past the first level a sweep's
+rows carry zero columns up to the last level's width, so a window's
+product places its own output: the L, D pair is one 2-row product written
+with a row stride of one component plus one site, and the U, R pair the
+same one row further on.  That moves each site's column in the product,
+and OpenBLAS's ``zgemm`` rounds a site by its column's place in the
+kernel's 4-column unroll, while ``dgemm`` gives the same bits at every
+place.  Every other coin takes the complex product one step per sweep,
+each product starting on a multiple of ``_ALIGN`` sites as in
+``_step_block``: ``step`` and ``simulate`` agree bit for bit for every
+coin.
 
 The CSV writers give every float the text ``repr`` gives it, the shortest
 decimal that reads back to the same float64, byte for byte.  They compute
@@ -64,9 +83,13 @@ __all__ = [
 # +-1, and the block indices run in steps of two along u and v.
 _SHIFTS = tuple(((dx + dy + 1) // 2, (dx - dy + 1) // 2) for dx, dy in DISPLACEMENTS)
 
-# Sites per chunk of the coin product in _step_block: 8192 sites are 512 KB
-# of complex128 amplitudes, which stay in L2 until they are scattered.
+# Sites per chunk of the coin product in _step_block, and per window of a
+# sweep: 8192 sites are 512 KB of complex128 amplitudes, which stay in L2
+# until they are scattered or read by the next level.
 _CHUNK_SITES = 8192
+# Steps a real-coin walk in simulate advances per sweep over a block's rows
+# (_sweep_block), so that the full buffers cross L3 once per sweep.
+_SWEEP_STEPS = 8
 # Chunk products start on a multiple of this many sites (twice as many
 # float64 columns in a real product).  BLAS can round a site by its place in
 # the kernel's column unroll (groups of 4 in OpenBLAS's x86-64 zgemm), so
@@ -167,27 +190,36 @@ def _step_block(c: np.ndarray, u0: int, v0: int, amps: np.ndarray, out: np.ndarr
     """One step of the block ``amps`` (4, a, b), written into ``out`` (4, a+1, b+1).
 
     ``c`` is the matrix ``_product_matrix`` gives and ``amps`` is
-    C-contiguous complex128; a real ``c`` multiplies the re, im pairs as two
-    float64 columns per site.  Every entry of ``out`` but the row and the
+    C-contiguous complex128.  Every entry of ``out`` but the row and the
     column each component does not reach is written; those must be zero
     already.  A block of more than ``_CHUNK_SITES`` sites is multiplied a
     chunk (whole rows) at a time, so that each chunk's product is still in
     cache when its four components are scattered to their shifted places.
     """
     _, a, b = amps.shape
-    flat = amps.reshape(4, -1).view(c.dtype)
+    sites = amps.reshape(4, -1)
     if a * b <= _CHUNK_SITES:
-        _scatter((c @ flat).view(np.complex128).reshape(4, a, b), out, 0)
-        return u0 - 1, v0 - 1, out
-    per_site = flat.shape[1] // (a * b)
-    rows = max(1, _CHUNK_SITES // b)
-    for i in range(0, a, rows):
-        stop = min(i + rows, a)
-        # a few sites of overlap keep the product's ends aligned
-        lo, hi = i * b // _ALIGN * _ALIGN, -(-stop * b // _ALIGN) * _ALIGN
-        mixed = (c @ flat[:, per_site * lo:per_site * hi]).view(np.complex128)
-        _scatter(mixed[:, i * b - lo:stop * b - lo].reshape(4, stop - i, b), out, i)
+        _scatter((c @ sites.view(c.dtype)).view(np.complex128).reshape(4, a, b), out, 0)
+    else:
+        rows = max(1, _CHUNK_SITES // b)
+        for i in range(0, a, rows):
+            _scatter_rows(c, sites, b, i, min(i + rows, a), out, i)
     return u0 - 1, v0 - 1, out
+
+
+def _scatter_rows(c: np.ndarray, sites: np.ndarray, b: int, start: int, stop: int,
+                  out: np.ndarray, row: int) -> None:
+    """Scatter the coin product of rows [start, stop) of a block ``b`` sites
+    wide (``sites``, complex128 (4, a b)) to rows row, row + 1, ... of ``out``.
+
+    A real ``c`` multiplies the re, im pairs as two float64 columns per
+    site.  The product starts on a multiple of ``_ALIGN`` sites (a few
+    sites of overlap), so it rounds each site as a product over the whole
+    block would.
+    """
+    lo, hi = start * b // _ALIGN * _ALIGN, -(-stop * b // _ALIGN) * _ALIGN
+    mixed = (c @ sites[:, lo:hi].view(c.dtype)).view(np.complex128)
+    _scatter(mixed[:, start * b - lo:stop * b - lo].reshape(4, stop - start, b), out, row)
 
 
 def _scatter(mixed: np.ndarray, out: np.ndarray, i: int) -> None:
@@ -198,22 +230,99 @@ def _scatter(mixed: np.ndarray, out: np.ndarray, i: int) -> None:
         out[k, di + i:di + i + rows, dj:dj + b] = mixed[k]
 
 
-def _clear_edges(out: np.ndarray) -> np.ndarray:
-    """Zero the row and the column of ``out`` that ``_step_block`` leaves unwritten.
-
-    Component k lands at the offsets ``_SHIFTS[k]`` = (0, 0), (0, 1), (1, 0),
-    (1, 1), so L and D miss the last row and U and R the first; L and U
-    miss the last column and D and R the first.
+class _Rows:
+    """Four components of ``rows`` rows of ``pitch`` sites in a flat complex128
+    buffer: component k, row i, column j at ``flat[k S + i pitch + j]``, where
+    S = rows * pitch.  The buffer holds at least 4 S + pitch + 2 entries.
     """
-    out[:2, -1] = 0.0
-    out[2:, 0] = 0.0
-    out[::2, :, -1] = 0.0
-    out[1::2, :, 0] = 0.0
-    return out
+
+    def __init__(self, flat: np.ndarray, rows: int, pitch: int):
+        size = rows * pitch
+        floats = flat.view(np.float64)   # re, im pairs
+        self.pitch = pitch
+        self.grid = flat[:4 * size].reshape(4, rows, pitch)
+        self.floats = floats[:8 * size].reshape(4, 2 * size)
+        # The product of row i lands on row i of L, row i of D one site on,
+        # row i + 1 of U and row i + 1 of R one site on (``_SHIFTS``), so the
+        # L, D pair and the U, R pair are each one 2-row product written with
+        # a row stride of S + 1 sites.
+        self.ld = floats[:4 * size + 4].reshape(2, 2 * size + 2)
+        self.ur = floats[4 * size + 2 * pitch:][:4 * size + 4].reshape(2, 2 * size + 2)
+
+    def place(self, c: np.ndarray, x: np.ndarray, row: int, n: int) -> None:
+        """Write the real coin product of the ``n`` rows ``x`` (float64 (4, 2 n pitch),
+        rows ``pitch`` sites apart) to rows row, row + 1, ...; the columns of
+        each row past its block must be zero in ``x``."""
+        cols = slice(2 * row * self.pitch, 2 * (row + n) * self.pitch)
+        np.matmul(c[:2], x, out=self.ld[:, cols])
+        np.matmul(c[2:], x, out=self.ur[:, cols])
+
+
+def _sweep_block(c: np.ndarray, depth: int, u0: int, v0: int, amps: np.ndarray,
+                 out: np.ndarray, strips, origin: np.ndarray):
+    """``depth`` steps of the block ``amps`` (4, a, b) in one pass over its rows.
+
+    Row i of a step needs rows i - 1 and i of the step before, so level k,
+    the block k + 1 steps on, takes the rows of the level before it as soon
+    as they are complete: each turn of the loop takes the next window of
+    about ``_CHUNK_SITES`` sites' rows through every level.  Level 0 reads
+    ``amps`` and the last level writes the flat buffer ``out`` (the new
+    block is its first 4 (a + depth) (b + depth) entries).  The levels
+    between take turns in the two ``strips``, which hold one window of rows
+    and the two after it: a level's window leaves the row after it half
+    written, and that row, kept aside, is row 0 of the level's next
+    window.  Strips and ``out`` share the pitch b + depth, the last level's
+    width, so the rows of every level before the last end in zero columns
+    and each level after level 0 places its own product (``_Rows.place``);
+    level 0, whose input rows are b sites apart, scatters it.  Level k's
+    amplitudes at the origin are added to ``origin[k]``.
+    """
+    _, a, b = amps.shape
+    pitch = b + depth
+    rows = max(1, min(_CHUNK_SITES // pitch, a + depth - 1))
+    pair = [_Rows(strip, rows + 2, pitch) for strip in strips[:2]]
+    levels = [pair[k % 2] for k in range(depth - 1)] + [_Rows(out, a + depth, pitch)]
+    for level in levels:
+        level.grid[3, 1, 0] = 0.0   # the one site of R that no window writes
+    # row 0 of each level's window, carried from its last window: zero at
+    # first, since no row above reaches U and R there (``out``, whose
+    # windows go to rows of their own, takes it at its first window only)
+    carried = np.zeros((depth, 4, pitch), dtype=np.complex128)
+    spots = []
+    for k in range(depth):
+        i, odd_u = divmod(k + 1 - u0, 2)
+        j, odd_v = divmod(k + 1 - v0, 2)
+        inside = not (odd_u or odd_v) and 0 <= i <= a + k and 0 <= j <= b + k
+        spots.append((i, j) if inside else None)
+    sites = amps.reshape(4, -1)
+    for start in range(0, a + depth - 1, rows):
+        for k, level in enumerate(levels):
+            row = start if k == depth - 1 else 0
+            if not row:
+                level.grid[:, 0] = carried[k]
+            n = min(rows, a + k - start)   # level k reads a + k rows
+            if n <= 0:
+                continue
+            if k:
+                level.place(c, levels[k - 1].floats[:, :2 * n * pitch], row, n)
+            else:
+                # the columns the scatter leaves: past the block, and D and R's first
+                level.grid[:, row + 1:row + n + 1, b:] = 0.0
+                level.grid[1::2, row + 1:row + n + 1, 0] = 0.0
+                _scatter_rows(c, sites, b, start, start + n, level.grid, row)
+            # L and D of the next row: the next window writes them, or they stay zero
+            level.grid[:2, row + n] = 0.0
+            if k < depth - 1:
+                carried[k] = level.grid[:, rows]
+            # rows [start, start + n) are complete, and the last row after the last window
+            if spots[k] and start <= spots[k][0] < start + n + (start + n == a + k):
+                i, j = spots[k]
+                origin[k] += level.grid[:, row + i - start, j]
+    return u0 - depth, v0 - depth, levels[-1].grid
 
 
 def _product_matrix(coin) -> np.ndarray:
-    """The checked coin as ``_step_block`` multiplies by it.
+    """The checked coin as the kernels multiply by it.
 
     A coin whose imaginary parts are all zero (Grover, the fig2 and fig6
     coins) gives its real part: one real product over the interleaved re, im
@@ -224,19 +333,8 @@ def _product_matrix(coin) -> np.ndarray:
     return c if np.count_nonzero(c.imag) else np.ascontiguousarray(c.real)
 
 
-def _grown(amps: np.ndarray) -> tuple[int, int, int]:
-    """Shape of a block one step after ``amps``."""
-    _, a, b = amps.shape
-    return 4, a + 1, b + 1
-
-
-def _advance(state: WalkState, c: np.ndarray, outs) -> WalkState:
-    return WalkState(t=state.t + 1, blocks=tuple(
-        _step_block(c, *block, out) for block, out in zip(state.blocks, outs)))
-
-
 def _contiguous(state: WalkState) -> WalkState:
-    """``state`` with every block C-contiguous complex128, as the kernel reads it."""
+    """``state`` with every block C-contiguous complex128, as the kernels read it."""
     return WalkState(t=state.t, blocks=tuple(
         (u0, v0, np.ascontiguousarray(amps, dtype=np.complex128)) for u0, v0, amps in state.blocks))
 
@@ -248,9 +346,10 @@ def step(state: WalkState, coin) -> WalkState:
     with ``state`` or with any other state.
     """
     c = _product_matrix(coin)
-    state = _contiguous(state)
-    return _advance(state, c, [np.zeros(_grown(amps), dtype=np.complex128)
-                               for _, _, amps in state.blocks])
+    return WalkState(t=state.t + 1, blocks=tuple(
+        _step_block(c, u0, v0, amps, np.zeros((4, amps.shape[1] + 1, amps.shape[2] + 1),
+                                              dtype=np.complex128))
+        for u0, v0, amps in _contiguous(state).blocks))
 
 
 @dataclass(frozen=True)
@@ -285,14 +384,18 @@ def simulate(coin, initial: WalkState, steps: int,
     """Run the walk for ``steps`` steps from the given state.
 
     Records P(0, 0, t) for every step and keeps full distributions at the
-    requested snapshot times, which must lie in [initial.t, initial.t + steps]
-    (time 0 snapshots refer to the initial state).  Each block is stepped
-    into two buffers sized for its last step, in turn (module docstring).
+    requested snapshot times, which must be integers in [initial.t,
+    initial.t + steps] (time 0 snapshots refer to the initial state).  A
+    real coin advances each block up to ``_SWEEP_STEPS`` steps per sweep,
+    ending a sweep at every snapshot time; any other coin one step per
+    sweep.  Each sweep writes a block into one of two buffers sized for
+    its last step, in turn (module docstring).
     """
+    steps = _integer(steps, "steps")
     if steps < 1:
-        raise ValueError("steps must be at least 1")
+        raise ValueError(f"steps must be at least 1, got {steps}")
     c = _product_matrix(coin)
-    wanted = set(int(t) for t in snapshot_times)
+    wanted = {_integer(t, "snapshot time") for t in snapshot_times}
     outside = [t for t in sorted(wanted) if not initial.t <= t <= initial.t + steps]
     if outside:
         raise ValueError(f"snapshot times {outside} lie outside "
@@ -303,16 +406,42 @@ def simulate(coin, initial: WalkState, steps: int,
     snapshots: dict[int, Snapshot] = {}
     if state.t in wanted:
         snapshots[state.t] = Snapshot(t=state.t, prob=state.probability())
-    buffers = [[np.empty(4 * (a + steps) * (b + steps), dtype=np.complex128) for _ in range(2)]
-               for _, a, b in (amps.shape for _, _, amps in initial.blocks)]
-    for n in range(steps):
-        shapes = [_grown(amps) for _, _, amps in state.blocks]
-        state = _advance(state, c, [_clear_edges(pair[n % 2][:math.prod(shape)].reshape(shape))
-                                    for pair, shape in zip(buffers, shapes)])
-        p_origin[state.t - initial.t] = state.origin_probability()
+    finals = [(a + steps, b + steps) for _, a, b in (amps.shape for _, _, amps in state.blocks)]
+    widest = max(b for _, b in finals)
+    # Buffers hold a block's last step and the tail that _Rows views past
+    # it; strips hold the largest window of rows a sweep takes, and the two
+    # rows after it (_sweep_block).
+    buffers = [[np.empty(4 * a * b + widest + 2, dtype=np.complex128) for _ in range(2)]
+               for a, b in finals]
+    window = min(max(_CHUNK_SITES, widest), max(a * b for a, b in finals))
+    strip_size = 4 * (window + 2 * widest) + widest + 2
+    strips: list[np.ndarray] = []
+    end = state.t + steps
+    while state.t < end:
+        stop = min([t for t in wanted if t > state.t] + [end])
+        depth = min(_SWEEP_STEPS, stop - state.t) if c.dtype == np.float64 else 1
+        strips += [np.empty(strip_size, dtype=np.complex128)
+                   for _ in range(min(depth - 1, 2) - len(strips))]
+        origin = np.zeros((depth, 4), dtype=np.complex128)
+        state = WalkState(t=state.t + depth, blocks=tuple(
+            _sweep_block(c, depth, *block, pair[0], strips, origin)
+            for block, pair in zip(state.blocks, buffers)))
+        for pair in buffers:
+            pair.reverse()
+        first = state.t - depth + 1 - initial.t
+        # the sum WalkState.origin_probability takes, bit for bit
+        p_origin[first:first + depth] = [float(np.sum(np.abs(z) ** 2)) for z in origin]
         if state.t in wanted:
+            strips = []   # freed before the snapshot's arrays are made
             snapshots[state.t] = Snapshot(t=state.t, prob=state.probability())
     return Trajectory(steps=steps, p_origin=p_origin, snapshots=snapshots)
+
+
+def _integer(value, name: str) -> int:
+    """``value`` as an int; anything but an integer (a bool included) is a ValueError."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def origin_time_average(traj: Trajectory) -> float:

@@ -423,6 +423,18 @@ def test_rejected_simulation_creates_no_outdir(tmp_path, capsys, bad):
     assert not outdir.exists()
 
 
+def test_error_json_on_a_walk_too_large_to_hold(tmp_path, capsys):
+    # the buffers of 10^8 steps (~568 PiB) cannot be granted, not even lazily
+    coin_path = tmp_path / "coin.json"
+    coins.write_coin_json(coin_path, coins.grover_coin())
+    outdir = tmp_path / "run"
+    status = run("simulate", "-i", str(coin_path), "--initial",
+                 "[[1,0],[0,0],[0,0],[0,0]]", "--steps", "100000000", "--outdir", str(outdir))
+    err = _assert_json_error(capsys, status)
+    assert err["error"] == "MemoryError"
+    assert not outdir.exists()
+
+
 @pytest.mark.parametrize("floor", ["nan", "inf", "-1"])
 def test_error_json_on_bad_floor_simulate(tmp_path, capsys, floor):
     coin_path = tmp_path / "coin.json"

@@ -1,4 +1,6 @@
 import csv
+import itertools
+import re
 
 import numpy as np
 import pytest
@@ -183,9 +185,10 @@ def test_amplitude_is_zero_off_the_occupied_sites():
 # --------------------------------------------------------------------- simulate
 
 def test_simulate_trajectory_and_snapshots():
+    # numpy integers are integers too
     traj = walk.simulate(coins.grover_coin(),
                          walk.initial_state(np.array([1, 0, 0, 0], dtype=complex)),
-                         12, snapshot_times=(6, 12))
+                         np.int64(12), snapshot_times=(np.int64(6), 12))
     assert traj.p_origin.shape == (13,)
     assert traj.p_origin[0] == pytest.approx(1.0)
     assert traj.p_origin[1] == pytest.approx(0.0)
@@ -193,18 +196,20 @@ def test_simulate_trajectory_and_snapshots():
     assert traj.snapshots[6].prob.sum() == pytest.approx(1.0, abs=1e-12)
 
 
-@pytest.mark.parametrize("times", [(2, 9), (-1,)])
+@pytest.mark.parametrize("times", [(2, 9), (-1,), (2.5,), (True,)])
 def test_simulate_rejects_snapshot_times_outside_run(times):
-    with pytest.raises(ValueError):
+    # the error names the bad time, the last one of each case
+    with pytest.raises(ValueError, match=re.escape(repr(times[-1]))):
         walk.simulate(coins.grover_coin(),
                       walk.initial_state(np.array([1, 0, 0, 0], dtype=complex)), 3,
                       snapshot_times=times)
 
 
 def test_simulate_requires_steps():
-    with pytest.raises(ValueError):
-        walk.simulate(coins.grover_coin(),
-                      walk.initial_state(np.array([1, 0, 0, 0], dtype=complex)), 0)
+    for steps in (0, -1, 2.5, True, np.float64(3.0), "3"):
+        with pytest.raises(ValueError, match=re.escape(repr(steps))):
+            walk.simulate(coins.grover_coin(),
+                          walk.initial_state(np.array([1, 0, 0, 0], dtype=complex)), steps)
 
 
 def test_origin_average_of_stationary_state():
@@ -468,17 +473,30 @@ KERNEL_PARAMS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(KERNEL_PARAMS))
-def test_simulate_matches_a_loop_of_steps_bit_for_bit(name):
-    # 130 steps: the blocks outgrow one chunk of the coin product, and
-    # simulate's two reused buffers must give what fresh states give
-    params = KERNEL_PARAMS[name]
-    coin = coins.coin_for(params)
+# The real kernel coins, drawn complex coins of each family, and H (x) H
+_DRAWN = np.random.default_rng(24)
+SIMULATE_COINS = {name: (coins.coin_for(params), params) for name, params in KERNEL_PARAMS.items()}
+SIMULATE_COINS.update((f"drawn {family}", (coins.coin_for(params), params))
+                      for family, params in ((f, draw(_DRAWN)) for f, draw in DRAWERS.items()))
+SIMULATE_COINS["H(x)H"] = (hadamard_tensor_coin(), None)
+
+
+@pytest.mark.parametrize("name", sorted(SIMULATE_COINS))
+def test_simulate_matches_a_loop_of_steps_bit_for_bit(monkeypatch, name):
+    # Small chunks make a walk of 43 steps sweep over many windows of rows.
+    # Snapshots end sweeps of depth 1 and 3 and one that ends where an
+    # unbroken sweep would; 43 steps end in a sweep of 7 steps, short of
+    # _SWEEP_STEPS.  simulate's reused buffers and strips must give what
+    # fresh states give.
+    coin, params = SIMULATE_COINS[name]
     starts = [walk.initial_state(FIG2_INITIAL)]
-    starts += [walk.state_from_cell(cell) for cell in coins.stationary_cell(params)]
-    steps = 130
-    for start in starts:
-        times = (start.t + 1, start.t + 77, start.t + steps)
+    if params is not None:   # and a start on two blocks
+        starts.append(walk.state_from_cell(coins.stationary_cell(params)[0]))
+    steps = 43
+    assert steps % walk._SWEEP_STEPS and walk._SWEEP_STEPS == 8
+    for chunk, start in itertools.product((37, 300), starts):
+        monkeypatch.setattr(walk, "_CHUNK_SITES", chunk)
+        times = (start.t + 1, start.t + 12, start.t + 20, start.t + steps)
         traj = walk.simulate(coin, start, steps, snapshot_times=times)
         state, p_origin = start, [start.origin_probability()]
         for _ in range(steps):

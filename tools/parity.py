@@ -18,8 +18,13 @@ DIR receives
 * ``arrays.npz``: the localized cells at every eigenphase the classification
   reports, chiral partners included, and the trapped-weight operator at
   grid 64 (NaN where the coin does not trap);
-* ``walk.npz``: for the Grover, fig2, fig4 and fig6 coins, a 150-step
-  ``simulate`` from one fixed coin state: P(0, 0, t) and the final snapshot;
+* ``walk.npz``: P(0, 0, t) and every snapshot of six ``simulate`` runs
+  (``walk_runs``): for the Grover, fig2, fig4 and fig6 coins, 150 steps from
+  one fixed coin state with a snapshot at the end; the fig4 coin (a complex
+  product) for 150 steps from the two blocks of its first stationary cell,
+  snapshots at t = 76 and 151; and Grover (a real product) for 203 steps
+  from the fixed state, snapshots at 101 and 203, which end real-coin
+  sweeps short of their depth;
 * ``near.json``: the classify JSON, or its error, of the 2700 coins of a
   seeded near-trapping scan (``near_coins``), one line per coin;
 * ``boundary.json``: the classify JSON, or its error, of 100 seeded
@@ -176,6 +181,23 @@ def _classified(coin) -> str:
         return _error(exc)
 
 
+def walk_runs():
+    """(name, coin, initial state, steps, snapshot times) of the ``walk.npz``
+    runs, whose arrays are ``{name}_p_origin`` and ``{name}_prob_t{t}``."""
+    from trapwalk import cli, coins, walk
+
+    start = walk.initial_state([0.5, 0.5j, 0.5j, 0.5])
+    configs = cli._figure_configs()
+    runs = [("grover", coins.grover_coin(), start, 150, (150,))]
+    runs += [(name, coins.coin_for(config["params"]), start, 150, (150,))
+             for name, config in configs.items()]
+    fig4 = configs["fig4"]["params"]
+    cell = walk.state_from_cell(coins.stationary_cell(fig4)[0])
+    runs.append(("fig4_cell", coins.coin_for(fig4), cell, 150, (76, 151)))
+    runs.append(("grover_203", coins.grover_coin(), start, 203, (101, 203)))
+    return runs
+
+
 def _error(exc: Exception) -> str:
     return json.dumps({"error": type(exc).__name__, "message": str(exc)})
 
@@ -192,7 +214,7 @@ def _dispersion(coin) -> dict:
 
 def snapshot(out: Path) -> None:
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
-    from trapwalk import classify, cli, coins, laurent, walk
+    from trapwalk import classify, laurent, walk
 
     out.mkdir(parents=True, exist_ok=True)
     classified, escapes, dispersions, cells, weights = [], [], [], [], []
@@ -224,15 +246,11 @@ def snapshot(out: Path) -> None:
     (out / "dispersion.json").write_text("\n".join(dispersions) + "\n")
     np.savez(out / "arrays.npz", weights=np.array(weights),
              cell_counts=np.array([len(c) for c in cells]), cells=np.concatenate(cells))
-    walk_coins = {"grover": coins.grover_coin()}
-    walk_coins.update((name, coins.coin_for(config["params"]))
-                      for name, config in cli._figure_configs().items())
     walks = {}
-    for name, coin in walk_coins.items():
-        traj = walk.simulate(coin, walk.initial_state([0.5, 0.5j, 0.5j, 0.5]), 150,
-                             snapshot_times=(150,))
+    for name, coin, start, steps, times in walk_runs():
+        traj = walk.simulate(coin, start, steps, snapshot_times=times)
         walks[f"{name}_p_origin"] = traj.p_origin
-        walks[f"{name}_prob"] = traj.snapshots[150].prob
+        walks.update((f"{name}_prob_t{t}", traj.snapshots[t].prob) for t in times)
     np.savez(out / "walk.npz", **walks)
     counts = []
     for name, scan in (("near.json", near_coins), ("boundary.json", boundary_coins)):
