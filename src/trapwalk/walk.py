@@ -9,13 +9,14 @@ the dense (2t+3)^2 window of (x, y) would be three quarters zeros.
 Amplitudes are kept on such blocks and only the occupied sites are
 computed; the dense window is built for snapshots and inspection.
 
-``step`` takes one step of each block with ``_step_block``, into fresh
-zeroed arrays, so the states it returns share no memory.  ``simulate``,
-whose intermediate states never leave it, advances each block in sweeps
-(``_sweep_block``): one pass over the block's rows takes each window of
-rows, about ``_CHUNK_SITES`` sites, through up to ``_SWEEP_STEPS`` (8)
-steps, the levels one after another, since row i of a step needs only
-rows i - 1 and i of the step before.  A sweep reads the block from one of
+``_step_block`` takes one step of a block.  ``step`` calls it on fresh
+arrays, so the states it returns share no memory.  ``simulate``, whose
+intermediate states never leave it, advances each block in sweeps: one
+pass of ``_sweep_block`` over the block's rows takes each window of rows,
+about ``_CHUNK_SITES`` sites, through up to ``_SWEEP_STEPS`` (8) steps,
+the levels one after another, since row i of a step needs only rows
+i - 1 and i of the step before; a sweep of one step is ``_step_block``.
+A sweep reads the block from one of
 two buffers sized for the last step and writes it into the other, so the
 multi-MB blocks of a long walk cross L3 once per sweep rather than once
 per step; the levels between live in two small strips, one window of
@@ -40,9 +41,9 @@ same one row further on.  That moves each site's column in the product,
 and OpenBLAS's ``zgemm`` rounds a site by its column's place in the
 kernel's 4-column unroll, while ``dgemm`` gives the same bits at every
 place.  Every other coin takes the complex product one step per sweep,
-each product starting on a multiple of ``_ALIGN`` sites as in
-``_step_block``: ``step`` and ``simulate`` agree bit for bit for every
-coin.
+with ``_step_block`` as ``step`` does, its chunk products starting on a
+multiple of ``_ALIGN`` sites: ``step`` and ``simulate`` agree bit for bit
+for every coin.
 
 The CSV writers give every float the text ``repr`` gives it, the shortest
 decimal that reads back to the same float64, byte for byte.  They compute
@@ -187,16 +188,23 @@ def state_from_cell(cell: AmplitudeCell) -> WalkState:
 
 
 def _step_block(c: np.ndarray, u0: int, v0: int, amps: np.ndarray, out: np.ndarray):
-    """One step of the block ``amps`` (4, a, b), written into ``out`` (4, a+1, b+1).
+    """One step of the block ``amps`` (4, a, b) into the flat buffer ``out``:
+    the new block is its first 4 (a + 1) (b + 1) entries, all written,
+    whatever ``out`` held before.
 
     ``c`` is the matrix ``_product_matrix`` gives and ``amps`` is
-    C-contiguous complex128.  Every entry of ``out`` but the row and the
-    column each component does not reach is written; those must be zero
-    already.  A block of more than ``_CHUNK_SITES`` sites is multiplied a
-    chunk (whole rows) at a time, so that each chunk's product is still in
-    cache when its four components are scattered to their shifted places.
+    C-contiguous complex128.  A block of more than ``_CHUNK_SITES`` sites
+    is multiplied a chunk (whole rows) at a time, so that each chunk's
+    product is still in cache when its four components are scattered to
+    their shifted places.
     """
     _, a, b = amps.shape
+    out = out[:4 * (a + 1) * (b + 1)].reshape(4, a + 1, b + 1)
+    # the row and the column each component does not reach (_SHIFTS)
+    out[:2, a] = 0.0
+    out[2:, 0] = 0.0
+    out[0::2, :, b] = 0.0
+    out[1::2, :, 0] = 0.0
     sites = amps.reshape(4, -1)
     if a * b <= _CHUNK_SITES:
         _scatter((c @ sites.view(c.dtype)).view(np.complex128).reshape(4, a, b), out, 0)
@@ -233,10 +241,17 @@ def _scatter(mixed: np.ndarray, out: np.ndarray, i: int) -> None:
 class _Rows:
     """Four components of ``rows`` rows of ``pitch`` sites in a flat complex128
     buffer: component k, row i, column j at ``flat[k S + i pitch + j]``, where
-    S = rows * pitch.  The buffer holds at least 4 S + pitch + 2 entries.
+    S = rows * pitch.  The buffer holds at least ``_Rows.entries(rows, pitch)``
+    entries: the rows and the tail that ``ur`` views past them.
     """
 
+    @staticmethod
+    def entries(rows: int, pitch: int) -> int:
+        return 4 * rows * pitch + pitch + 2
+
     def __init__(self, flat: np.ndarray, rows: int, pitch: int):
+        if flat.size < _Rows.entries(rows, pitch):
+            raise ValueError(f"{flat.size} entries hold no {rows} rows of pitch {pitch}")
         size = rows * pitch
         floats = flat.view(np.float64)   # re, im pairs
         self.pitch = pitch
@@ -258,6 +273,17 @@ class _Rows:
         np.matmul(c[2:], x, out=self.ur[:, cols])
 
 
+def _window_rows(a: int, b: int, depth: int) -> int:
+    """Rows per window of ``_sweep_block`` over a block (4, a, b), ``depth`` steps."""
+    return max(1, min(_CHUNK_SITES // (b + depth), a + depth - 1))
+
+
+def _strip_entries(a: int, b: int, depth: int) -> int:
+    """Entries of each strip ``_sweep_block`` takes over a block (4, a, b),
+    ``depth`` steps: one window of rows and the two after it."""
+    return _Rows.entries(_window_rows(a, b, depth) + 2, b + depth)
+
+
 def _sweep_block(c: np.ndarray, depth: int, u0: int, v0: int, amps: np.ndarray,
                  out: np.ndarray, strips, origin: np.ndarray):
     """``depth`` steps of the block ``amps`` (4, a, b) in one pass over its rows.
@@ -275,12 +301,14 @@ def _sweep_block(c: np.ndarray, depth: int, u0: int, v0: int, amps: np.ndarray,
     width, so the rows of every level before the last end in zero columns
     and each level after level 0 places its own product (``_Rows.place``);
     level 0, whose input rows are b sites apart, scatters it.  Level k's
-    amplitudes at the origin are added to ``origin[k]``.
+    amplitudes at the origin are added to ``origin[k]``.  Every entry of the
+    new block is written, whatever ``out`` held before.  ``depth`` is at
+    least 2: one step is ``_step_block``.
     """
     _, a, b = amps.shape
     pitch = b + depth
-    rows = max(1, min(_CHUNK_SITES // pitch, a + depth - 1))
-    pair = [_Rows(strip, rows + 2, pitch) for strip in strips[:2]]
+    rows = _window_rows(a, b, depth)
+    pair = [_Rows(strip, rows + 2, pitch) for strip in strips[:min(depth - 1, 2)]]
     levels = [pair[k % 2] for k in range(depth - 1)] + [_Rows(out, a + depth, pitch)]
     for level in levels:
         level.grid[3, 1, 0] = 0.0   # the one site of R that no window writes
@@ -347,7 +375,7 @@ def step(state: WalkState, coin) -> WalkState:
     """
     c = _product_matrix(coin)
     return WalkState(t=state.t + 1, blocks=tuple(
-        _step_block(c, u0, v0, amps, np.zeros((4, amps.shape[1] + 1, amps.shape[2] + 1),
+        _step_block(c, u0, v0, amps, np.empty(4 * (amps.shape[1] + 1) * (amps.shape[2] + 1),
                                               dtype=np.complex128))
         for u0, v0, amps in _contiguous(state).blocks))
 
@@ -406,29 +434,33 @@ def simulate(coin, initial: WalkState, steps: int,
     snapshots: dict[int, Snapshot] = {}
     if state.t in wanted:
         snapshots[state.t] = Snapshot(t=state.t, prob=state.probability())
-    finals = [(a + steps, b + steps) for _, a, b in (amps.shape for _, _, amps in state.blocks)]
-    widest = max(b for _, b in finals)
-    # Buffers hold a block's last step and the tail that _Rows views past
-    # it; strips hold the largest window of rows a sweep takes, and the two
-    # rows after it (_sweep_block).
-    buffers = [[np.empty(4 * a * b + widest + 2, dtype=np.complex128) for _ in range(2)]
-               for a, b in finals]
-    window = min(max(_CHUNK_SITES, widest), max(a * b for a, b in finals))
-    strip_size = 4 * (window + 2 * widest) + widest + 2
+    shapes = [amps.shape[1:] for _, _, amps in state.blocks]
+    # Each block's sweeps write into its two buffers in turn, each sized for
+    # the block's last step.
+    buffers = [[np.empty(_Rows.entries(a + steps, b + steps), dtype=np.complex128)
+                for _ in range(2)] for a, b in shapes]
+    sweeps = []   # (start time, depth)
+    t, end = state.t, state.t + steps
+    while t < end:
+        stop = min([w for w in wanted if w > t] + [end])
+        sweeps.append((t, min(_SWEEP_STEPS, stop - t) if c.dtype == np.float64 else 1))
+        t += sweeps[-1][1]
+    strip_size = max((_strip_entries(a + t - initial.t, b + t - initial.t, depth)
+                      for t, depth in sweeps if depth > 1 for a, b in shapes), default=0)
     strips: list[np.ndarray] = []
-    end = state.t + steps
-    while state.t < end:
-        stop = min([t for t in wanted if t > state.t] + [end])
-        depth = min(_SWEEP_STEPS, stop - state.t) if c.dtype == np.float64 else 1
+    for t, depth in sweeps:
         strips += [np.empty(strip_size, dtype=np.complex128)
                    for _ in range(min(depth - 1, 2) - len(strips))]
         origin = np.zeros((depth, 4), dtype=np.complex128)
-        state = WalkState(t=state.t + depth, blocks=tuple(
-            _sweep_block(c, depth, *block, pair[0], strips, origin)
+        state = WalkState(t=t + depth, blocks=tuple(
+            _sweep_block(c, depth, *block, pair[0], strips, origin) if depth > 1
+            else _step_block(c, *block, pair[0])
             for block, pair in zip(state.blocks, buffers)))
+        if depth == 1:
+            origin[0] = state.amplitude(0, 0)
         for pair in buffers:
             pair.reverse()
-        first = state.t - depth + 1 - initial.t
+        first = t + 1 - initial.t
         # the sum WalkState.origin_probability takes, bit for bit
         p_origin[first:first + depth] = [float(np.sum(np.abs(z) ** 2)) for z in origin]
         if state.t in wanted:

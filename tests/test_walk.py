@@ -485,16 +485,19 @@ SIMULATE_COINS["H(x)H"] = (hadamard_tensor_coin(), None)
 def test_simulate_matches_a_loop_of_steps_bit_for_bit(monkeypatch, name):
     # Small chunks make a walk of 43 steps sweep over many windows of rows.
     # Snapshots end sweeps of depth 1 and 3 and one that ends where an
-    # unbroken sweep would; 43 steps end in a sweep of 7 steps, short of
-    # _SWEEP_STEPS.  simulate's reused buffers and strips must give what
-    # fresh states give.
+    # unbroken sweep would; 43 and 130 steps end in sweeps short of
+    # _SWEEP_STEPS.  Real coins also sweep 130 steps at the module's
+    # chunk size, where the blocks outgrow one window.  simulate's reused
+    # buffers and strips must give what fresh states give.
     coin, params = SIMULATE_COINS[name]
     starts = [walk.initial_state(FIG2_INITIAL)]
-    if params is not None:   # and a start on two blocks
-        starts.append(walk.state_from_cell(coins.stationary_cell(params)[0]))
-    steps = 43
-    assert steps % walk._SWEEP_STEPS and walk._SWEEP_STEPS == 8
-    for chunk, start in itertools.product((37, 300), starts):
+    if params is not None:   # and the two-block starts of both stationary cells
+        starts += [walk.state_from_cell(cell) for cell in coins.stationary_cell(params)]
+    runs = [(37, 43), (300, 43)]
+    if not np.any(coin.imag):
+        runs.append((walk._CHUNK_SITES, 130))
+    assert all(steps % walk._SWEEP_STEPS for _, steps in runs) and walk._SWEEP_STEPS == 8
+    for (chunk, steps), start in itertools.product(runs, starts):
         monkeypatch.setattr(walk, "_CHUNK_SITES", chunk)
         times = (start.t + 1, start.t + 12, start.t + 20, start.t + steps)
         traj = walk.simulate(coin, start, steps, snapshot_times=times)
