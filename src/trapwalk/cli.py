@@ -9,6 +9,7 @@ module rejects the input.
 import argparse
 import contextlib
 import dataclasses
+import errno
 import functools
 import json
 import math
@@ -25,6 +26,7 @@ if _THREADS:
 
 import numpy as np
 
+from . import _text
 from . import classify as _classify
 from . import coins as _coins
 from . import spectral as _spectral
@@ -44,6 +46,8 @@ def _atomic_write(path: str, write):
     The temp file gets the mode a plain ``open`` would give (0o666 less the
     umask) and is removed if writing or renaming fails.
     """
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     directory = os.path.dirname(os.path.abspath(path))
     tmp = os.path.join(directory, f".tmp-trapwalk-{os.urandom(8).hex()}")
     os.close(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
@@ -57,18 +61,15 @@ def _atomic_write(path: str, write):
 
 
 def _emit(chunks, path: str | None):
-    """Write ``chunks``, strings of whole LF-ended lines, to ``path`` or stdout."""
+    """Write ``chunks``, bytes of whole LF-ended lines, to ``path`` or stdout."""
     if path:
-        def write(tmp):
-            with open(tmp, "w", encoding="utf-8") as fh:
-                fh.writelines(chunks)
-        _atomic_write(path, write)
+        _atomic_write(path, lambda tmp: _text.write(tmp, chunks))
     else:
-        sys.stdout.writelines(chunks)
+        sys.stdout.writelines(chunk.decode() for chunk in chunks)
 
 
 def _emit_json(text: str, path: str | None):
-    _emit((text, "\n"), path)
+    _emit([(text + "\n").encode()], path)
 
 
 def _add_family_arguments(parser: argparse.ArgumentParser, required: bool = True):
@@ -181,15 +182,7 @@ def _cmd_spectrum(args) -> int:
     grids = [c.reshape(n, n) for c in (
         _spectral.omega(spec, kx, ky), *_spectral.group_velocity(spec, kx, ky),
         _spectral.hessian_det(spec, kx, ky))]
-    k_cells = _walk._float_cells(ks)
-
-    def chunks():
-        yield "kx,ky,omega,vx,vy,detH\n"
-        for rows in _walk._row_blocks(n, n):
-            yield _walk._grid_lines(k_cells[rows], k_cells, [g[rows] for g in grids],
-                                    "\n").decode("ascii")
-
-    _emit(chunks(), args.output)
+    _emit(_text.csv_lines("kx,ky,omega,vx,vy,detH", (ks, ks), grids, "\n"), args.output)
     return 0
 
 
@@ -201,17 +194,10 @@ def _cmd_region(args) -> int:
 
 def _cmd_areasweep(args) -> int:
     grid, table = _spectral.area_sweep(args.n)
-    cells, n = _walk._float_cells(grid), len(grid)
-
-    def chunks():
-        yield "delta1,delta2,S\n"
-        for rows in _walk._row_blocks(n, n):
-            # the family excludes the diagonal
-            off_diagonal = np.arange(n)[rows, None] != np.arange(n)
-            yield _walk._grid_lines(cells[rows], cells, [table[rows]], "\n",
-                                    off_diagonal).decode("ascii")
-
-    _emit(chunks(), args.output)
+    # the family excludes the diagonal
+    off_diagonal = ~np.eye(len(grid), dtype=bool)
+    _emit(_text.csv_lines("delta1,delta2,S", (grid, grid), [table], "\n", off_diagonal),
+          args.output)
     return 0
 
 

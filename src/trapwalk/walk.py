@@ -44,13 +44,6 @@ place.  Every other coin takes the complex product one step per sweep,
 with ``_step_block`` as ``step`` does, its chunk products starting on a
 multiple of ``_ALIGN`` sites: ``step`` and ``simulate`` agree bit for bit
 for every coin.
-
-The CSV writers give every float the text ``repr`` gives it, the shortest
-decimal that reads back to the same float64, byte for byte.  They compute
-it with numpy rather than one ``repr`` per float: Ryu's shortest round-trip
-digits over uint64 arrays, laid out as ASCII with ``repr``'s choice between
-``0.00012`` and ``1.2e-05``, one block of grid rows (about 8k values) at a
-time, so that the text of a large snapshot is never held whole.
 """
 
 from __future__ import annotations
@@ -60,6 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _text
 from .coins import DISPLACEMENTS, AmplitudeCell
 from .linalg import require_unitary
 from .spectral import SpreadRegion, region_contains
@@ -506,297 +500,6 @@ def coverage_fraction(snapshot: Snapshot, region: SpreadRegion,
     return float(np.sum(snapshot.prob[counted]))
 
 
-# ------------------------------------------------------------------ float text
-#
-# Ryu's d2s (Adams, PLDI 2018) over uint64 arrays.  For x = 4 m2 * 2^e2
-# (m2 the 53-bit mantissa), the lower end, the value and the upper end of
-# its rounding interval, 4 m2 - 1 - s, 4 m2 and 4 m2 + 2 times 2^e2 / 10^e10,
-# are products with one 126-bit multiplier per binary exponent
-# (``_RYU_MUL``).  Digits are dropped while the ends stay apart, and the
-# last kept digit is rounded on the dropped part.  Where a scaled value may
-# be an exact integer (the halfway ties), ``_exact_digits`` redoes the value
-# in Python integers.  The texts are laid out as ASCII in 32-byte cells of
-# four uint64 words, NUL where a text has no byte; deleting the NULs of a
-# block of cells leaves the texts.
-
-_MANTISSA = (1 << 52) - 1
-_INF_BITS = 0x7FF << 52
-_LIMB = 0xFFFFFFFF
-_POW10 = np.array([10 ** k for k in range(20)], dtype=np.uint64)
-_COMMA = np.uint64(ord(",") << 56)   # a comma in the last byte of a word
-_CELL = np.dtype("<u8")   # cell words are little-endian: byte 0 is the first character
-# Values per block of CSV lines: enough to spread numpy's per-call cost, few
-# enough that the digit arrays (64 kB each) stay in L2; blocks twice as large
-# ran 1.5x slower per value.
-_BLOCK_VALUES = 8192
-
-
-def _limbs(values) -> np.ndarray:
-    """The four 32-bit limbs (4, n) of integers below 2^128."""
-    return np.array([[v >> 32 * k & _LIMB for v in values] for k in range(4)], dtype=np.uint64)
-
-
-def _ryu_table():
-    """Ryu's d2s constants per biased exponent 0..2046: the multiplier's four
-    32-bit limbs (4, 2047), the product's shift past bit 96, the decimal
-    exponent e10, and a mask: a value takes ``_exact_digits`` when the bits
-    of 4 m2 under it are all zero (always, where the mask is 0).
-    """
-    be = np.arange(2047)
-    e2 = np.maximum(be, 1) - 1077            # x = 4 m2 * 2^e2
-    big = e2 >= 0
-    q = np.where(big, (e2 * 78913 >> 18) - (e2 > 3), (-e2 * 732923 >> 20) - (-e2 > 1))
-    five = np.where(big, q, -e2 - q)         # the power of 5 in the multiplier
-    bits = (five * 1217359 >> 19) + 1        # bit length of 5^five
-    shift = np.where(big, q - e2 + bits + 124, q - bits + 125)
-    pow5 = [5 ** k for k in range(int(five.max()) + 1)]
-    inverse = _limbs([(1 << p.bit_length() + 124) // p + 1 for p in pow5])
-    scaled = _limbs([p << 125 >> p.bit_length() for p in pow5])
-    mul = np.where(big, inverse[:, five], scaled[:, five])
-    # 4 m2 * 2^e2 / 10^e10 can be an integer only where 2^q divides 4 m2
-    # (e2 < 0); the few exponents where Ryu's other exact cases live
-    # (q <= 23 for e2 >= 0, q <= 1 below) always take the integer path
-    low = np.left_shift(np.uint64(1), q.astype(np.uint64)) - np.uint64(1)
-    low = np.where(big, np.uint64(2 ** 64 - 1), low)
-    low[np.where(big, q <= 23, q <= 1)] = 0
-    return (mul, (shift - 96).astype(np.uint64),
-            np.where(big, q, q + e2), low)
-
-
-_RYU_MUL, _RYU_SHIFT, _RYU_E10, _RYU_EXACT_MASK = _ryu_table()
-
-
-def _mul_shift(x: np.ndarray, mul: np.ndarray, shift: np.ndarray) -> np.ndarray:
-    """floor(x * mul / 2^(96 + shift)) for x < 2^55, mul (4, n) 32-bit limbs of
-    a multiplier below 2^126, and 22 <= shift <= 29: the schoolbook product,
-    column by column, with every partial sum below 2^63."""
-    x0, x1 = x & _LIMB, x >> 32
-    m0, m1, m2, m3 = mul
-    a = x0 * m1
-    t = (x0 * m0 >> 32) + (a & _LIMB) + x1 * m0
-    b = x0 * m2
-    t = (t >> 32) + (a >> 32) + (b & _LIMB) + x1 * m1
-    t = (t >> 32) + (b >> 32) + x0 * m3 + x1 * m2
-    return (t >> shift) + (x1 * m3 << 32 - shift)
-
-
-def _exact_digits(mag: int) -> tuple[int, int]:
-    """Ryu's general case for one finite nonzero magnitude, in exact integers:
-    the shortest digits and their decimal exponent, exact halves to even."""
-    be, mant = mag >> 52, mag & _MANTISSA
-    m2 = mant | (be > 0) << 52
-    e2, e10 = max(be, 1) - 1077, int(_RYU_E10[be])
-    num = (1 << max(e2, 0)) * 10 ** max(-e10, 0)
-    den = (1 << max(-e2, 0)) * 10 ** max(e10, 0)
-    even = m2 % 2 == 0
-    vr, r_rest = divmod(4 * m2 * num, den)
-    vp, p_rest = divmod((4 * m2 + 2) * num, den)
-    vm, m_rest = divmod((4 * m2 - 1 - (mant != 0 or be <= 1)) * num, den)
-    vr_exact, vm_exact = r_rest == 0, even and m_rest == 0
-    vp -= not even and p_rest == 0   # an odd mantissa's interval excludes its ends
-    removed = last = 0
-    while vp // 10 > vm // 10:
-        vm_exact &= vm % 10 == 0
-        vr_exact &= last == 0
-        vr, last = divmod(vr, 10)
-        vp, vm, removed = vp // 10, vm // 10, removed + 1
-    while vm_exact and vm % 10 == 0:
-        vr_exact &= last == 0
-        vr, last = divmod(vr, 10)
-        vp, vm, removed = vp // 10, vm // 10, removed + 1
-    if vr_exact and last == 5 and vr % 2 == 0:
-        last = 4
-    return vr + ((vr == vm and not vm_exact) or last >= 5), e10 + removed
-
-
-def _shortest_digits(mag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Shortest round-trip digits of finite nonzero magnitudes (uint64 bits):
-    ``digits`` (uint64, at most 17 digits) and ``exponent`` with
-    |x| = digits * 10^exponent, as ``repr`` gives them."""
-    be = (mag >> 52).astype(np.intp)
-    mant = mag & _MANTISSA
-    mv = (mant | (be > 0).astype(np.uint64) << 52) << 2
-    mul, shift = _RYU_MUL[:, be], _RYU_SHIFT[be]
-    vr = _mul_shift(mv, mul, shift)
-    vp = _mul_shift(mv + 2, mul, shift)
-    vm = _mul_shift(mv - 1 - ((mant != 0) | (be <= 1)), mul, shift)
-    removed = np.zeros(len(mag), dtype=np.intp)
-    for scale in _POW10[1:]:
-        more = vp // scale > vm // scale
-        if not more.any():
-            break
-        removed += more
-    scale = _POW10[removed]
-    digits = vr // scale
-    kept = digits * scale
-    # round up past the excluded lower end, or on a dropped part of at least half
-    digits += (vm >= kept) | (vr - kept << 1 >= scale)
-    exponent = _RYU_E10[be] + removed
-    for k in np.flatnonzero((mv & _RYU_EXACT_MASK[be]) == 0).tolist():
-        digits[k], exponent[k] = _exact_digits(int(mag[k]))
-    return digits, exponent
-
-
-def _word(text: str) -> int:
-    """``text`` (at most 8 ASCII bytes) as a NUL-padded little-endian uint64."""
-    return int.from_bytes(text.encode("ascii").ljust(8, b"\0"), "little")
-
-
-def _layout_table():
-    """Per (form, digit count): the power of ten that splits the digits at
-    the point, and the ASCII bits OR-ed into the three digit words.
-
-    Forms, by decimal point position d (x = 0.digits * 10^d): 0 is d <= -4
-    and 21 is d > 16 (``d.ddde-XX``, point after the first digit, none for
-    one digit); 1-4 are d = -3..0 (``0.000ddd``, the ``0.000`` in the head
-    word); 5-20 are d = 1..16 (point after d digits, zeros up to it, and a
-    ``.0`` when no digit follows).  Byte p of the 18 digit places holds the
-    point and reads 0 in the digits; bytes past the text stay NUL.
-    """
-    form, count = np.divmod(np.arange(22 * 17), 17)
-    count += 1
-    exponential = (form == 0) | (form == 21)
-    point = np.where(exponential, 1, np.where(form <= 4, count, form - 4))
-    size = np.where(exponential, count + (count > 1),
-                    np.where(form <= 4, count, np.maximum(count, point + 1) + 1))
-    place = np.arange(24)
-    text = np.where(place < size[:, None], ord("0"), 0).astype(np.uint8)
-    text[(place == point[:, None]) & (point < size)[:, None]] = ord(".")
-    return _POW10[17 - point], text.view(_CELL).T.copy()
-
-
-_SPLIT, _ASCII = _layout_table()
-# head word by sign and form; exponent word by point position, shifted past
-# the last two digit places; texts of zeros, infinities and NaN by kind and sign
-_HEAD = np.array([_word(sign + ("0." + "0" * (4 - form) if 1 <= form <= 4 else ""))
-                  for sign in ("", "-") for form in range(22)], dtype=np.uint64)
-_EXPONENT = np.array([0 if -3 <= d <= 16 else _word(f"e{d - 1:+03d}") << 16
-                      for d in range(-323, 310)], dtype=np.uint64)
-_SPECIAL = np.array([_word(t) for t in ("0.0", "-0.0", "inf", "-inf", "nan", "nan")],
-                    dtype=np.uint64)
-
-
-def _digit_bytes(x: np.ndarray) -> np.ndarray:
-    """The 8 decimal digits of each x < 10^8, one per byte of a uint64 in
-    reading order (byte values 0-9): two 4-digit lanes, four 2-digit lanes,
-    then eight digits."""
-    hi = x // 10000
-    v = hi | (x - hi * 10000) << 32
-    q = (v * 5243 >> 19) & 0x7F0000007F            # // 100 per 32-bit lane
-    v = q | (v - q * 100) << 16
-    q = (v * 103 >> 10) & 0x000F000F000F000F       # // 10 per 16-bit lane
-    return q | (v - q * 10) << 8
-
-
-def _layout(negative: np.ndarray, digits: np.ndarray, exponent: np.ndarray) -> np.ndarray:
-    """Cells (n, 4) of the texts ``repr`` gives for sign, digits, exponent."""
-    # the digit count, from the bit length through log10(2) ~ 1233 / 4096
-    log2 = (digits.astype(np.float64).view(np.uint64) >> 52).astype(np.intp) - 1023
-    guess = log2 * 1233 >> 12
-    count = guess + 1 + (digits >= _POW10[guess + 1]) - (digits < _POW10[guess])
-    point = exponent + count
-    form = np.clip(point + 4, 0, 21)
-    key = form * 17 + count - 1
-    # 17 digits, then an 18-digit number with a 0 in the point's place
-    full = digits * _POW10[17 - count]
-    split = _SPLIT[key]
-    head = full // split
-    spaced = head * split * 10 + full - head * split
-    top = spaced // 10 ** 10
-    rest = spaced - top * 10 ** 10
-    middle = rest // 100
-    last = rest - middle * 100
-    tens = last * 103 >> 10
-    cells = np.empty((len(digits), 4), dtype=_CELL)
-    cells[:, 0] = _HEAD[negative * 22 + form]
-    cells[:, 1] = _digit_bytes(top) | _ASCII[0, key]
-    cells[:, 2] = _digit_bytes(middle) | _ASCII[1, key]
-    cells[:, 3] = tens | (last - tens * 10) << 8 | _ASCII[2, key] | _EXPONENT[point + 323]
-    return cells
-
-
-def _float_cells(values) -> np.ndarray:
-    """Text cells (n, 4) of the float64 ``values`` (flattened), each the
-    ``repr`` of its float as NUL-padded ASCII; the last byte is always NUL."""
-    bits = np.ascontiguousarray(values, dtype=np.float64).reshape(-1).view(np.uint64)
-    negative = (bits >> 63).astype(np.intp)
-    mag = bits & ((1 << 63) - 1)
-    kind = (mag >= _INF_BITS).astype(np.intp) + (mag > _INF_BITS)
-    cells = np.zeros((len(bits), 4), dtype=_CELL)
-    cells[:, 0] = _SPECIAL[2 * kind + negative]
-    regular = np.flatnonzero(mag - 1 < _INF_BITS - 1)   # finite and nonzero
-    if regular.size:
-        cells[regular] = _layout(negative[regular], *_shortest_digits(mag[regular]))
-    return cells
-
-
-def _text_cells(texts: list[str]) -> np.ndarray:
-    """Cells (n, w) of ASCII ``texts``, wide enough to end in a NUL byte."""
-    width = (max(map(len, texts), default=0) + 8) // 8
-    return np.array(texts, dtype=f"S{8 * width}").view(_CELL).reshape(len(texts), width)
-
-
-def _float_texts(values) -> list[str]:
-    """``repr`` of every float64 of ``values`` (flattened), in order: the
-    texts of ``_float_cells`` as strings."""
-    cells = _float_cells(values)
-    cells[:, -1] |= _COMMA
-    return _strip(cells).decode("ascii").split(",")[:-1]
-
-
-def _strip(cells: np.ndarray) -> bytes:
-    """The bytes of ``cells`` with every NUL deleted."""
-    return cells.tobytes().translate(None, b"\0")
-
-
-def _csv_lines(columns, newline: str) -> bytes:
-    """One line per cell of the cell arrays ``columns``, which broadcast to
-    one shape (..., w_k): the cells in column order, comma-separated, each
-    line ended by ``newline``."""
-    shape = np.broadcast_shapes(*(c.shape[:-1] for c in columns))
-    out = np.empty(shape + (sum(c.shape[-1] for c in columns) + 1,), dtype=_CELL)
-    end = 0
-    for column in columns:
-        start, end = end, end + column.shape[-1]
-        out[..., start:end] = column
-        if start:
-            out[..., start - 1] |= _COMMA   # in the free last byte of the cell before
-    out[..., end] = _word(newline)
-    return _strip(out)
-
-
-def _grid_lines(row_cells, column_cells, grids, newline: str, keep=None) -> bytes:
-    """Lines ``row, column, v1, v2, ...`` over a block of grid rows.
-
-    ``row_cells`` (r, w) and ``column_cells`` (c, w') label the rows and
-    columns; ``grids`` are (r, c) float arrays.  With a boolean ``keep``
-    (r, c), only the points it marks get a line, in row-major order.
-    """
-    if keep is None:
-        return _csv_lines([row_cells[:, None], column_cells[None, :],
-                           *(_float_cells(g).reshape(g.shape + (4,)) for g in grids)], newline)
-    rows, cols = np.nonzero(keep)
-    return _csv_lines([row_cells[rows], column_cells[cols],
-                       *(_float_cells(g[keep]) for g in grids)], newline)
-
-
-def _row_blocks(rows: int, columns: int):
-    """Slices of at most ``_BLOCK_VALUES`` values' worth of grid rows (one row at least)."""
-    step = max(1, _BLOCK_VALUES // max(columns, 1))
-    return [slice(i, i + step) for i in range(0, rows, step)]
-
-
-def _write_csv(path, header: str, blocks) -> None:
-    """Write a header line and blocks of ready-made CRLF lines.
-
-    Lines end in CRLF and carry ints and float reprs with no quoting, so
-    the file is byte for byte what ``csv.writer`` gives for the same rows.
-    """
-    with open(path, "wb") as fh:
-        fh.write(header.encode("ascii") + b"\r\n")
-        fh.writelines(blocks)
-
-
 def check_floor(floor: float) -> None:
     """A distribution CSV floor must be a finite probability >= 0."""
     if not 0.0 <= floor < math.inf:
@@ -804,20 +507,15 @@ def check_floor(floor: float) -> None:
 
 
 def write_distribution_csv(path, snapshot: Snapshot, floor: float = 0.0):
-    """Write columns x, y, P; rows below ``floor`` are skipped."""
+    """Write columns x, y, P in CRLF lines; rows below ``floor`` are skipped."""
     check_floor(floor)
     prob = snapshot.prob
-    labels = _text_cells(list(map(str, range(-snapshot.offset, len(prob) - snapshot.offset))))
-    _write_csv(path, "x,y,P", (
-        _grid_lines(labels[rows], labels, [prob[rows]], "\r\n",
-                    prob[rows] >= floor if floor > 0 else None)
-        for rows in _row_blocks(*prob.shape)))
+    axis = np.arange(len(prob)) - snapshot.offset
+    _text.write(path, _text.csv_lines("x,y,P", (axis, axis), [prob], "\r\n",
+                                      prob >= floor if floor > 0 else None))
 
 
 def write_trajectory_csv(path, traj: Trajectory):
-    """Write columns t, P_origin."""
+    """Write columns t, P_origin in CRLF lines."""
     p = traj.p_origin
-    labels = _text_cells(list(map(str, range(len(p)))))
-    _write_csv(path, "t,P_origin", (
-        _csv_lines([labels[rows], _float_cells(p[rows])], "\r\n")
-        for rows in _row_blocks(len(p), 1)))
+    _text.write(path, _text.csv_lines("t,P_origin", (np.arange(len(p)),), [p], "\r\n"))

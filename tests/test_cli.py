@@ -1,11 +1,13 @@
+import contextlib
 import csv
+import io
 import json
 import os
 
 import numpy as np
 import pytest
 
-from trapwalk import classify, cli, coins, spectral
+from trapwalk import _text, classify, cli, coins, spectral
 
 from conftest import draw_type_i, draw_type_iia, draw_type_iib, perturbed
 
@@ -247,10 +249,25 @@ SPECTRUM_COINS = {
 }
 
 
-# grid 128 (the benchmark's size) spans more than one block of formatted rows
-@pytest.mark.parametrize("name, grid", [(name, grid) for name in sorted(SPECTRUM_COINS)
-                                        for grid in (1, 2, 7, 64)] + [("phased-I", 128)])
-def test_spectrum_matches_row_by_row_text(tmp_path, capsys, name, grid):
+def _stdout_text(*argv) -> str:
+    """What ``run`` writes to a ``sys.stdout`` that is a plain ``io.StringIO``."""
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert run(*argv) == 0
+    return out.getvalue()
+
+
+# grid 128 (the benchmark's size) spans more than one block of formatted rows, and
+# blocks of 7 values split grid 7 into 7 blocks of one row
+SPECTRUM_CASES = [(name, grid, None) for name in sorted(SPECTRUM_COINS)
+                  for grid in (1, 2, 7, 64)] + [("phased-I", 128, None), ("fig2", 7, 7)]
+
+
+@pytest.mark.parametrize("name, grid, block", SPECTRUM_CASES, ids=[
+    f"{name}-{grid}" + (f"-blocks-of-{block}" if block else "")
+    for name, grid, block in SPECTRUM_CASES])
+def test_spectrum_matches_row_by_row_text(tmp_path, capsys, monkeypatch, name, grid, block):
+    if block:
+        monkeypatch.setattr(_text, "_BLOCK_VALUES", block)
     coin = SPECTRUM_COINS[name]
     coin_path, out = tmp_path / "coin.json", tmp_path / "spectrum.csv"
     coins.write_coin_json(coin_path, coin)
@@ -260,10 +277,16 @@ def test_spectrum_matches_row_by_row_text(tmp_path, capsys, name, grid):
     capsys.readouterr()
     assert run("spectrum", "-i", str(coin_path), "--grid", str(grid)) == 0
     assert capsys.readouterr().out.encode() == expected
+    assert _stdout_text("spectrum", "-i", str(coin_path), "--grid", str(grid)).encode() == expected
 
 
-@pytest.mark.parametrize("n", [2, 7])
-def test_areasweep_matches_row_by_row_text(tmp_path, capsys, n):
+# blocks of 7 values put each row of n = 7 in a block of its own, so the
+# off-diagonal mask is cut across blocks
+@pytest.mark.parametrize("n, block", [(2, None), (7, None), (7, 7)],
+                         ids=["2", "7", "7-blocks-of-7"])
+def test_areasweep_matches_row_by_row_text(tmp_path, capsys, monkeypatch, n, block):
+    if block:
+        monkeypatch.setattr(_text, "_BLOCK_VALUES", block)
     grid, table = spectral.area_sweep(n)
     lines = ["delta1,delta2,S"]
     for i, d1 in enumerate(grid):
@@ -276,6 +299,7 @@ def test_areasweep_matches_row_by_row_text(tmp_path, capsys, n):
     assert out.read_bytes() == expected
     assert run("areasweep", "--n", str(n)) == 0
     assert capsys.readouterr().out.encode() == expected
+    assert _stdout_text("areasweep", "--n", str(n)).encode() == expected
 
 
 def test_figure_fig2_outputs(tmp_path):
@@ -455,6 +479,16 @@ def test_error_json_on_bad_floor_figure(tmp_path, capsys, floor):
                                          "--floor", floor))
     assert err["error"] == "ValueError" and "floor" in err["message"]
     assert not outdir.exists()
+
+
+def test_error_json_on_output_that_is_a_directory(tmp_path, capsys):
+    target = tmp_path / "out"
+    target.mkdir()
+    err = _assert_json_error(capsys, run("areasweep", "--n", "2", "-o", str(target)))
+    # the path given, not a temp file's, and no temp file beside the directory or in it
+    assert err["error"] == "IsADirectoryError" and err["message"].endswith(repr(str(target)))
+    assert ".tmp-trapwalk" not in err["message"]
+    assert os.listdir(tmp_path) == ["out"] and os.listdir(target) == []
 
 
 def test_failed_distribution_write_leaves_no_file(tmp_path, capsys, monkeypatch):

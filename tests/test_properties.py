@@ -6,7 +6,7 @@ import math
 import numpy as np
 from hypothesis import example, given, strategies as st
 
-from trapwalk import classify, coins, laurent, walk
+from trapwalk import _text, classify, coins, laurent, walk
 from trapwalk.errors import ParameterDomainError
 
 from conftest import DRAWERS, random_unitary
@@ -190,7 +190,7 @@ FLOAT_ARRAYS = st.lists(
 @example(np.array(SPECIAL_FLOATS))
 @example(np.array(SPECIAL_FLOATS * 3)[::-1])
 def test_float_texts_are_the_reprs(values):
-    assert walk._float_texts(values) == list(map(repr, values.tolist()))
+    assert _text._float_texts(values) == list(map(repr, values.tolist()))
     # a 2-D input is read in row-major order
     square = np.resize(values, (3, 3))
-    assert walk._float_texts(square) == list(map(repr, square.ravel().tolist()))
+    assert _text._float_texts(square) == list(map(repr, square.ravel().tolist()))

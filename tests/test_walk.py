@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from trapwalk import coins, spectral, walk
+from trapwalk import _text, coins, spectral, walk
 from trapwalk.linalg import require_unitary
 
 from conftest import DRAWERS, hadamard_tensor_coin, random_unitary
@@ -401,16 +401,20 @@ def test_distribution_csv_rejects_bad_floor(tmp_path, floor):
     assert not path.exists()
 
 
-@pytest.mark.parametrize("params", [
-    coins.TypeIIaParams(QUARTER, QUARTER, QUARTER, np.pi),   # Grover
-    coins.TypeIIaParams(np.pi / 6, QUARTER, QUARTER, np.pi),  # fig4
-], ids=["grover", "fig4"])
-def test_distribution_csv_matches_csv_writer_across_row_blocks(tmp_path, params):
+@pytest.mark.parametrize("params, block", [
+    (coins.TypeIIaParams(QUARTER, QUARTER, QUARTER, np.pi), None),   # Grover
+    (coins.TypeIIaParams(np.pi / 6, QUARTER, QUARTER, np.pi), None),  # fig4
+    (coins.TypeIIaParams(QUARTER, QUARTER, QUARTER, np.pi), 7),
+], ids=["grover", "fig4", "grover-blocks-of-7"])
+def test_distribution_csv_matches_csv_writer_across_row_blocks(tmp_path, monkeypatch,
+                                                                params, block):
+    if block:
+        monkeypatch.setattr(_text, "_BLOCK_VALUES", block)
     # grids of 123 and 263 rows are no multiple of the rows of one block
     traj = walk.simulate(coins.coin_for(params), walk.initial_state(FIG2_INITIAL), 130,
                          snapshot_times=(60, 130))
     for snap in traj.snapshots.values():
-        assert len(walk._row_blocks(*snap.prob.shape)) > 1
+        assert snap.prob.size > _text._BLOCK_VALUES
         for floor in (0.0, 1e-12):
             walk.write_distribution_csv(tmp_path / "new.csv", snap, floor=floor)
             reference_distribution_csv(tmp_path / "ref.csv", snap, floor=floor)
@@ -435,7 +439,7 @@ def _edge_floats() -> np.ndarray:
 
 def test_float_texts_match_repr_on_edge_values():
     values = _edge_floats()
-    assert walk._float_texts(values) == list(map(repr, values.tolist()))
+    assert _text._float_texts(values) == list(map(repr, values.tolist()))
 
 
 def test_float_texts_match_repr_on_random_bit_patterns():
@@ -445,7 +449,7 @@ def test_float_texts_match_repr_on_random_bit_patterns():
     subnormal = rng.integers(0, 2 ** 52, 20_000, dtype=np.uint64) | (rng.integers(
         0, 2, 20_000, dtype=np.uint64) << np.uint64(63))
     values = np.concatenate([bits, subnormal]).view(np.float64)
-    assert walk._float_texts(values) == list(map(repr, values.tolist()))
+    assert _text._float_texts(values) == list(map(repr, values.tolist()))
 
 
 def test_block_shifts_match_hand_written_table():
@@ -634,12 +638,15 @@ def test_step_returns_fresh_states():
         assert not any(np.shares_memory(x, y) for y in arrays[i + 1:])
 
 
-def test_trajectory_csv_matches_csv_writer(tmp_path):
+def test_trajectory_csv_matches_csv_writer(tmp_path, monkeypatch):
     traj = walk.simulate(coins.grover_coin(), walk.initial_state(FIG2_INITIAL), 9)
     long = walk.simulate(coins.grover_coin(), walk.initial_state(FIG2_INITIAL), 300)
     synthetic = walk.Trajectory(steps=3, p_origin=np.array([1.0, 0.0, 5e-324, 1 / 3]),
                                 snapshots={})
-    for tr in (traj, long, synthetic):
-        walk.write_trajectory_csv(tmp_path / "new.csv", tr)
-        reference_trajectory_csv(tmp_path / "ref.csv", tr)
-        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    # one block of rows, then blocks of 7 rows (the 301 rows of the long walk in 43)
+    for block in (_text._BLOCK_VALUES, 7):
+        monkeypatch.setattr(_text, "_BLOCK_VALUES", block)
+        for tr in (traj, long, synthetic):
+            walk.write_trajectory_csv(tmp_path / "new.csv", tr)
+            reference_trajectory_csv(tmp_path / "ref.csv", tr)
+            assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()

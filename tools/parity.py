@@ -32,9 +32,9 @@ DIR receives
   (``boundary_coins``), one line per coin;
 * ``text.json``: the sha256 and size of every file the text-writing CLI
   commands of ``text_commands`` write: the benchmark's long walk (Grover, 500
-  steps, snapshots at 250 and 500), ``figure fig2|fig4|fig6``, ``spectrum
-  --grid 128`` and ``region`` for the Grover and fig2 coins, and ``areasweep
-  --n 50``.
+  steps, snapshots at 250 and 500), ``figure fig2|fig4|fig6``, ``figure fig2
+  --floor 1e-9`` (the distribution's floor path), ``spectrum --grid 128`` and
+  ``region`` for the Grover and fig2 coins, and ``areasweep --n 50``.
 
 ``--diff`` compares two snapshots: the JSON files byte for byte, the cells,
 operators and walks bit for bit (with the number of cells and of operators
@@ -145,6 +145,7 @@ def text_commands(inputs: Path) -> dict[str, list[str]]:
                               "--snapshots", "250,500", "--outdir", "{out}"]}
     commands.update((f"figure_{name}", ["figure", name, "--outdir", "{out}"])
                     for name in ("fig2", "fig4", "fig6"))
+    commands["figure_fig2_floor"] = ["figure", "fig2", "--floor", "1e-9", "--outdir", "{out}"]
     for name, path in paths.items():
         commands[f"spectrum_{name}"] = ["spectrum", "-i", path, "--grid", "128",
                                         "-o", "{out}/spectrum.csv"]
