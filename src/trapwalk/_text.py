@@ -264,22 +264,6 @@ def _label_cells(labels: np.ndarray) -> np.ndarray:
     return np.array(texts, dtype=f"S{8 * width}").view(_CELL).reshape(len(texts), width)
 
 
-def _lines(columns, newline: str) -> bytes:
-    """One line per cell of the cell arrays ``columns``, which broadcast to
-    one shape (..., w_k): the cells in column order, comma-separated, each
-    line ended by ``newline``."""
-    shape = np.broadcast_shapes(*(c.shape[:-1] for c in columns))
-    out = np.empty(shape + (sum(c.shape[-1] for c in columns) + 1,), dtype=_CELL)
-    end = 0
-    for column in columns:
-        start, end = end, end + column.shape[-1]
-        out[..., start:end] = column
-        if start:
-            out[..., start - 1] |= _COMMA   # in the free last byte of the cell before
-    out[..., end] = _word(newline)
-    return _strip(out)
-
-
 def csv_lines(header: str, axis_labels, value_grids, newline: str, keep=None):
     """The bytes of a grid CSV: the ``header`` line, then blocks of lines
     ``label_1, ..., label_d, v_1, v_2, ...``, one per grid point in row-major
@@ -296,15 +280,34 @@ def csv_lines(header: str, axis_labels, value_grids, newline: str, keep=None):
     step = max(1, _BLOCK_VALUES // max(1, math.prod(map(len, labels[1:]))))
     for start in range(0, len(labels[0]), step):
         rows = slice(start, start + step)
-        axes, grids = [labels[0][rows], *labels[1:]], [g[rows] for g in value_grids]
-        if keep is None:
-            axes = [np.expand_dims(a, tuple(j for j in range(len(axes)) if j != k))
-                    for k, a in enumerate(axes)]
-            cells = [_float_cells(g).reshape(g.shape + (4,)) for g in grids]
-        else:
-            axes = [a[i] for a, i in zip(axes, np.nonzero(keep[rows]))]
-            cells = [_float_cells(g[keep[rows]]) for g in grids]
-        yield _lines(axes + cells, newline)
+        # a block's cells live only in _block_lines, never beside the next block's
+        yield _block_lines([labels[0][rows], *labels[1:]], [g[rows] for g in value_grids],
+                           None if keep is None else keep[rows], newline)
+
+
+def _block_lines(axes, grids, keep, newline: str) -> bytes:
+    """The lines of one block of rows of ``csv_lines``: ``axes`` are the label
+    cells of the block's rows and of the other axes, ``grids`` the block's
+    values and ``keep`` None or its mask."""
+    if keep is None:
+        columns = [np.expand_dims(a, tuple(j for j in range(len(axes)) if j != k))
+                   for k, a in enumerate(axes)]
+        columns += [_float_cells(g).reshape(g.shape + (4,)) for g in grids]
+    else:
+        columns = [a[i] for a, i in zip(axes, np.nonzero(keep))]
+        columns += [_float_cells(g[keep]) for g in grids]
+    # the cells of each line in column order, a comma in the free last byte
+    # of each cell but the last, then the newline
+    shape = np.broadcast_shapes(*(c.shape[:-1] for c in columns))
+    out = np.empty(shape + (sum(c.shape[-1] for c in columns) + 1,), dtype=_CELL)
+    end = 0
+    for column in columns:
+        start, end = end, end + column.shape[-1]
+        out[..., start:end] = column
+        if start:
+            out[..., start - 1] |= _COMMA
+    out[..., end] = _word(newline)
+    return _strip(out)
 
 
 def write(path, chunks) -> None:
