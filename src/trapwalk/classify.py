@@ -1,10 +1,11 @@
 """Trapping detection, family classification, escaping states, trapped weight.
 
-Every public entry here reads one flat-band decision, ``laurent._flat_bands``:
-the constant eigenvalues of the momentum-space walk operator U(k) = S(k) C,
-each chiral pair confirmed by the 2x2 cell solved at its seed eigenphase
-(or, when that fails, at its partner).  Families follow from the rank of
-that cell's stationary amplitude matrix A (4, 3, 2 for Types I, IIa, IIb).
+Every public entry here reads one flat-band decision, ``laurent._flat_bands``,
+memoized per coin: the constant eigenvalues of the momentum-space walk
+operator U(k) = S(k) C, each chiral pair confirmed by the 2x2 cell solved at
+its seed eigenphase (or, when that fails, at its partner).  Families follow
+from the rank of that cell's stationary amplitude matrix A (4, 3, 2 for
+Types I, IIa, IIb).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 from . import coins as _coins
 from .errors import NotTrappingError
 from .laurent import _band_cells, _flat_bands
-from .linalg import RANK_TOL, _rank_decision, fix_vector_phase, require_unitary
+from .linalg import RANK_TOL, _integer, _rank_decision, fix_vector_phase, require_unitary
 
 __all__ = [
     "ClassificationResult",
@@ -46,7 +47,7 @@ def detect_point_spectrum(coin) -> list[tuple[complex, int]]:
     list of (eigenphase, multiplicity)
         Sorted by principal angle; empty for non-trapping coins.
     """
-    return _flat_bands(require_unitary(coin))[0]
+    return list(_flat_bands(require_unitary(coin).tobytes())[0])
 
 
 @dataclass(frozen=True)
@@ -101,7 +102,7 @@ def escaping_subspace(coin) -> np.ndarray:
     NotTrappingError
         If the coin has no constant eigenvalue.
     """
-    spectrum, _, solved = _flat_bands(require_unitary(coin))
+    spectrum, _, solved = _flat_bands(require_unitary(coin).tobytes())
     if not spectrum:
         raise NotTrappingError("coin is not trapping; every coin state escapes")
     return _rank_and_escaping(spectrum, solved)[1]
@@ -110,12 +111,6 @@ def escaping_subspace(coin) -> np.ndarray:
 # Below this fraction of a = |A|^2 + |B|^2 the row formula for |v|^2 has
 # lost more than ~3 digits to cancellation, so the point is evaluated directly.
 _ROW_FORMULA_FLOOR = 1e-3
-
-
-def _check_grid(grid_n) -> int:
-    if isinstance(grid_n, bool) or not isinstance(grid_n, (int, np.integer)) or grid_n < 1:
-        raise ValueError(f"grid_n must be an integer >= 1, got {grid_n!r}")
-    return int(grid_n)
 
 
 def _band_projector(cell, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -171,7 +166,7 @@ def trapped_weight_operator(coin, grid_n: int = 256) -> np.ndarray:
     """
     c = require_unitary(coin)
     # a copy, so that a caller who writes to W leaves the cached one intact
-    return _weight_operator(c.tobytes(), _check_grid(grid_n)).copy()
+    return _weight_operator(c.tobytes(), _integer(grid_n, "grid_n", 1)).copy()
 
 
 @functools.lru_cache(maxsize=8)
@@ -181,8 +176,7 @@ def _weight_operator(coin_bytes: bytes, grid_n: int) -> np.ndarray:
     A coin's W is asked for once per initial state, so the last few are
     kept; an exception (a coin that does not trap) is not cached.
     """
-    c = np.frombuffer(coin_bytes, dtype=np.complex128).reshape(4, 4)
-    spectrum, _, solved = _flat_bands(c)
+    spectrum, _, solved = _flat_bands(coin_bytes)
     if not spectrum:
         raise NotTrappingError("coin is not trapping")
     k = -np.pi + 2.0 * np.pi * (np.arange(grid_n) + 0.5) / grid_n
@@ -229,7 +223,7 @@ def classify_coin(coin) -> ClassificationResult:
     NotTrapping and ``marginal``.
     """
     c = require_unitary(coin)
-    spectrum, marginal, solved = _flat_bands(c)
+    spectrum, marginal, solved = _flat_bands(c.tobytes())
     if not spectrum:
         return ClassificationResult(
             trapping=False, eigenphases=(), family="NotTrapping", marginal=marginal,

@@ -44,13 +44,18 @@ def _atomic_write(path: str, write):
     """Create ``path`` by calling ``write(tmp)`` on a sibling temp file, then renaming.
 
     The temp file gets the mode a plain ``open`` would give (0o666 less the
-    umask) and is removed if writing or renaming fails.
+    umask) and is removed if writing or renaming fails.  An error creating
+    it names ``path``.
     """
     if os.path.isdir(path):
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     directory = os.path.dirname(os.path.abspath(path))
     tmp = os.path.join(directory, f".tmp-trapwalk-{os.urandom(8).hex()}")
-    os.close(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
+    try:
+        os.close(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
+    except OSError as exc:
+        # a missing or unwritable directory: name the path given, not the temp file
+        raise type(exc)(exc.errno, exc.strerror, path) from None
     try:
         write(tmp)
         os.replace(tmp, path)

@@ -25,11 +25,14 @@ its explicit coefficients are all negligible.
 
 The flat-band decision, ``_flat_bands``, lives here beside the polynomial
 ``det(z S^-1 - C)`` it reads and the kernel solve that confirms each chiral
-pair of flat bands; ``classify`` and ``localized_cells`` read it.
+pair of flat bands; ``classify`` and ``localized_cells`` read it.  It is
+memoized on the checked coin's bytes, with the cells it solved, so each coin
+is decided once however many entries read it.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 import numpy as np
@@ -136,21 +139,28 @@ def _flat_roots(coeffs: np.ndarray):
     return [((-alpha + split) / 2.0, 1), ((-alpha - split) / 2.0, 1)], decisions
 
 
-def _flat_bands(c: np.ndarray):
-    """The one flat-band decision: point spectrum, marginal flag and solved cells.
+@functools.lru_cache(maxsize=16)
+def _flat_bands(coin_bytes: bytes):
+    """The one flat-band decision of the checked coin with these bytes: point
+    spectrum, marginal flag and solved cells.
 
-    ``c`` must be a checked unitary coin.  Each root +-sqrt(w) of multiplicity
-    m becomes the nearest eigenvalue of U(0) = C, or of U at the other
-    momentum where the (m+1)-th nearest is within coins._FLAT_TOL at k = 0 but
-    not there.  A pair's seed is its member that sorts first in the spectrum.
-    The pair counts if the seed's cells solve and check, or else, marginally,
-    its partner's.  ``solved`` maps the member solved in each pair to its
-    cells; ``_band_cells`` reads the cells of any reported eigenphase off it.
+    Each root +-sqrt(w) of multiplicity m becomes the nearest eigenvalue of
+    U(0) = C, or of U at the other momentum where the (m+1)-th nearest is
+    within coins._FLAT_TOL at k = 0 but not there.  A pair's seed is its member
+    that sorts first in the spectrum.  The pair counts if the seed's cells
+    solve and check, or else, marginally, its partner's.  ``solved`` pairs the
+    member solved in each pair with its cells; ``_band_cells`` reads the cells
+    of any reported eigenphase off it.
+
+    The last 16 decisions are kept, so that every entry reading a coin's flat
+    bands decides it once; the values are immutable, and an exception is not
+    cached.
     """
     def angle(item):
         ang = float(np.angle(item[0])) % (2 * np.pi)
         return 0.0 if ang > 2 * np.pi - 1e-9 else ang
 
+    c = np.frombuffer(coin_bytes, dtype=np.complex128).reshape(4, 4)
     roots, decisions = _flat_roots(_charpoly(c))
     marginal = any(_marginal(value, thr) for value, thr in decisions)
     spectrum, solved = [], []
@@ -167,23 +177,24 @@ def _flat_bands(c: np.ndarray):
         pair.sort(key=angle)
         for lam, _ in pair:
             try:
-                solved.append((lam, _localized_cells(c, lam)))
+                solved.append((lam, tuple(_localized_cells(c, lam))))
             except (KernelInconsistencyError, ValueError):
                 marginal = True
                 continue
             spectrum += pair
             break
-    return sorted(spectrum, key=angle), marginal, dict(sorted(solved, key=angle))
+    return tuple(sorted(spectrum, key=angle)), marginal, tuple(sorted(solved, key=angle))
 
 
 def _band_cells(solved, z: complex) -> list[_coins.AmplitudeCell]:
-    """The cells of the reported eigenphase ``z``: those ``_flat_bands`` solved
-    there, or else, since S(k + pi) = -S(k), the chiral partners of those it
-    solved at the pair's other member, gauge-fixed again.  Partner cells are
-    built here only.
+    """A new list of the cells of the reported eigenphase ``z``: those
+    ``_flat_bands`` solved there, or else, since S(k + pi) = -S(k), the chiral
+    partners of those it solved at the pair's other member, gauge-fixed again.
+    Partner cells are built here only, when read.
     """
+    solved = dict(solved)
     if z in solved:
-        return solved[z]
+        return list(solved[z])
     partners = (cell.chiral_partner() for cell in solved[min(solved, key=lambda s: abs(s + z))])
     return [_coins.AmplitudeCell(*fix_vector_phase(p.amplitudes), eigenphase=p.eigenphase,
                                  norm=p.norm) for p in partners]
@@ -489,20 +500,21 @@ def localized_cells(coin, eigenphase: complex) -> list[_coins.AmplitudeCell]:
     Generic trapping coins yield a single cell.  Direct sums of
     one-dimensional coins yield one cell per trapping sector whose
     eigenvalue matches; lattice translates of the same quasi-1D pair are
-    not reported separately.  Each cell is validated once, here.
+    not reported separately.  Each cell is validated once, where it is solved.
 
     Raises NotTrappingError unless ``eigenphase`` is within ``KERNEL_REL_TOL``
     of a reported flat eigenphase.  At a reported eigenphase itself the cells
-    are those of the flat-band decision: the ones solved there, or the chiral
-    partners of those solved at its pair's other member.  Near one they are
-    solved at ``eigenphase``, and are those same cells when that solve or its
-    cell check fails.
+    are those of the coin's memoized flat-band decision (``_flat_bands``): the
+    ones solved there, or the chiral partners of those solved at its pair's
+    other member, so asking again, or at the other member, solves no kernel.
+    Near one they are solved at ``eigenphase``, and are those same cells when
+    that solve or its cell check fails.  Each call returns a new list.
     """
     c = require_unitary(coin)
     lam = complex(eigenphase)
     if not abs(abs(lam) - 1.0) <= 1e-9:
         raise ValueError(f"eigenphase must have unit modulus, got |{lam}| = {abs(lam)}")
-    spectrum, _, solved = _flat_bands(c)
+    spectrum, _, solved = _flat_bands(c.tobytes())
     flat = next((z for z, _ in spectrum if abs(lam - z) <= KERNEL_REL_TOL), None)
     if flat is None:
         raise NotTrappingError(f"{lam} is not a constant eigenvalue of the walk operator")

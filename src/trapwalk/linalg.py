@@ -5,6 +5,8 @@ Rank and kernel computations use singular values.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import NotUnitaryError
@@ -35,6 +37,17 @@ def as_complex_matrix(m, shape: tuple[int, int] | None = None) -> np.ndarray:
     return a
 
 
+def _integer(value, name: str, least: int | None = None) -> int:
+    """``value`` as an int, at least ``least`` if given; anything but an
+    integer (a bool included) is a ValueError.
+    """
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or least is not None and value < least):
+        bound = "" if least is None else f" >= {least}"
+        raise ValueError(f"{name} must be an integer{bound}, got {value!r}")
+    return int(value)
+
+
 def _defect(a: np.ndarray, eye: np.ndarray) -> float:
     return float(np.abs(a.conj().T @ a - eye).max())
 
@@ -48,10 +61,6 @@ def unitarity_defect(m) -> float:
 _EYE4 = np.eye(4)
 _EYE4.flags.writeable = False
 
-# Bytes of coins that passed at the default tolerance; emptied when full.
-_PASSED: set[bytes] = set()
-_PASSED_MAX = 16
-
 
 def require_unitary(m, tol: float = UNITARITY_TOL) -> np.ndarray:
     """The four-state coin ``m`` as a complex128 (4, 4) array, checked unitary.
@@ -59,26 +68,26 @@ def require_unitary(m, tol: float = UNITARITY_TOL) -> np.ndarray:
     Raises ValueError for another shape or non-finite entries and
     NotUnitaryError when the unitarity defect exceeds ``tol``.
 
-    The bytes of up to ``_PASSED_MAX`` coins that passed at the default
-    tolerance are remembered (the set is emptied when full), so a coin
-    checked again, as by ``walk.step`` in a loop, costs a lookup instead of
-    a product.  Equal bytes are equal entries, so a remembered coin is
-    finite and unitary; a coin changed in place has other bytes and is
-    checked afresh.  A non-default ``tol`` always checks.
+    The defect is memoized on the coin's bytes (``_coin_defect``, the last
+    16 coins), so a coin checked again, as by ``walk.step`` in a loop, costs
+    a lookup instead of a product, at any ``tol``.  Equal bytes are equal
+    entries, so a coin changed in place is checked afresh; a coin that
+    raises ValueError is never remembered.
     """
     a = np.asarray(m, dtype=np.complex128)
-    memo = tol == UNITARITY_TOL and a.shape == (4, 4)
-    if memo and (key := a.tobytes()) in _PASSED:
-        return a
-    a = as_complex_matrix(a, (4, 4))
-    defect = _defect(a, _EYE4)
+    defect = _coin_defect(a.tobytes(), a.shape)
     if defect > tol:
         raise NotUnitaryError(f"unitarity defect {defect:.3e} exceeds tolerance {tol:.1e}")
-    if memo:
-        if len(_PASSED) >= _PASSED_MAX:
-            _PASSED.clear()
-        _PASSED.add(key)
     return a
+
+
+@functools.lru_cache(maxsize=16)
+def _coin_defect(coin_bytes: bytes, shape: tuple[int, ...]) -> float:
+    """The unitarity defect of the array with these bytes and shape, which must
+    be a finite 4x4 coin.
+    """
+    a = np.frombuffer(coin_bytes, dtype=np.complex128).reshape(shape)
+    return _defect(as_complex_matrix(a, (4, 4)), _EYE4)
 
 
 def fix_vector_phase(v: np.ndarray) -> np.ndarray:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import coins as _coins
-from .linalg import require_unitary
+from .linalg import _integer, require_unitary
 
 __all__ = [
     "DispersionSpec",
@@ -262,8 +262,7 @@ def area_sweep(n: int = 50):
     (delta1, delta2) = (grid[i], grid[j]).  The family excludes the
     diagonal delta1 = delta2, so those entries are NaN.
     """
-    if n < 2:
-        raise ValueError("need at least a 2x2 grid")
+    n = _integer(n, "n", 2)
     grid = (np.arange(n) + 0.5) * (math.pi / 2.0) / n
     table = np.full((n, n), np.nan)
     for i, d1 in enumerate(grid):

@@ -55,7 +55,7 @@ import numpy as np
 
 from . import _text
 from .coins import DISPLACEMENTS, AmplitudeCell
-from .linalg import require_unitary
+from .linalg import _integer, require_unitary
 from .spectral import SpreadRegion, region_contains
 
 __all__ = [
@@ -413,9 +413,7 @@ def simulate(coin, initial: WalkState, steps: int,
     sweep.  Each sweep writes a block into one of two buffers sized for
     its last step, in turn (module docstring).
     """
-    steps = _integer(steps, "steps")
-    if steps < 1:
-        raise ValueError(f"steps must be at least 1, got {steps}")
+    steps = _integer(steps, "steps", 1)
     c = _product_matrix(coin)
     wanted = {_integer(t, "snapshot time") for t in snapshot_times}
     outside = [t for t in sorted(wanted) if not initial.t <= t <= initial.t + steps]
@@ -461,13 +459,6 @@ def simulate(coin, initial: WalkState, steps: int,
             strips = []   # freed before the snapshot's arrays are made
             snapshots[state.t] = Snapshot(t=state.t, prob=state.probability())
     return Trajectory(steps=steps, p_origin=p_origin, snapshots=snapshots)
-
-
-def _integer(value, name: str) -> int:
-    """``value`` as an int; anything but an integer (a bool included) is a ValueError."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
 
 
 def origin_time_average(traj: Trajectory) -> float:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import settings
 from scipy.linalg import expm
 
-from trapwalk import coins
+from trapwalk import classify, coins, laurent, linalg
 
 # Property tests replay the same examples on every run.
 settings.register_profile("trapwalk", derandomize=True, deadline=None)
@@ -67,6 +67,15 @@ def perturbed(coin, eps, rng) -> np.ndarray:
 def hadamard_tensor_coin() -> np.ndarray:
     h = np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2)
     return np.kron(h, h)
+
+
+@pytest.fixture(autouse=True)
+def fresh_memos():
+    """Start every test with empty per-coin memos, so that no test reads a
+    decision, unitarity defect or W that an earlier test left behind.
+    """
+    for memo in (laurent._flat_bands, linalg._coin_defect, classify._weight_operator):
+        memo.cache_clear()
 
 
 @pytest.fixture

@@ -70,8 +70,8 @@ def test_marginal_flag():
     coin = perturbed(base, 2e-9, np.random.default_rng(204))
     residual = laurent._flat_roots(laurent._charpoly(coin))[1][-1][0]
     assert coins._FLAT_TOL / 10 <= residual < coins._FLAT_TOL
-    spectrum, _, solved = laurent._flat_bands(coin)
-    assert spectrum[0][0] in solved
+    spectrum, _, solved = laurent._flat_bands(coin.tobytes())
+    assert spectrum[0][0] in dict(solved)
     result = classify.classify_coin(coin)
     assert result.family == "TypeIIa" and result.marginal
 
@@ -87,8 +87,8 @@ def test_rank_decision_states_its_margin(gap, family, rank, marginal):
     # linalg.RANK_TOL, kept above it (1e-7) or dropped below it (1e-8), the
     # rank is marginal; a dropped one makes the coin Type IIa, with no params.
     coin = coins.coin_for(coins.TypeIParams(0.7, 0.7 + gap, 0.3, 1.1, 2.0, 0.4, 5.0))
-    _, _, seed_cells = laurent._flat_bands(coin)
-    cell = next(iter(seed_cells.values()))[0]
+    _, _, seed_cells = laurent._flat_bands(coin.tobytes())
+    cell = seed_cells[0][1][0]
     ratios = np.linalg.svd(coins.balance_matrices(cell).a, compute_uv=False)
     assert ratios[-1] / ratios[0] == pytest.approx(gap / 2, rel=1e-3)
     result = classify.classify_coin(coin)
@@ -546,7 +546,7 @@ def test_trapped_weight_grover_odd_grid_drops_ansatz_zero(grid_n, rng):
     assert abs(got - reference_trapped_weight(coin, psi, grid_n)) < 1e-14
 
 
-@pytest.mark.parametrize("grid_n", [0, -3, 2.5, True])
+@pytest.mark.parametrize("grid_n", [0, -3, 2.5, 3.0, "3", True])
 def test_trapped_weight_rejects_bad_grid(grid_n):
     psi = np.array([1, 0, 0, 0], dtype=complex)
     with pytest.raises(ValueError, match="grid_n"):
@@ -587,9 +587,9 @@ def test_trapped_weight_operator_is_computed_once_per_coin(monkeypatch, rng):
     assert classify.trapped_weight_operator(coin, grid_n=24).tobytes() == first.tobytes()
     psi = np.array([0.5, 0.5j, 0.5j, 0.5])
     assert classify.trapped_weight(coin, psi, grid_n=24) == np.vdot(psi, first @ psi).real
-    # another grid is another operator
+    # another grid is another operator, from the same memoized flat-band decision
     assert classify.trapped_weight_operator(coin, grid_n=25).tobytes() != first.tobytes()
-    assert calls["built"] >= 1
+    assert calls["validate"] == calls["built"] == 0
 
 
 def test_trapped_weight_operator_raises_for_a_non_trapping_coin_every_time():
@@ -603,11 +603,10 @@ def test_trapped_weight_operator_raises_for_a_non_trapping_coin_every_time():
 def count_checks(monkeypatch) -> dict:
     """Count require_unitary calls, cell validations and the cells laurent builds.
 
-    The cache of trapped-weight operators starts empty, so that an entry
-    that computes W builds its cells here.
+    The per-coin memos start empty (``conftest.fresh_memos``), so that an
+    entry builds the cells of a coin it has not seen here.
     """
     calls = {"unitary": 0, "validate": 0, "built": 0}
-    classify._weight_operator.cache_clear()
 
     def unitary(coin, *args, **kwargs):
         calls["unitary"] += 1
@@ -643,18 +642,44 @@ def test_flat_band_entries_check_each_input_once(monkeypatch, rng, entry):
     sample += DEGENERATE_COINS + [coins.grover_coin()]
     calls = count_checks(monkeypatch)
     for coin in sample:
-        before = dict(calls)
-        run(coin)
-        built = calls["built"] - before["built"]
-        assert calls["unitary"] - before["unitary"] == 1
-        # one check per cell where laurent builds it; chiral partners are exact sign flips
-        assert built >= 1 and calls["validate"] - before["validate"] == built
+        for first in (True, False):
+            before = dict(calls)
+            run(coin)
+            built = calls["built"] - before["built"]
+            assert calls["unitary"] - before["unitary"] == 1
+            # one check per cell where laurent builds it, the first time only;
+            # chiral partners are exact sign flips
+            assert (built >= 1) == first and calls["validate"] - before["validate"] == built
 
 
 def test_classify_checks_a_non_trapping_coin_once(monkeypatch, rng):
     calls = count_checks(monkeypatch)
     assert classify.classify_coin(random_unitary(rng)).family == "NotTrapping"
     assert calls == {"unitary": 1, "validate": 0, "built": 0}
+
+
+def test_every_entry_reads_one_decision_per_coin(monkeypatch, rng):
+    # classification, escaping subspace, point spectrum, the cells at every
+    # reported eigenphase and W at two grids decide each coin once between them
+    sample = [coins.grover_coin()] + [coins.coin_for(draw(rng)) for draw in DRAWERS.values()]
+    sample += DEGENERATE_COINS
+    charpoly, decided = laurent._charpoly, []
+    monkeypatch.setattr(laurent, "_charpoly", lambda c: decided.append(1) or charpoly(c))
+    for coin in sample:
+        classify.classify_coin(coin)
+        classify.escaping_subspace(coin)
+        spectrum = classify.detect_point_spectrum(coin)
+        cells = [laurent.localized_cells(coin, lam) for lam, _ in spectrum]
+        for grid_n in (8, 9):
+            classify.trapped_weight_operator(coin, grid_n=grid_n)
+        # the lists handed out are the callers' own: emptying them changes no later answer
+        lengths = [len(band) for band in cells]
+        spectrum.clear()
+        for band in cells:
+            band.clear()
+        assert [len(laurent.localized_cells(coin, lam))
+                for lam, _ in classify.detect_point_spectrum(coin)] == lengths
+    assert len(decided) == len(sample)
 
 
 def test_escaping_states_decay(rng):

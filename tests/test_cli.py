@@ -491,6 +491,15 @@ def test_error_json_on_output_that_is_a_directory(tmp_path, capsys):
     assert os.listdir(tmp_path) == ["out"] and os.listdir(target) == []
 
 
+def test_error_json_on_output_in_a_missing_directory(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    err = _assert_json_error(capsys, run("areasweep", "--n", "2", "-o", "nodir/x.csv"))
+    # the path given, not a temp file's, and nothing left behind
+    assert err["error"] == "FileNotFoundError" and err["message"].endswith("'nodir/x.csv'")
+    assert ".tmp-trapwalk" not in err["message"]
+    assert os.listdir(tmp_path) == []
+
+
 def test_failed_distribution_write_leaves_no_file(tmp_path, capsys, monkeypatch):
     def broken_writer(path, snapshot, floor=0.0):
         with open(path, "w", encoding="utf-8") as fh:

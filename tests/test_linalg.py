@@ -49,36 +49,48 @@ def test_a_coin_changed_in_place_is_checked_again():
 def test_non_finite_coins_are_never_remembered(bad):
     coin = grover_coin()
     coin[2, 1] = bad
+    for tol in (linalg.UNITARITY_TOL, np.inf, linalg.UNITARITY_TOL):
+        with pytest.raises(ValueError, match="non-finite"):
+            linalg.require_unitary(coin, tol=tol)
+    state = walk.initial_state([1.0, 0.0, 0.0, 0.0])
     for _ in range(2):
         with pytest.raises(ValueError, match="non-finite"):
-            linalg.require_unitary(coin)
-    assert coin.tobytes() not in linalg._PASSED
+            walk.step(state, coin)
 
 
 def test_a_non_default_tol_always_checks():
-    # defect ~4e-13: within the default tolerance, not within 1e-14
-    coin = grover_coin() * (1 + 2e-13)
-    defect = linalg.unitarity_defect(coin)
+    # defect ~4e-13: within the default tolerance, not within 1e-14, whichever
+    # tolerance the coin was first checked at
+    defect = linalg.unitarity_defect(grover_coin() * (1 + 2e-13))
     assert 1e-14 < defect <= linalg.UNITARITY_TOL
-    linalg.require_unitary(coin)
-    assert coin.tobytes() in linalg._PASSED
-    with pytest.raises(NotUnitaryError):
-        linalg.require_unitary(coin, tol=1e-14)
+    message = f"unitarity defect {defect:.3e} exceeds tolerance 1.0e-14"
+    for tols in ((linalg.UNITARITY_TOL, 1e-14), (1e-14, linalg.UNITARITY_TOL)):
+        linalg._coin_defect.cache_clear()
+        coin = grover_coin() * (1 + 2e-13)
+        for tol in tols + tols:
+            if tol == 1e-14:
+                with pytest.raises(NotUnitaryError, match=message):
+                    linalg.require_unitary(coin, tol=tol)
+            else:
+                assert linalg.require_unitary(coin, tol=tol) is coin
     # nor does a pass at a looser tol vouch for the default one
     loose = grover_coin() * (1 + 1e-9)
-    linalg.require_unitary(loose, tol=1e-6)
-    assert loose.tobytes() not in linalg._PASSED
-    with pytest.raises(NotUnitaryError):
-        linalg.require_unitary(loose)
+    for _ in range(2):
+        linalg.require_unitary(loose, tol=1e-6)
+        with pytest.raises(NotUnitaryError):
+            linalg.require_unitary(loose)
 
 
 def test_remembered_coins_stay_bounded(rng):
-    for _ in range(3 * linalg._PASSED_MAX):
-        coin = random_unitary(rng)
+    memo = linalg._coin_defect
+    assert memo.cache_info().maxsize is not None
+    drawn = [random_unitary(rng) for _ in range(3 * memo.cache_info().maxsize)]
+    for coin in drawn + drawn:
         assert linalg.require_unitary(coin) is coin
-        assert coin.tobytes() in linalg._PASSED
-        assert len(linalg._PASSED) <= linalg._PASSED_MAX
         assert linalg.require_unitary(coin.tolist()).tobytes() == coin.tobytes()
+        with pytest.raises(NotUnitaryError):
+            linalg.require_unitary(1.5 * coin)
+        assert memo.cache_info().currsize <= memo.cache_info().maxsize
 
 
 # Every public entry that takes a coin checks its shape before using it.

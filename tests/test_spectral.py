@@ -370,6 +370,12 @@ def test_caustic_images_on_both_boundaries():
 
 # ------------------------------------------------------------------- area sweep
 
+@pytest.mark.parametrize("n", [1, 0, -2, 3.0, np.float64(3.0), "3", True])
+def test_area_sweep_rejects_bad_n(n):
+    with pytest.raises(ValueError, match=r"n must be an integer >= 2"):
+        spectral.area_sweep(n)
+
+
 def test_area_sweep_properties():
     grid, table = spectral.area_sweep(50)
     assert np.all(np.isnan(np.diag(table)))
