@@ -139,7 +139,13 @@ def _parse_initial(text: str) -> np.ndarray:
 
 
 def _run_simulation(coin, initial, steps, snapshot_times, outdir, floor=0.0):
-    # simulate rejects bad steps and snapshot times before anything is created
+    # An outdir that cannot be made would throw the walk away: check it
+    # first, creating nothing, as simulate checks the steps and snapshot times.
+    nearest = os.path.abspath(outdir)
+    while not os.path.exists(nearest):
+        nearest = os.path.dirname(nearest)
+    if not os.path.isdir(nearest):
+        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), outdir)
     traj = _walk.simulate(coin, _walk.initial_state(initial), steps,
                           snapshot_times=snapshot_times)
     os.makedirs(outdir, exist_ok=True)
@@ -155,7 +161,11 @@ def _cmd_simulate(args) -> int:
     _walk.check_floor(args.floor)
     coin = _coins.read_coin_json(args.input)
     initial = _parse_initial(args.initial)
-    snaps = [int(t) for t in args.snapshots.split(",")] if args.snapshots else [args.steps]
+    try:
+        snaps = [int(t) for t in args.snapshots.split(",")] if args.snapshots else [args.steps]
+    except ValueError:
+        raise ValueError(f"--snapshots must be comma-separated integers, "
+                         f"got {args.snapshots!r}") from None
     _run_simulation(coin, initial, args.steps, snaps, args.outdir, floor=args.floor)
     return 0
 

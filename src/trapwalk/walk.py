@@ -26,6 +26,12 @@ distribution is built.  A walk from one site holds about 2 x 64 (t+1)^2
 bytes of buffers (32 MB at t = 500) and, while it steps, 2 x 64 (w + 2 t)
 bytes of strips for windows of w sites (1.2 MB at t = 500).
 
+The dense views (``WalkState.probability`` and ``.field``, hence every
+snapshot) cost their window plus O(``_CHUNK_SITES``) temporaries: a block's
+sites are one strided view of the window (``WalkState._dense``), filled a
+chunk of rows at a time.  ``coverage_fraction`` builds its mask of a
+snapshot the same way, a chunk of rows at a time.
+
 The coin product is one BLAS call per block of at most ``_CHUNK_SITES``
 sites; larger blocks are multiplied a chunk at a time.  A coin whose
 imaginary parts are all zero, such as Grover and the fig2 and fig6 coins,
@@ -113,23 +119,36 @@ class WalkState:
     def offset(self) -> int:
         return self.t + 1
 
-    def _window_index(self, u0: int, v0: int, amps: np.ndarray):
-        """Dense-window indices (rows, columns) of a block's sites."""
-        _, a, b = amps.shape
-        i = np.arange(a)[:, None]
-        j = np.arange(b)[None, :]
-        return ((u0 + v0) // 2 + self.offset + i + j,
-                (u0 - v0) // 2 + self.offset + i - j)
+    def _dense(self, components: tuple, dtype, value) -> np.ndarray:
+        """The dense window, shape components + (2t+3, 2t+3), that holds
+        ``value(amps[:, rows])`` at the sites of each block's ``rows``.
+
+        Site (i, j) of a block at (u0, v0) lies at row (u0 + v0) / 2 + t + 1
+        + i + j and column (u0 - v0) / 2 + t + 1 + i - j, so the block's
+        sites are a strided view of the window: one row and one column on
+        along i, one row on and one column back along j.  The view is filled
+        a chunk of at most ``_CHUNK_SITES`` sites' rows at a time, so the
+        window costs its own bytes plus a chunk's temporaries.
+        """
+        n = 2 * self.t + 3
+        window = np.zeros(components + (n, n), dtype=dtype)
+        rows, cols = window.strides[-2:]
+        for u0, v0, amps in self.blocks:
+            _, a, b = amps.shape
+            r0, c0 = (u0 + v0) // 2 + self.offset, (u0 - v0) // 2 + self.offset
+            if min(r0, c0 - b + 1) < 0 or max(r0 + a + b - 2, c0 + a - 1) >= n:
+                raise ValueError(f"block at ({u0}, {v0}) leaves the window of time {self.t}")
+            grid = np.lib.stride_tricks.as_strided(window[..., r0, c0:], components + (a, b),
+                                                   window.strides[:-2] + (rows + cols, rows - cols))
+            chunk = max(1, _CHUNK_SITES // b)
+            for i in range(0, a, chunk):
+                grid[..., i:i + chunk, :] += value(amps[:, i:i + chunk])
+        return window
 
     @property
     def field(self) -> np.ndarray:
         """Dense amplitudes, shape (4, 2t+3, 2t+3), built on each access."""
-        n = 2 * self.t + 3
-        field = np.zeros((4, n, n), dtype=np.complex128)
-        for u0, v0, amps in self.blocks:
-            rows, cols = self._window_index(u0, v0, amps)
-            field[:, rows, cols] += amps
-        return field
+        return self._dense((4,), np.complex128, lambda amps: amps)
 
     def amplitude(self, x: int, y: int) -> np.ndarray:
         """Coin state at site (x, y); exact zeros off the occupied sites."""
@@ -143,11 +162,7 @@ class WalkState:
 
     def probability(self) -> np.ndarray:
         """Site probabilities on the dense window, indexed like ``field[c]``."""
-        n = 2 * self.t + 3
-        prob = np.zeros((n, n))
-        for u0, v0, amps in self.blocks:
-            prob[self._window_index(u0, v0, amps)] += np.sum(np.abs(amps) ** 2, axis=0)
-        return prob
+        return self._dense((), np.float64, lambda amps: np.sum(np.abs(amps) ** 2, axis=0))
 
     def origin_probability(self) -> float:
         return float(np.sum(np.abs(self.amplitude(0, 0)) ** 2))
@@ -483,12 +498,16 @@ def coverage_fraction(snapshot: Snapshot, region: SpreadRegion,
         raise ValueError(f"inflation must be finite and at least 1, got {inflation}")
     if snapshot.t < 1:
         raise ValueError("coverage needs an evolved snapshot (t >= 1)")
-    xs, ys = snapshot.coordinates()
-    scale = float(snapshot.t)
-    inside = region_contains(region, xs / scale, ys / scale, inflation)
-    central = (np.abs(xs) <= 2) & (np.abs(ys) <= 2)
-    counted = (snapshot.prob > floor) & ~inside & ~central
-    return float(np.sum(snapshot.prob[counted]))
+    prob, scale = snapshot.prob, float(snapshot.t)
+    axis = np.arange(len(prob)) - snapshot.offset
+    counted = np.empty(prob.shape, dtype=bool)
+    chunk = max(1, _CHUNK_SITES // len(prob))
+    for i in range(0, len(prob), chunk):
+        xs, ys = axis[i:i + chunk, None], axis
+        inside = region_contains(region, xs / scale, ys / scale, inflation)
+        central = (np.abs(xs) <= 2) & (np.abs(ys) <= 2)
+        counted[i:i + chunk] = (prob[i:i + chunk] > floor) & ~inside & ~central
+    return float(np.sum(prob[counted]))
 
 
 def check_floor(floor: float) -> None:

@@ -435,7 +435,10 @@ def test_error_json_on_snapshot_after_last_step(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("bad", [("--steps", "0"), ("--steps", "-1"),
-                                 ("--steps", "3", "--snapshots", "9")])
+                                 ("--steps", "3", "--snapshots", "9"),
+                                 ("--steps", "3", "--snapshots", "1,,2"),
+                                 ("--steps", "3", "--snapshots", "1.5"),
+                                 ("--steps", "3", "--snapshots", "x")])
 def test_rejected_simulation_creates_no_outdir(tmp_path, capsys, bad):
     coin_path = tmp_path / "coin.json"
     coins.write_coin_json(coin_path, coins.grover_coin())
@@ -444,7 +447,21 @@ def test_rejected_simulation_creates_no_outdir(tmp_path, capsys, bad):
                  "[[1,0],[0,0],[0,0],[0,0]]", *bad, "--outdir", str(outdir))
     err = _assert_json_error(capsys, status)
     assert err["error"] == "ValueError"
+    if not bad[-1].lstrip("-").isdigit():   # no list of integers: the option is named
+        assert err["message"] == f"--snapshots must be comma-separated integers, got {bad[-1]!r}"
     assert not outdir.exists()
+
+
+@pytest.mark.parametrize("below", [(), ("run",), ("run", "t")])
+def test_simulation_into_a_file_fails_before_the_walk(tmp_path, capsys, monkeypatch, below):
+    coin_path = tmp_path / "coin.json"
+    coins.write_coin_json(coin_path, coins.grover_coin())
+    monkeypatch.setattr(cli._walk, "simulate", lambda *args, **kwargs: pytest.fail("walked"))
+    outdir = str(coin_path.joinpath(*below))   # the file, or a path under it
+    status = run("simulate", "-i", str(coin_path), "--initial",
+                 "[[1,0],[0,0],[0,0],[0,0]]", "--steps", "3", "--outdir", outdir)
+    err = _assert_json_error(capsys, status)
+    assert err["error"] == "NotADirectoryError" and repr(outdir) in err["message"]
 
 
 def test_error_json_on_a_walk_too_large_to_hold(tmp_path, capsys):

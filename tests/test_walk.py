@@ -1,6 +1,7 @@
 import csv
 import itertools
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -512,6 +513,64 @@ def test_simulate_matches_a_loop_of_steps_bit_for_bit(monkeypatch, name):
             if state.t in times:
                 assert traj.snapshots[state.t].prob.tobytes() == state.probability().tobytes()
         assert traj.p_origin.tobytes() == np.array(p_origin).tobytes()
+
+
+def _dense_reference(state):
+    """The dense window filled site by site from ``WalkState.amplitude``."""
+    n = 2 * state.t + 3
+    field = np.zeros((4, n, n), dtype=complex)
+    for x, y in itertools.product(range(n), repeat=2):
+        field[:, x, y] += state.amplitude(x - state.offset, y - state.offset)
+    return field
+
+
+@pytest.mark.parametrize("name", ["fig2", "drawn TypeIIa"])   # a real and a complex coin
+@pytest.mark.parametrize("chunk", [7, 37])
+def test_dense_views_match_site_by_site_references(monkeypatch, name, chunk):
+    # The views place blocks a chunk of rows at a time; chunks of 7 and 37
+    # sites end inside blocks and windows of every width up to t = 12.
+    monkeypatch.setattr(walk, "_CHUNK_SITES", chunk)
+    coin, params = SIMULATE_COINS[name]
+    region = spectral.spread_region(spectral.dispersion_spec(params))
+    counted = 0.0
+    for state in (walk.initial_state(FIG2_INITIAL),
+                  walk.state_from_cell(coins.stationary_cell(params)[0])):
+        for _ in range(12):
+            state = walk.step(state, coin)
+            field = _dense_reference(state)
+            prob = np.sum(np.abs(field) ** 2, axis=0)
+            assert state.field.tobytes() == field.tobytes()
+            assert state.probability().tobytes() == prob.tobytes()
+            snap = walk.Snapshot(t=state.t, prob=prob)
+            xs, ys = snap.coordinates()
+            central = (np.abs(xs) <= 2) & (np.abs(ys) <= 2)
+            for inflation, floor in ((1.0, 0.0), (1.05, 1e-5)):
+                inside = spectral.region_contains(region, xs / state.t, ys / state.t, inflation)
+                expected = float(np.sum(prob[(prob > floor) & ~inside & ~central]))
+                assert walk.coverage_fraction(snap, region, inflation, floor) == expected
+                counted += expected
+    assert counted > 0.0
+
+
+def test_dense_views_cost_their_output_plus_a_chunk():
+    # numpy reports its buffers to tracemalloc, so the traced peak does not
+    # depend on where the allocator places them
+    state = walk.initial_state(FIG2_INITIAL)
+    for _ in range(300):
+        state = walk.step(state, coins.grover_coin())
+    snap = walk.Snapshot(t=state.t, prob=state.probability())
+    region = spectral.spread_region(spectral.dispersion_spec(KERNEL_PARAMS["grover"]))
+    assert walk.coverage_fraction(snap, region) > 0.0
+    for view in (state.probability, lambda: state.field,
+                 lambda: walk.coverage_fraction(snap, region)):
+        tracemalloc.start()
+        try:
+            out = view()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # of order _CHUNK_SITES x 64 bytes: a chunk's temporaries, not the window's
+        assert peak - np.asarray(out).nbytes < walk._CHUNK_SITES * 128, view
 
 
 def _one_product_step(state, c):

@@ -24,7 +24,11 @@ DIR receives
   product) for 150 steps from the two blocks of its first stationary cell,
   snapshots at t = 76 and 151; and Grover (a real product) for 203 steps
   from the fixed state, snapshots at 101 and 203, which end real-coin
-  sweeps short of their depth;
+  sweeps short of their depth.  It also holds ``fig4_cell_field``, the
+  dense ``WalkState.field`` of that two-block start after 20 ``walk.step``
+  calls, and ``coverage`` (``walk_coverage``), the ``coverage_fraction``
+  of the fig2, fig4 and fig6 snapshots at inflations 1.0, 1.05 and 1.2 and
+  floors 0 and 1e-5;
 * ``near.json``: the classify JSON, or its error, of the 2700 coins of a
   seeded near-trapping scan (``near_coins``), one line per coin;
 * ``boundary.json``: the classify JSON, or its error, of 100 seeded
@@ -199,6 +203,20 @@ def walk_runs():
     return runs
 
 
+def walk_coverage(snapshots: dict) -> np.ndarray:
+    """``coverage_fraction`` of the fig2, fig4 and fig6 ``snapshots`` (by run
+    name) in their spreading regions, shape (3 figures, 3 inflations, 2 floors)."""
+    from trapwalk import cli, spectral, walk
+
+    configs = cli._figure_configs()
+    table = []
+    for name in ("fig2", "fig4", "fig6"):
+        region = spectral.spread_region(spectral.dispersion_spec(configs[name]["params"]))
+        table.append([[walk.coverage_fraction(snapshots[name], region, inflation, floor)
+                       for floor in (0.0, 1e-5)] for inflation in (1.0, 1.05, 1.2)])
+    return np.array(table)
+
+
 def _error(exc: Exception) -> str:
     return json.dumps({"error": type(exc).__name__, "message": str(exc)})
 
@@ -247,11 +265,18 @@ def snapshot(out: Path) -> None:
     (out / "dispersion.json").write_text("\n".join(dispersions) + "\n")
     np.savez(out / "arrays.npz", weights=np.array(weights),
              cell_counts=np.array([len(c) for c in cells]), cells=np.concatenate(cells))
-    walks = {}
+    walks, ends = {}, {}
     for name, coin, start, steps, times in walk_runs():
         traj = walk.simulate(coin, start, steps, snapshot_times=times)
         walks[f"{name}_p_origin"] = traj.p_origin
         walks.update((f"{name}_prob_t{t}", traj.snapshots[t].prob) for t in times)
+        ends[name] = traj.snapshots[times[-1]]
+        if name == "fig4_cell":
+            state = start
+            for _ in range(20):
+                state = walk.step(state, coin)
+            walks["fig4_cell_field"] = state.field
+    walks["coverage"] = walk_coverage(ends)
     np.savez(out / "walk.npz", **walks)
     counts = []
     for name, scan in (("near.json", near_coins), ("boundary.json", boundary_coins)):
