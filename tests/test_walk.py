@@ -573,6 +573,16 @@ def test_dense_views_cost_their_output_plus_a_chunk():
         assert peak - np.asarray(out).nbytes < walk._CHUNK_SITES * 128, view
 
 
+@pytest.mark.parametrize("u0, v0", [(-3, -3), (1, 1), (-4, 0), (2, -2)])
+def test_dense_views_reject_a_block_outside_the_window(u0, v0):
+    # a 2x2 block at t = 1 past each edge of the 5x5 window: rows -1..1,
+    # rows 3..5, columns -1..1, columns 3..5; strided views would write past it
+    state = walk.WalkState(t=1, blocks=((u0, v0, np.ones((4, 2, 2), dtype=complex)),))
+    for view in (state.probability, lambda: state.field):
+        with pytest.raises(ValueError, match="leaves the window"):
+            view()
+
+
 def _one_product_step(state, c):
     """The step with the coin product formed over each whole block at once.
 
