@@ -3,9 +3,10 @@
 The CSV writers give every float the text ``repr`` gives it, the shortest
 decimal that reads back to the same float64, byte for byte.  They compute
 it with numpy rather than one ``repr`` per float: Ryu's shortest round-trip
-digits over uint64 arrays, laid out as ASCII with ``repr``'s choice between
-``0.00012`` and ``1.2e-05``, one block of grid rows (about 8k values) at a
-time, so that the text of a large snapshot is never held whole.
+digits over uint64 arrays (``repr``'s own for the few halfway ties), laid out
+as ASCII with ``repr``'s choice between ``0.00012`` and ``1.2e-05``, one
+block of grid rows (about 8k values) at a time, so that the text of a large
+snapshot is never held whole.
 
 ``csv_lines`` lays out the lines of every CSV the package writes (the walk's
 distributions and trajectories, ``spectrum`` and ``areasweep``), and
@@ -26,10 +27,11 @@ import numpy as np
 # are products with one 126-bit multiplier per binary exponent
 # (``_RYU_MUL``).  Digits are dropped while the ends stay apart, and the
 # last kept digit is rounded on the dropped part.  Where a scaled value may
-# be an exact integer (the halfway ties), ``_exact_digits`` redoes the value
-# in Python integers.  The texts are laid out as ASCII in 32-byte cells of
-# four uint64 words, NUL where a text has no byte; deleting the NULs of a
-# block of cells leaves the texts.
+# be an exact integer (the halfway ties, about 4% of random bit patterns and
+# few of the values the package writes), the digits are read from ``repr``.
+# The texts are laid out as ASCII in 32-byte cells of four uint64 words, NUL
+# where a text has no byte; deleting the NULs of a block of cells leaves the
+# texts.
 
 _MANTISSA = (1 << 52) - 1
 _INF_BITS = 0x7FF << 52
@@ -51,7 +53,7 @@ def _limbs(values) -> np.ndarray:
 def _ryu_table():
     """Ryu's d2s constants per biased exponent 0..2046: the multiplier's four
     32-bit limbs (4, 2047), the product's shift past bit 96, the decimal
-    exponent e10, and a mask: a value takes ``_exact_digits`` when the bits
+    exponent e10, and a mask: a value takes ``repr``'s digits when the bits
     of 4 m2 under it are all zero (always, where the mask is 0).
     """
     be = np.arange(2047)
@@ -92,35 +94,6 @@ def _mul_shift(x: np.ndarray, mul: np.ndarray, shift: np.ndarray) -> np.ndarray:
     return (t >> shift) + (x1 * m3 << 32 - shift)
 
 
-def _exact_digits(mag: int) -> tuple[int, int]:
-    """Ryu's general case for one finite nonzero magnitude, in exact integers:
-    the shortest digits and their decimal exponent, exact halves to even."""
-    be, mant = mag >> 52, mag & _MANTISSA
-    m2 = mant | (be > 0) << 52
-    e2, e10 = max(be, 1) - 1077, int(_RYU_E10[be])
-    num = (1 << max(e2, 0)) * 10 ** max(-e10, 0)
-    den = (1 << max(-e2, 0)) * 10 ** max(e10, 0)
-    even = m2 % 2 == 0
-    vr, r_rest = divmod(4 * m2 * num, den)
-    vp, p_rest = divmod((4 * m2 + 2) * num, den)
-    vm, m_rest = divmod((4 * m2 - 1 - (mant != 0 or be <= 1)) * num, den)
-    vr_exact, vm_exact = r_rest == 0, even and m_rest == 0
-    vp -= not even and p_rest == 0   # an odd mantissa's interval excludes its ends
-    removed = last = 0
-    while vp // 10 > vm // 10:
-        vm_exact &= vm % 10 == 0
-        vr_exact &= last == 0
-        vr, last = divmod(vr, 10)
-        vp, vm, removed = vp // 10, vm // 10, removed + 1
-    while vm_exact and vm % 10 == 0:
-        vr_exact &= last == 0
-        vr, last = divmod(vr, 10)
-        vp, vm, removed = vp // 10, vm // 10, removed + 1
-    if vr_exact and last == 5 and vr % 2 == 0:
-        last = 4
-    return vr + ((vr == vm and not vm_exact) or last >= 5), e10 + removed
-
-
 def _shortest_digits(mag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Shortest round-trip digits of finite nonzero magnitudes (uint64 bits):
     ``digits`` (uint64, at most 17 digits) and ``exponent`` with
@@ -144,8 +117,12 @@ def _shortest_digits(mag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # round up past the excluded lower end, or on a dropped part of at least half
     digits += (vm >= kept) | (vr - kept << 1 >= scale)
     exponent = _RYU_E10[be] + removed
-    for k in np.flatnonzero((mv & _RYU_EXACT_MASK[be]) == 0).tolist():
-        digits[k], exponent[k] = _exact_digits(int(mag[k]))
+    ties = np.flatnonzero((mv & _RYU_EXACT_MASK[be]) == 0)
+    for k, x in zip(ties.tolist(), mag[ties].view(np.float64).tolist()):
+        mantissa, _, power = repr(x).partition("e")
+        text = mantissa.replace(".", "").rstrip("0")
+        digits[k] = int(text)
+        exponent[k] = int(power or 0) + len(mantissa.partition(".")[0]) - len(text)
     return digits, exponent
 
 

@@ -20,7 +20,8 @@ import numpy as np
 from . import coins as _coins
 from .errors import NotTrappingError
 from .laurent import _band_cells, _flat_bands
-from .linalg import RANK_TOL, _integer, _rank_decision, fix_vector_phase, require_unitary
+from .linalg import (RANK_TOL, _integer, _rank_decision, _unit_state, fix_vector_phase,
+                     require_unitary)
 
 __all__ = [
     "ClassificationResult",
@@ -198,10 +199,7 @@ def trapped_weight(coin, initial_coin_state, grid_n: int = 256) -> float:
     W from :func:`trapped_weight_operator` at the same grid.  Zero exactly
     when the initial coin state is escaping.
     """
-    psi = np.asarray(initial_coin_state, dtype=np.complex128).reshape(4)
-    nrm = np.linalg.norm(psi)
-    if not (abs(nrm - 1.0) <= 1e-12):
-        raise ValueError(f"initial coin state must be normalized, |psi| = {nrm!r}")
+    psi = _unit_state(initial_coin_state)
     return float(np.vdot(psi, trapped_weight_operator(coin, grid_n) @ psi).real)
 
 
@@ -401,12 +399,10 @@ def _recover_eta(coin, delta1, delta2, delta3, phi_d, phi_e, phi_f, phi_g, phi_h
 
 def classification_to_json(result: ClassificationResult) -> str:
     """Serialize a classification result to the JSON wire format."""
-    phases = []
-    for lam, mult in result.eigenphases:
-        phases.extend([[float(lam.real), float(lam.imag)]] * mult)
     doc = {
         "trapping": result.trapping,
-        "eigenphases": phases,
+        "eigenphases": _coins._complex_pairs(
+            [lam for lam, mult in result.eigenphases for _ in range(mult)]),
         "family": result.family,
         "rankA": result.rank_a,
         "escaping_dim": result.escaping_dim,

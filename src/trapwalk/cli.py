@@ -125,10 +125,7 @@ def _cmd_escape(args) -> int:
     basis = _classify.escaping_subspace(coin)
     doc = {
         "dimension": basis.shape[1],
-        "basis": [
-            [[float(z.real), float(z.imag)] for z in basis[:, i]]
-            for i in range(basis.shape[1])
-        ],
+        "basis": [_coins._complex_pairs(column) for column in basis.T],
     }
     _emit_json(json.dumps(doc, indent=2), args.output)
     return 0
@@ -141,6 +138,8 @@ def _parse_initial(text: str) -> np.ndarray:
 def _run_simulation(coin, initial, steps, snapshot_times, outdir, floor=0.0):
     # An outdir that cannot be made would throw the walk away: check it
     # first, creating nothing, as simulate checks the steps and snapshot times.
+    if not outdir:
+        raise ValueError("--outdir must name a directory, got ''")
     nearest = os.path.abspath(outdir)
     while not os.path.exists(nearest):
         nearest = os.path.dirname(nearest)

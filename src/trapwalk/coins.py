@@ -643,13 +643,19 @@ def coin_to_json(coin, family: str | None = None, params: FamilyParams | None = 
     c = as_complex_matrix(coin, (4, 4))
     doc: dict = {
         "basis": list(COIN_BASIS),
-        "matrix": [[[float(z.real), float(z.imag)] for z in row] for row in c],
+        "matrix": [_complex_pairs(row) for row in c],
     }
     if family is not None:
         doc["family"] = family
     if params is not None:
         doc["params"] = params_to_dict(params)
     return json.dumps(doc, indent=2)
+
+
+def _complex_pairs(values) -> list:
+    """The complex ``values`` as the JSON list of [re, im] float pairs that
+    ``complex_from_pairs`` reads back bit for bit."""
+    return [[float(z.real), float(z.imag)] for z in values]
 
 
 def complex_from_pairs(pairs, n: int, what: str) -> np.ndarray:

@@ -48,6 +48,17 @@ def _integer(value, name: str, least: int | None = None) -> int:
     return int(value)
 
 
+def _unit_state(state) -> np.ndarray:
+    """The coin state ``state`` as a new complex128 (4,) array; a ValueError
+    unless its norm is 1 to within 1e-12.
+    """
+    psi = np.array(state, dtype=np.complex128).reshape(4)
+    nrm = float(np.linalg.norm(psi))
+    if not (abs(nrm - 1.0) <= 1e-12):
+        raise ValueError(f"initial coin state must have unit norm, got {nrm!r}")
+    return psi
+
+
 def _defect(a: np.ndarray, eye: np.ndarray) -> float:
     return float(np.abs(a.conj().T @ a - eye).max())
 

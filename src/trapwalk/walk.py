@@ -61,7 +61,7 @@ import numpy as np
 
 from . import _text
 from .coins import DISPLACEMENTS, AmplitudeCell
-from .linalg import _integer, require_unitary
+from .linalg import _integer, _unit_state, require_unitary
 from .spectral import SpreadRegion, region_contains
 
 __all__ = [
@@ -176,11 +176,7 @@ def initial_state(coin_state) -> WalkState:
 
     The coin state must be normalized already; nothing is silently rescaled.
     """
-    psi = np.array(coin_state, dtype=np.complex128).reshape(4, 1, 1)
-    nrm = float(np.linalg.norm(psi))
-    if not (abs(nrm - 1.0) <= 1e-12):
-        raise ValueError(f"initial coin state must have unit norm, got {nrm!r}")
-    return WalkState(t=0, blocks=((0, 0, psi),))
+    return WalkState(t=0, blocks=((0, 0, _unit_state(coin_state).reshape(4, 1, 1)),))
 
 
 def state_from_cell(cell: AmplitudeCell) -> WalkState:

@@ -476,6 +476,18 @@ def test_trapped_weight_requires_normalized_state():
         classify.trapped_weight(coins.grover_coin(), np.array([1, 1, 0, 0], dtype=complex))
 
 
+def test_trapped_weight_and_the_walk_share_the_norm_check():
+    state = np.array([0.6, 0.6, 0, 0], dtype=complex)
+    messages = []
+    for call in (lambda: classify.trapped_weight(coins.grover_coin(), state),
+                 lambda: walk.initial_state(state)):
+        with pytest.raises(ValueError) as info:
+            call()
+        messages.append(str(info.value))
+    nrm = float(np.linalg.norm(state))
+    assert messages == [f"initial coin state must have unit norm, got {nrm!r}"] * 2
+
+
 def test_trapped_weight_rejects_nan_state():
     with pytest.raises(ValueError):
         classify.trapped_weight(coins.grover_coin(), np.array([np.nan, 0, 0, 0], dtype=complex))

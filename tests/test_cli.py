@@ -9,7 +9,7 @@ import pytest
 
 from trapwalk import _text, classify, cli, coins, spectral
 
-from conftest import draw_type_i, draw_type_iia, draw_type_iib, perturbed
+from conftest import DRAWERS, draw_type_i, draw_type_iia, draw_type_iib, perturbed
 
 
 def run(*argv):
@@ -81,6 +81,25 @@ def test_classify_and_escape_pipeline(tmp_path):
     vec = np.array([complex(re, im) for re, im in esc["basis"][0]])
     expected = np.array([1, -1, -1, 1]) / 2
     assert abs(abs(np.vdot(expected, vec)) - 1) < 1e-9
+
+
+@pytest.mark.parametrize("family", ["Grover", *DRAWERS])
+def test_classify_and_escape_json_decode_bit_for_bit(tmp_path, family):
+    rng = np.random.default_rng(29)
+    coin = coins.grover_coin() if family == "Grover" else coins.coin_for(DRAWERS[family](rng))
+    coin_path, cls_path, esc_path = (tmp_path / name for name in ("c.json", "cls.json", "e.json"))
+    coins.write_coin_json(coin_path, coin)
+    assert run("classify", "-i", str(coin_path), "-o", str(cls_path)) == 0
+    assert run("escape", "-i", str(coin_path), "-o", str(esc_path)) == 0
+    pairs = json.loads(cls_path.read_text())["eigenphases"]
+    phases = coins.complex_from_pairs(pairs, len(pairs), "eigenphases")
+    expected = [lam for lam, mult in classify.classify_coin(coin).eigenphases
+                for _ in range(mult)]
+    assert phases.tobytes() == np.array(expected, dtype=np.complex128).tobytes()
+    esc = json.loads(esc_path.read_text())
+    basis = np.array([coins.complex_from_pairs(column, 4, "basis vector")
+                      for column in esc["basis"]]).T.reshape(4, esc["dimension"])
+    assert basis.tobytes() == classify.escaping_subspace(coin).tobytes()
 
 
 def test_classify_deterministic_with_seed(tmp_path):
@@ -450,6 +469,16 @@ def test_rejected_simulation_creates_no_outdir(tmp_path, capsys, bad):
     if not bad[-1].lstrip("-").isdigit():   # no list of integers: the option is named
         assert err["message"] == f"--snapshots must be comma-separated integers, got {bad[-1]!r}"
     assert not outdir.exists()
+
+
+def test_empty_outdir_fails_before_the_walk(tmp_path, capsys, monkeypatch):
+    coin_path = tmp_path / "coin.json"
+    coins.write_coin_json(coin_path, coins.grover_coin())
+    monkeypatch.setattr(cli._walk, "simulate", lambda *args, **kwargs: pytest.fail("walked"))
+    status = run("simulate", "-i", str(coin_path), "--initial",
+                 "[[1,0],[0,0],[0,0],[0,0]]", "--steps", "3", "--outdir", "")
+    err = _assert_json_error(capsys, status)
+    assert err == {"error": "ValueError", "message": "--outdir must name a directory, got ''"}
 
 
 @pytest.mark.parametrize("below", [(), ("run",), ("run", "t")])
