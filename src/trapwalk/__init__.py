@@ -1,32 +1,11 @@
 """Trapping coins for the four-state discrete-time quantum walk on the 2D square lattice.
 
-Subpackages are imported lazily so that thread-count environment variables can
-be set by the CLI before numpy is first loaded.
+Importing the package loads the library modules; the command-line front end
+is ``trapwalk.cli``.
 """
 
-import importlib
+from . import classify, coins, errors, laurent, linalg, spectral, walk
 
 __version__ = "0.1.0"
 
-_SUBMODULES = (
-    "linalg",
-    "coins",
-    "laurent",
-    "classify",
-    "spectral",
-    "walk",
-    "cli",
-    "errors",
-)
-
-__all__ = list(_SUBMODULES)
-
-
-def __getattr__(name):
-    if name in _SUBMODULES:
-        return importlib.import_module(f".{name}", __name__)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__():
-    return sorted(set(globals()) | set(_SUBMODULES))
+__all__ = ["linalg", "coins", "laurent", "classify", "spectral", "walk", "cli", "errors"]

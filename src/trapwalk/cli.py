@@ -16,14 +16,6 @@ import math
 import os
 import sys
 
-# Honor the thread cap before numpy is first imported (the package's lazy
-# __init__ keeps it unloaded until the submodule imports below run).
-_THREADS = os.environ.get("TRAPWALK_THREADS")
-if _THREADS:
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                 "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-        os.environ.setdefault(_var, _THREADS)
-
 import numpy as np
 
 from . import _text

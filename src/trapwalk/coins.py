@@ -627,10 +627,11 @@ def params_to_dict(p: FamilyParams) -> dict:
 
 def params_from_dict(d: dict) -> FamilyParams:
     d = dict(d)
-    family = d.pop("family")
+    family = d.pop("family", None)
     cls = {c.family: c for c in (TypeIParams, TypeIIaParams, TypeIIbParams)}.get(family)
     if cls is None:
-        raise ValueError(f"unknown family {family!r}")
+        raise ValueError(f"unknown family {family!r}" if family is not None
+                         else "family parameters need a 'family' field")
     return cls(**d)
 
 
@@ -680,7 +681,7 @@ def complex_from_pairs(pairs, n: int, what: str) -> np.ndarray:
 
 def coin_from_json(text: str) -> np.ndarray:
     doc = json.loads(text)
-    if not isinstance(doc, dict):
+    if not isinstance(doc, dict) or "matrix" not in doc:
         raise ValueError("coin JSON must be an object with a 'matrix' field")
     basis = doc.get("basis")
     if basis is not None and (not isinstance(basis, list) or tuple(basis) != COIN_BASIS):

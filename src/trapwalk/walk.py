@@ -185,7 +185,10 @@ def state_from_cell(cell: AmplitudeCell) -> WalkState:
     The cell occupies sites (0,0) through (1,1), at time t = 1 so that the
     light-cone bound holds.  Sites (0,0) and (1,1) (u = 0, 2 at v = 0) form
     one block, sites (0,1) and (1,0) (v = -1, 1 at u = 1) the other.
+    A cell that fails ``AmplitudeCell.validate`` (its amplitudes disagree
+    with its recorded norm, say, or it is zero) raises ValueError.
     """
+    cell.validate()
     xi = cell.local_states() / cell.norm
     even = np.stack([xi[0, 0], xi[1, 1]], axis=1)[:, :, None]
     odd = np.stack([xi[0, 1], xi[1, 0]], axis=1)[:, None, :]

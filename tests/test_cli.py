@@ -3,6 +3,9 @@ import csv
 import io
 import json
 import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -382,6 +385,14 @@ def test_error_json_on_short_matrix_entry(tmp_path, capsys):
     _assert_json_error(capsys, run("classify", "-i", str(coin_path)))
 
 
+def test_error_json_on_coin_without_matrix(tmp_path, capsys):
+    coin_path = tmp_path / "coin.json"
+    coin_path.write_text(json.dumps({"basis": ["L", "D", "U", "R"]}))
+    err = _assert_json_error(capsys, run("classify", "-i", str(coin_path)))
+    assert err == {"error": "ValueError",
+                   "message": "coin JSON must be an object with a 'matrix' field"}
+
+
 @pytest.mark.parametrize("basis", [5, "LDUR"])
 def test_error_json_on_non_list_basis(tmp_path, capsys, basis):
     doc = json.loads(coins.coin_to_json(coins.grover_coin()))
@@ -572,3 +583,26 @@ def test_outputs_share_the_umask_mode(tmp_path):
     modes = {name: os.stat(tmp_path / name).st_mode & 0o777 for name in os.listdir(tmp_path)}
     assert sorted(modes) == ["coin.json", "dist_t50.csv", "region.json", "trajectory.csv"]
     assert set(modes.values()) == {0o644}
+
+
+def test_entry_point_runs_as_a_process_and_the_package_loads_the_library():
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(__file__).parents[1] / "src"))
+
+    def run_module(*argv):
+        return subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "trapwalk.cli",
+                               *argv], env=env, capture_output=True, text=True, timeout=120)
+
+    made = run_module("coin", "--family", "I", "--delta1", "1.0", "--delta2", "0.5")
+    assert (made.returncode, made.stderr) == (0, "")
+    expected = coins.coin_type_i(coins.TypeIParams(1.0, 0.5))
+    assert np.array_equal(coins.coin_from_json(made.stdout), expected)
+    failed = run_module("classify", "-i", "/nonexistent/coin.json")
+    assert (failed.returncode, failed.stdout) == (1, "")
+    lines = failed.stderr.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "FileNotFoundError"
+
+    import trapwalk
+    from trapwalk import cli as entry
+    assert entry is cli
+    for name in ("linalg", "coins", "laurent", "classify", "spectral", "walk", "errors"):
+        assert getattr(trapwalk, name).__name__ == f"trapwalk.{name}"

@@ -402,6 +402,15 @@ def test_coin_json_roundtrip_bit_exact(rng):
     assert restored == params
 
 
+@pytest.mark.parametrize("doc, message", [
+    ({"theta": 0.3, "phi": 0.2}, "'family' field"),
+    ({"family": "TypeIII", "theta": 0.3}, "unknown family 'TypeIII'"),
+])
+def test_params_from_dict_rejects_a_missing_or_unknown_family(doc, message):
+    with pytest.raises(ValueError, match=message):
+        coins.params_from_dict(doc)
+
+
 def test_coin_json_rejects_foreign_basis():
     text = json.dumps({"basis": ["R", "U", "D", "L"], "matrix": [[[1, 0]] * 4] * 4})
     with pytest.raises(ValueError):

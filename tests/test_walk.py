@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from trapwalk import _text, coins, spectral, walk
+from trapwalk import _text, classify, coins, laurent, spectral, walk
 from trapwalk.linalg import require_unitary
 
 from conftest import DRAWERS, hadamard_tensor_coin, random_unitary
@@ -41,6 +41,21 @@ def test_initial_state_rejects_unnormalized():
 def test_initial_state_rejects_nan():
     with pytest.raises(ValueError):
         walk.initial_state(np.array([np.nan, 0, 0, 0], dtype=complex))
+
+
+def test_state_from_cell_rejects_a_cell_that_fails_validation():
+    # eight unit amplitudes under the recorded norm 2 would walk with total probability 2
+    for cell, message in [(coins.AmplitudeCell(*[1.0] * 8, norm=2.0), "recorded norm"),
+                          (coins.AmplitudeCell(*[0.0] * 8), "zero cell")]:
+        with pytest.raises(ValueError, match=message):
+            walk.state_from_cell(cell)
+    grover = coins.grover_coin()
+    params = coins.TypeIIaParams(QUARTER, QUARTER, QUARTER, np.pi)
+    cells = list(coins.stationary_cell(params))
+    cells += [cell for lam, _ in classify.detect_point_spectrum(grover)
+              for cell in laurent.localized_cells(grover, lam)]
+    for cell in cells:
+        assert walk.state_from_cell(cell).total_probability() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_single_step_places_coin_column():
@@ -131,17 +146,23 @@ def _dense_starts(rng, params):
     point = np.zeros((4, 3, 3), dtype=np.complex128)
     point[:, 1, 1] = psi
     starts = [(walk.initial_state(psi), point, True)]
-    cells = [coins.AmplitudeCell(*_unit(rng, 8), norm=1.0)]
-    if params is not None:
-        cells.extend(coins.stationary_cell(params))
-    for cell in cells:
-        field = np.zeros((4, 5, 5), dtype=np.complex128)
+    # any eight unit amplitudes, which state_from_cell rejects as no stationary
+    # cell, laid out on the two blocks where it lays out a cell
+    xi = coins.AmplitudeCell(*_unit(rng, 8), norm=1.0).local_states()
+    blocks = ((0, 0, np.stack([xi[0, 0], xi[1, 1]], axis=1)[:, :, None]),
+              (1, -1, np.stack([xi[0, 1], xi[1, 0]], axis=1)[:, None, :]))
+    starts.append((walk.WalkState(t=1, blocks=blocks), _cell_field(xi), False))
+    for cell in coins.stationary_cell(params) if params is not None else ():
         xi = cell.local_states() / cell.norm
-        for dx in (0, 1):
-            for dy in (0, 1):
-                field[:, dx + 2, dy + 2] = xi[dx, dy]
-        starts.append((walk.state_from_cell(cell), field, False))
+        starts.append((walk.state_from_cell(cell), _cell_field(xi), False))
     return starts
+
+
+def _cell_field(xi):
+    """The dense t = 1 window holding the local states ``xi[dx, dy]`` at (dx, dy)."""
+    field = np.zeros((4, 5, 5), dtype=np.complex128)
+    field[:, 2:4, 2:4] = xi.transpose(2, 0, 1)
+    return field
 
 
 def test_step_matches_dense_reference(rng):
