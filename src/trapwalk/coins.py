@@ -22,7 +22,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields, replace
+import numbers
+from dataclasses import MISSING, dataclass, fields, replace
 from typing import ClassVar
 
 import numpy as np
@@ -626,12 +627,31 @@ def params_to_dict(p: FamilyParams) -> dict:
 
 
 def params_from_dict(d: dict) -> FamilyParams:
+    """The family parameters ``params_to_dict`` gives, read back.
+
+    Anything else raises ValueError naming the problem: a value that is not
+    a dict, a missing, unknown or unhashable family, a field the family
+    lacks or does not have, or a value that is not a real number.
+    """
+    if not isinstance(d, dict):
+        raise ValueError(f"family parameters must be an object, got {d!r}")
     d = dict(d)
     family = d.pop("family", None)
-    cls = {c.family: c for c in (TypeIParams, TypeIIaParams, TypeIIbParams)}.get(family)
+    classes = {c.family: c for c in (TypeIParams, TypeIIaParams, TypeIIbParams)}
+    cls = classes.get(family) if isinstance(family, str) else None
     if cls is None:
         raise ValueError(f"unknown family {family!r}" if family is not None
                          else "family parameters need a 'family' field")
+    names = {f.name for f in fields(cls)}
+    unknown = [name for name in d if name not in names]
+    if unknown:
+        raise ValueError(f"{family} parameters have no field {unknown}")
+    missing = [f.name for f in fields(cls) if f.name not in d and f.default is MISSING]
+    if missing:
+        raise ValueError(f"{family} parameters lack {missing}")
+    for name, value in d.items():
+        if not isinstance(value, numbers.Real):
+            raise ValueError(f"{family} parameter {name} must be a real number, got {value!r}")
     return cls(**d)
 
 

@@ -9,22 +9,22 @@ the dense (2t+3)^2 window of (x, y) would be three quarters zeros.
 Amplitudes are kept on such blocks and only the occupied sites are
 computed; the dense window is built for snapshots and inspection.
 
-``_step_block`` takes one step of a block.  ``step`` calls it on fresh
-arrays, so the states it returns share no memory.  ``simulate``, whose
-intermediate states never leave it, advances each block in sweeps: one
-pass of ``_sweep_block`` over the block's rows takes each window of rows,
-about ``_CHUNK_SITES`` sites, through up to ``_SWEEP_STEPS`` (8) steps,
-the levels one after another, since row i of a step needs only rows
-i - 1 and i of the step before; a sweep of one step is ``_step_block``.
-A sweep reads the block from one of
-two buffers sized for the last step and writes it into the other, so the
-multi-MB blocks of a long walk cross L3 once per sweep rather than once
-per step; the levels between live in two small strips, one window of
-rows each, which they take in turn.  Sweeps end at every snapshot time
-and at the last step, and the strips are freed before a snapshot's
-distribution is built.  A walk from one site holds about 2 x 64 (t+1)^2
-bytes of buffers (32 MB at t = 500) and, while it steps, 2 x 64 (w + 2 t)
-bytes of strips for windows of w sites (1.2 MB at t = 500).
+One kernel, ``_sweep_block``, steps every block of every coin.  A sweep
+of ``depth`` steps is one pass over the block's rows that takes each
+window of rows, about ``_CHUNK_SITES`` sites, through the steps one after
+another, since row i of a step needs only rows i - 1 and i of the step
+before.  ``step`` is a sweep of one step into a fresh array, so the states
+it returns share no memory.  ``simulate``, whose intermediate states never
+leave it, sweeps up to ``_SWEEP_STEPS`` (8) steps at a time, ending a
+sweep at every snapshot time and at the last step.  A sweep reads the
+block from one of two buffers sized for the last step and writes it into
+the other, so the multi-MB blocks of a long walk cross L3 once per sweep
+rather than once per step; the steps between live in two small strips, one
+window of rows each, which they take in turn, and the strips are freed
+before a snapshot's distribution is built.  A walk from one site holds
+about 2 x 64 (t+1)^2 bytes of buffers (32 MB at t = 500) and, while it
+steps, 2 x 64 (w + 2 t) bytes of strips for windows of w sites (1.2 MB at
+t = 500).
 
 The dense views (``WalkState.probability`` and ``.field``, hence every
 snapshot) cost their window plus O(``_CHUNK_SITES``) temporaries: a block's
@@ -32,24 +32,24 @@ sites are one strided view of the window (``WalkState._dense``), filled a
 chunk of rows at a time.  ``coverage_fraction`` builds its mask of a
 snapshot the same way, a chunk of rows at a time.
 
-The coin product is one BLAS call per block of at most ``_CHUNK_SITES``
-sites; larger blocks are multiplied a chunk at a time.  A coin whose
-imaginary parts are all zero, such as Grover and the fig2 and fig6 coins,
-is multiplied by its real part: the complex128 amplitudes are read as
+The coin product is one BLAS call per window of a step, and one call of
+four sites more for a complex call's tail (below).  A coin whose imaginary
+parts are all zero, such as Grover and the fig2 and fig6 coins, is
+multiplied by its real part: the complex128 amplitudes are read as
 interleaved float64 re, im pairs, so one real ``dgemm`` forms the complex
 product.  That choice, and the conversion of the given state's blocks to
 C-contiguous complex128, is made once per ``step`` or ``simulate`` call.
-Only such coins sweep more than one step.  Past the first level a sweep's
-rows carry zero columns up to the last level's width, so a window's
-product places its own output: the L, D pair is one 2-row product written
-with a row stride of one component plus one site, and the U, R pair the
-same one row further on.  That moves each site's column in the product,
-and OpenBLAS's ``zgemm`` rounds a site by its column's place in the
-kernel's 4-column unroll, while ``dgemm`` gives the same bits at every
-place.  Every other coin takes the complex product one step per sweep,
-with ``_step_block`` as ``step`` does, its chunk products starting on a
-multiple of ``_ALIGN`` sites: ``step`` and ``simulate`` agree bit for bit
-for every coin.
+The first step of a sweep scatters its product to the shifted places; past
+it, a sweep's rows carry zero columns up to the last step's width, so a
+window's product places its own output: the L, D pair is one 2-row
+product written with a row stride of one component plus one site, and the
+U, R pair the same one row further on.  So a product's sites fall at any
+column of a BLAS call.  ``dgemm`` gives the same bits at every column, and
+OpenBLAS's ``zgemm`` rounds only the last n % 4 columns of a call of n its
+own way, so ``_product`` forms those again in a call of four.  Every site
+is then rounded as inside one long product, whatever the window, the
+depth or the offset, and ``step`` and ``simulate`` agree bit for bit for
+every coin.
 """
 
 from __future__ import annotations
@@ -81,22 +81,18 @@ __all__ = [
 
 # Where each displaced component lands in the next block, whose corner is
 # (u0 - 1, v0 - 1): a step (dx, dy) moves (u, v) by (dx + dy, dx - dy), each
-# +-1, and the block indices run in steps of two along u and v.
+# +-1, and the block indices run in steps of two along u and v.  Component
+# k = 2 p + q lands p rows and q columns on, the layout that ``_scatter``
+# and ``_Rows.place`` write as strides.
 _SHIFTS = tuple(((dx + dy + 1) // 2, (dx - dy + 1) // 2) for dx, dy in DISPLACEMENTS)
 
-# Sites per chunk of the coin product in _step_block, and per window of a
-# sweep: 8192 sites are 512 KB of complex128 amplitudes, which stay in L2
-# until they are scattered or read by the next level.
+# Sites per window of a sweep: 8192 sites are 512 KB of complex128
+# amplitudes, which stay in L2 until they are scattered or read by the next
+# step.
 _CHUNK_SITES = 8192
-# Steps a real-coin walk in simulate advances per sweep over a block's rows
-# (_sweep_block), so that the full buffers cross L3 once per sweep.
+# Steps simulate advances per sweep over a block's rows (_sweep_block), so
+# that the full buffers cross L3 once per sweep.
 _SWEEP_STEPS = 8
-# Chunk products start on a multiple of this many sites (twice as many
-# float64 columns in a real product).  BLAS can round a site by its place in
-# the kernel's column unroll (groups of 4 in OpenBLAS's x86-64 zgemm), so
-# aligned chunks sum every site as one product over the whole block does,
-# bit for bit.
-_ALIGN = 64
 
 
 @dataclass(frozen=True)
@@ -195,90 +191,80 @@ def state_from_cell(cell: AmplitudeCell) -> WalkState:
     return WalkState(t=1, blocks=((0, 0, even), (1, -1, odd)))
 
 
-def _step_block(c: np.ndarray, u0: int, v0: int, amps: np.ndarray, out: np.ndarray):
-    """One step of the block ``amps`` (4, a, b) into the flat buffer ``out``:
-    the new block is its first 4 (a + 1) (b + 1) entries, all written,
-    whatever ``out`` held before.
+def _product(c: np.ndarray, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``c @ x`` into ``out``, every column rounded as inside one long product.
 
-    ``c`` is the matrix ``_product_matrix`` gives and ``amps`` is
-    C-contiguous complex128.  A block of more than ``_CHUNK_SITES`` sites
-    is multiplied a chunk (whole rows) at a time, so that each chunk's
-    product is still in cache when its four components are scattered to
-    their shifted places.
+    ``c`` is the matrix ``_product_matrix`` gives, or rows of it, and ``x``
+    holds the sites as columns of ``c``'s dtype.  OpenBLAS's ``zgemm`` rounds
+    the last n % 4 columns of a call of n columns its own way, at any offset,
+    and ``dgemm`` over re, im pairs never does; so a complex call's last
+    columns are formed again in a call of four, padded with zero sites when
+    n < 4.  Products of any piece of a block then agree bit for bit.
     """
-    _, a, b = amps.shape
-    out = out[:4 * (a + 1) * (b + 1)].reshape(4, a + 1, b + 1)
-    # the row and the column each component does not reach (_SHIFTS)
-    out[:2, a] = 0.0
-    out[2:, 0] = 0.0
-    out[0::2, :, b] = 0.0
-    out[1::2, :, 0] = 0.0
-    sites = amps.reshape(4, -1)
-    if a * b <= _CHUNK_SITES:
-        _scatter((c @ sites.view(c.dtype)).view(np.complex128).reshape(4, a, b), out, 0)
-    else:
-        rows = max(1, _CHUNK_SITES // b)
-        for i in range(0, a, rows):
-            _scatter_rows(c, sites, b, i, min(i + rows, a), out, i)
-    return u0 - 1, v0 - 1, out
+    out = np.matmul(c, x, out=out)
+    n = x.shape[1]
+    if n % 4 and c.dtype.kind == "c":
+        if n > 4:
+            np.matmul(c, x[:, -4:], out=out[:, -4:])
+        else:
+            last = np.zeros((4, 4), dtype=np.complex128)
+            last[:, 4 - n:] = x
+            out[:] = (c @ last)[:, 4 - n:]
+    return out
 
 
-def _scatter_rows(c: np.ndarray, sites: np.ndarray, b: int, start: int, stop: int,
-                  out: np.ndarray, row: int) -> None:
-    """Scatter the coin product of rows [start, stop) of a block ``b`` sites
-    wide (``sites``, complex128 (4, a b)) to rows row, row + 1, ... of ``out``.
+def _scatter(mixed: np.ndarray, grid: np.ndarray, row: int) -> None:
+    """Write the coin product ``mixed`` (4, n, b) of block rows row, row + 1, ...
+    to their shifted places in ``grid`` (4, rows, pitch), in one copy.
 
-    A real ``c`` multiplies the re, im pairs as two float64 columns per
-    site.  The product starts on a multiple of ``_ALIGN`` sites (a few
-    sites of overlap), so it rounds each site as a product over the whole
-    block would.
+    Component k = 2 p + q lands p rows and q columns on (``_SHIFTS``), so
+    its place starts p (2 S + pitch) + q (S + 1) sites into the grid, S
+    sites per component: one strided view holds all four.
     """
-    lo, hi = start * b // _ALIGN * _ALIGN, -(-stop * b // _ALIGN) * _ALIGN
-    mixed = (c @ sites[:, lo:hi].view(c.dtype)).view(np.complex128)
-    _scatter(mixed[:, start * b - lo:stop * b - lo].reshape(4, stop - start, b), out, row)
-
-
-def _scatter(mixed: np.ndarray, out: np.ndarray, i: int) -> None:
-    """Write the coin product ``mixed`` of block rows i, i + 1, ... to their
-    shifted places in ``out``."""
-    _, rows, b = mixed.shape
-    for k, (di, dj) in enumerate(_SHIFTS):
-        out[k, di + i:di + i + rows, dj:dj + b] = mixed[k]
+    _, n, b = mixed.shape
+    component, pitch, site = grid.strides
+    shifted = np.ndarray((2, 2, n, b), grid.dtype, grid, row * pitch,
+                         (2 * component + pitch, component + site, pitch, site))
+    shifted[...] = mixed.reshape(2, 2, n, b)
 
 
 class _Rows:
     """Four components of ``rows`` rows of ``pitch`` sites in a flat complex128
     buffer: component k, row i, column j at ``flat[k S + i pitch + j]``, where
-    S = rows * pitch.  The buffer holds at least ``_Rows.entries(rows, pitch)``
-    entries: the rows and the tail that ``ur`` views past them.
+    S = rows * pitch.  Given the dtype of a coin product, a level that places
+    products also views its sites as that product's columns (``sites``) and
+    the two 2-row outputs of ``place``; its buffer then holds
+    ``_Rows.entries(rows, pitch)`` entries, the rows and the tail that ``ur``
+    views past them.
     """
 
     @staticmethod
     def entries(rows: int, pitch: int) -> int:
         return 4 * rows * pitch + pitch + 2
 
-    def __init__(self, flat: np.ndarray, rows: int, pitch: int):
-        if flat.size < _Rows.entries(rows, pitch):
-            raise ValueError(f"{flat.size} entries hold no {rows} rows of pitch {pitch}")
+    def __init__(self, flat: np.ndarray, rows: int, pitch: int, dtype=None):
         size = rows * pitch
-        floats = flat.view(np.float64)   # re, im pairs
-        self.pitch = pitch
         self.grid = flat[:4 * size].reshape(4, rows, pitch)
-        self.floats = floats[:8 * size].reshape(4, 2 * size)
+        if dtype is None:
+            return
+        cols = flat.view(dtype)
+        w = self.w = 16 // cols.itemsize   # columns per complex128 site
+        self.pitch = pitch
+        self.sites = cols[:4 * w * size].reshape(4, w * size)
         # The product of row i lands on row i of L, row i of D one site on,
         # row i + 1 of U and row i + 1 of R one site on (``_SHIFTS``), so the
         # L, D pair and the U, R pair are each one 2-row product written with
         # a row stride of S + 1 sites.
-        self.ld = floats[:4 * size + 4].reshape(2, 2 * size + 2)
-        self.ur = floats[4 * size + 2 * pitch:][:4 * size + 4].reshape(2, 2 * size + 2)
+        self.ld = cols[:w * (2 * size + 2)].reshape(2, w * (size + 1))
+        self.ur = cols[w * (2 * size + pitch):][:w * (2 * size + 2)].reshape(2, w * (size + 1))
 
     def place(self, c: np.ndarray, x: np.ndarray, row: int, n: int) -> None:
-        """Write the real coin product of the ``n`` rows ``x`` (float64 (4, 2 n pitch),
-        rows ``pitch`` sites apart) to rows row, row + 1, ...; the columns of
-        each row past its block must be zero in ``x``."""
-        cols = slice(2 * row * self.pitch, 2 * (row + n) * self.pitch)
-        np.matmul(c[:2], x, out=self.ld[:, cols])
-        np.matmul(c[2:], x, out=self.ur[:, cols])
+        """Write the coin product of the ``n`` rows ``x`` (``sites`` of the
+        level before, rows ``pitch`` sites apart) to rows row, row + 1, ...;
+        the columns of each row past its block must be zero in ``x``."""
+        cols = slice(self.w * row * self.pitch, self.w * (row + n) * self.pitch)
+        _product(c[:2], x, self.ld[:, cols])
+        _product(c[2:], x, self.ur[:, cols])
 
 
 def _window_rows(a: int, b: int, depth: int) -> int:
@@ -293,62 +279,72 @@ def _strip_entries(a: int, b: int, depth: int) -> int:
 
 
 def _sweep_block(c: np.ndarray, depth: int, u0: int, v0: int, amps: np.ndarray,
-                 out: np.ndarray, strips, origin: np.ndarray):
+                 out: np.ndarray, strips=(), origin=None):
     """``depth`` steps of the block ``amps`` (4, a, b) in one pass over its rows.
 
-    Row i of a step needs rows i - 1 and i of the step before, so level k,
-    the block k + 1 steps on, takes the rows of the level before it as soon
-    as they are complete: each turn of the loop takes the next window of
-    about ``_CHUNK_SITES`` sites' rows through every level.  Level 0 reads
-    ``amps`` and the last level writes the flat buffer ``out`` (the new
-    block is its first 4 (a + depth) (b + depth) entries).  The levels
-    between take turns in the two ``strips``, which hold one window of rows
-    and the two after it: a level's window leaves the row after it half
-    written, and that row, kept aside, is row 0 of the level's next
-    window.  Strips and ``out`` share the pitch b + depth, the last level's
-    width, so the rows of every level before the last end in zero columns
-    and each level after level 0 places its own product (``_Rows.place``);
-    level 0, whose input rows are b sites apart, scatters it.  Level k's
-    amplitudes at the origin are added to ``origin[k]``.  Every entry of the
-    new block is written, whatever ``out`` held before.  ``depth`` is at
-    least 2: one step is ``_step_block``.
+    ``c`` is the matrix ``_product_matrix`` gives and ``amps`` is
+    C-contiguous complex128.  Row i of a step needs rows i - 1 and i of the
+    step before, so level k, the block k + 1 steps on, takes the rows of the
+    level before it as soon as they are complete: each turn of the loop
+    takes the next window of about ``_CHUNK_SITES`` sites' rows through
+    every level.  Level 0 reads ``amps`` and the last level writes the flat
+    buffer ``out``: the new block is its first 4 (a + depth) (b + depth)
+    entries, and ``out`` holds ``_Rows.entries`` of them when ``depth`` > 1.
+    The levels between take turns in the two ``strips``, which hold one
+    window of rows and the two after it: a level's window leaves the row
+    after it half written, and that row, kept aside, is row 0 of the
+    level's next window.  Strips and ``out`` share the pitch b + depth, the
+    last level's width, so the rows of every level before the last end in
+    zero columns and each level after level 0 places its own product
+    (``_Rows.place``); level 0, whose input rows are b sites apart, scatters
+    it.  Given ``origin`` (depth, 4), level k's amplitudes at the origin are
+    added to ``origin[k]``.  Every entry of the new block is written,
+    whatever ``out`` held before.
     """
     _, a, b = amps.shape
     pitch = b + depth
     rows = _window_rows(a, b, depth)
-    pair = [_Rows(strip, rows + 2, pitch) for strip in strips[:min(depth - 1, 2)]]
-    levels = [pair[k % 2] for k in range(depth - 1)] + [_Rows(out, a + depth, pitch)]
-    for level in levels:
-        level.grid[3, 1, 0] = 0.0   # the one site of R that no window writes
-    # row 0 of each level's window, carried from its last window: zero at
-    # first, since no row above reaches U and R there (``out``, whose
-    # windows go to rows of their own, takes it at its first window only)
-    carried = np.zeros((depth, 4, pitch), dtype=np.complex128)
-    spots = []
-    for k in range(depth):
+    places = c.dtype if depth > 1 else None   # only then do levels place
+    pair = [_Rows(strip, rows + 2, pitch, places) for strip in strips[:depth - 1]]
+    # levels 0 .. depth - 2 alternate between the strips
+    levels = (pair * depth)[:depth - 1] + [_Rows(out, a + depth, pitch, places)]
+    for level in levels[1:]:
+        level.grid[3, 1, 0] = 0.0   # the one site of R that no placed product writes
+    # no row above reaches U and R in row 0 of ``out``, whose windows go to
+    # rows of their own; row 0 of each strip's window is carried from its last
+    # window, zero at first
+    levels[-1].grid[:, 0] = 0.0
+    carried = np.zeros((depth - 1, 4, pitch), dtype=np.complex128) if depth > 1 else None
+    spots = [None] * depth
+    for k in range(depth if origin is not None else 0):
         i, odd_u = divmod(k + 1 - u0, 2)
         j, odd_v = divmod(k + 1 - v0, 2)
-        inside = not (odd_u or odd_v) and 0 <= i <= a + k and 0 <= j <= b + k
-        spots.append((i, j) if inside else None)
-    sites = amps.reshape(4, -1)
+        if not (odd_u or odd_v) and 0 <= i <= a + k and 0 <= j <= b + k:
+            spots[k] = i, j
+    sites = amps.reshape(4, -1).view(c.dtype)
+    w = 16 // c.itemsize   # columns per complex128 site
+    product = np.empty((4, w * min(rows, a) * b), dtype=c.dtype)   # level 0's, per window
     for start in range(0, a + depth - 1, rows):
         for k, level in enumerate(levels):
-            row = start if k == depth - 1 else 0
-            if not row:
+            last = k == depth - 1
+            row = start if last else 0
+            if not last:
                 level.grid[:, 0] = carried[k]
             n = min(rows, a + k - start)   # level k reads a + k rows
             if n <= 0:
                 continue
             if k:
-                level.place(c, levels[k - 1].floats[:, :2 * n * pitch], row, n)
+                level.place(c, levels[k - 1].sites[:, :w * n * pitch], row, n)
             else:
                 # the columns the scatter leaves: past the block, and D and R's first
                 level.grid[:, row + 1:row + n + 1, b:] = 0.0
                 level.grid[1::2, row + 1:row + n + 1, 0] = 0.0
-                _scatter_rows(c, sites, b, start, start + n, level.grid, row)
+                mixed = _product(c, sites[:, w * start * b:w * (start + n) * b],
+                                 product[:, :w * n * b])
+                _scatter(mixed.view(np.complex128).reshape(4, n, b), level.grid, row)
             # L and D of the next row: the next window writes them, or they stay zero
             level.grid[:2, row + n] = 0.0
-            if k < depth - 1:
+            if not last:
                 carried[k] = level.grid[:, rows]
             # rows [start, start + n) are complete, and the last row after the last window
             if spots[k] and start <= spots[k][0] < start + n + (start + n == a + k):
@@ -358,7 +354,7 @@ def _sweep_block(c: np.ndarray, depth: int, u0: int, v0: int, amps: np.ndarray,
 
 
 def _product_matrix(coin) -> np.ndarray:
-    """The checked coin as the kernels multiply by it.
+    """The checked coin as ``_sweep_block`` multiplies by it.
 
     A coin whose imaginary parts are all zero (Grover, the fig2 and fig6
     coins) gives its real part: one real product over the interleaved re, im
@@ -369,23 +365,18 @@ def _product_matrix(coin) -> np.ndarray:
     return c if np.count_nonzero(c.imag) else np.ascontiguousarray(c.real)
 
 
-def _contiguous(state: WalkState) -> WalkState:
-    """``state`` with every block C-contiguous complex128, as the kernels read it."""
-    return WalkState(t=state.t, blocks=tuple(
-        (u0, v0, np.ascontiguousarray(amps, dtype=np.complex128)) for u0, v0, amps in state.blocks))
-
-
 def step(state: WalkState, coin) -> WalkState:
     """One walk step: coin everywhere, then the conditional displacement.
 
-    The new state's blocks are freshly allocated; they share no memory
-    with ``state`` or with any other state.
+    Each block takes a sweep of one step (``_sweep_block``) into a freshly
+    allocated array, of the block's own size, so the new state shares no
+    memory with ``state`` or with any other state.
     """
     c = _product_matrix(coin)
     return WalkState(t=state.t + 1, blocks=tuple(
-        _step_block(c, u0, v0, amps, np.empty(4 * (amps.shape[1] + 1) * (amps.shape[2] + 1),
-                                              dtype=np.complex128))
-        for u0, v0, amps in _contiguous(state).blocks))
+        _sweep_block(c, 1, u0, v0, np.ascontiguousarray(amps, dtype=np.complex128),
+                     np.empty(4 * (amps.shape[1] + 1) * (amps.shape[2] + 1), dtype=np.complex128))
+        for u0, v0, amps in state.blocks))
 
 
 @dataclass(frozen=True)
@@ -421,11 +412,10 @@ def simulate(coin, initial: WalkState, steps: int,
 
     Records P(0, 0, t) for every step and keeps full distributions at the
     requested snapshot times, which must be integers in [initial.t,
-    initial.t + steps] (time 0 snapshots refer to the initial state).  A
-    real coin advances each block up to ``_SWEEP_STEPS`` steps per sweep,
-    ending a sweep at every snapshot time; any other coin one step per
-    sweep.  Each sweep writes a block into one of two buffers sized for
-    its last step, in turn (module docstring).
+    initial.t + steps] (time 0 snapshots refer to the initial state).
+    Every coin advances each block up to ``_SWEEP_STEPS`` steps per sweep,
+    ending a sweep at every snapshot time.  Each sweep writes a block into
+    one of two buffers sized for its last step, in turn (module docstring).
     """
     steps = _integer(steps, "steps", 1)
     c = _product_matrix(coin)
@@ -434,7 +424,9 @@ def simulate(coin, initial: WalkState, steps: int,
     if outside:
         raise ValueError(f"snapshot times {outside} lie outside "
                          f"[{initial.t}, {initial.t + steps}]")
-    state = _contiguous(initial)
+    state = WalkState(t=initial.t, blocks=tuple(
+        (u0, v0, np.ascontiguousarray(amps, dtype=np.complex128))
+        for u0, v0, amps in initial.blocks))
     p_origin = np.zeros(steps + 1)
     p_origin[0] = state.origin_probability()
     snapshots: dict[int, Snapshot] = {}
@@ -449,7 +441,7 @@ def simulate(coin, initial: WalkState, steps: int,
     t, end = state.t, state.t + steps
     while t < end:
         stop = min([w for w in wanted if w > t] + [end])
-        sweeps.append((t, min(_SWEEP_STEPS, stop - t) if c.dtype == np.float64 else 1))
+        sweeps.append((t, min(_SWEEP_STEPS, stop - t)))
         t += sweeps[-1][1]
     strip_size = max((_strip_entries(a + t - initial.t, b + t - initial.t, depth)
                       for t, depth in sweeps if depth > 1 for a, b in shapes), default=0)
@@ -459,11 +451,8 @@ def simulate(coin, initial: WalkState, steps: int,
                    for _ in range(min(depth - 1, 2) - len(strips))]
         origin = np.zeros((depth, 4), dtype=np.complex128)
         state = WalkState(t=t + depth, blocks=tuple(
-            _sweep_block(c, depth, *block, pair[0], strips, origin) if depth > 1
-            else _step_block(c, *block, pair[0])
+            _sweep_block(c, depth, *block, pair[0], strips, origin)
             for block, pair in zip(state.blocks, buffers)))
-        if depth == 1:
-            origin[0] = state.amplitude(0, 0)
         for pair in buffers:
             pair.reverse()
         first = t + 1 - initial.t

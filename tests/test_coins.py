@@ -405,8 +405,24 @@ def test_coin_json_roundtrip_bit_exact(rng):
 @pytest.mark.parametrize("doc, message", [
     ({"theta": 0.3, "phi": 0.2}, "'family' field"),
     ({"family": "TypeIII", "theta": 0.3}, "unknown family 'TypeIII'"),
+    ({"family": ["TypeI"]}, "unknown family"),
 ])
 def test_params_from_dict_rejects_a_missing_or_unknown_family(doc, message):
+    with pytest.raises(ValueError, match=message):
+        coins.params_from_dict(doc)
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"family": "TypeI", "delta1": 1.0, "delta2": 0.5, "spin": 1},
+     "TypeI parameters have no field"),
+    ({"family": "TypeI", "delta1": 1.0}, "TypeI parameters lack"),
+    ({"family": "TypeIIb", "variant": 1, "delta": None}, "delta must be a real number, got None"),
+    ({"family": "TypeIIa", "delta1": 0.5, "delta2": 0.5, "delta3": 0.5, "eta": [1.0]},
+     "eta must be a real number"),
+    ([["family", "TypeI"]], "must be an object"),
+])
+def test_params_from_dict_names_a_bad_field_in_a_value_error(doc, message):
+    # each of these raised TypeError from the dataclass or the dict lookup
     with pytest.raises(ValueError, match=message):
         coins.params_from_dict(doc)
 

@@ -512,16 +512,14 @@ def test_simulate_matches_a_loop_of_steps_bit_for_bit(monkeypatch, name):
     # Small chunks make a walk of 43 steps sweep over many windows of rows.
     # Snapshots end sweeps of depth 1 and 3 and one that ends where an
     # unbroken sweep would; 43 and 130 steps end in sweeps short of
-    # _SWEEP_STEPS.  Real coins also sweep 130 steps at the module's
-    # chunk size, where the blocks outgrow one window.  simulate's reused
-    # buffers and strips must give what fresh states give.
+    # _SWEEP_STEPS.  Every coin, real or complex, also sweeps 130 steps at
+    # the module's chunk size, where the blocks outgrow one window.
+    # simulate's reused buffers and strips must give what fresh states give.
     coin, params = SIMULATE_COINS[name]
     starts = [walk.initial_state(FIG2_INITIAL)]
     if params is not None:   # and the two-block starts of both stationary cells
         starts += [walk.state_from_cell(cell) for cell in coins.stationary_cell(params)]
-    runs = [(37, 43), (300, 43)]
-    if not np.any(coin.imag):
-        runs.append((walk._CHUNK_SITES, 130))
+    runs = [(37, 43), (300, 43), (walk._CHUNK_SITES, 130)]
     assert all(steps % walk._SWEEP_STEPS for _, steps in runs) and walk._SWEEP_STEPS == 8
     for (chunk, steps), start in itertools.product(runs, starts):
         monkeypatch.setattr(walk, "_CHUNK_SITES", chunk)
@@ -609,16 +607,79 @@ def _one_product_step(state, c):
 
     A real ``c`` (float64) multiplies the re, im pairs of the amplitudes as
     one real product, as the kernel does for a coin with no imaginary part.
+    The product runs over zero sites up to a multiple of four, so that no
+    site falls in the last n % 4 columns, which OpenBLAS's ``zgemm`` rounds
+    its own way (``walk._product``).
     """
     blocks = []
     for u0, v0, amps in state.blocks:
         _, a, b = amps.shape
-        mixed = (c @ amps.reshape(4, -1).view(c.dtype)).view(np.complex128).reshape(4, a, b)
+        sites = np.pad(amps.reshape(4, -1), ((0, 0), (0, -a * b % 4)))
+        mixed = (c @ sites.view(c.dtype)).view(np.complex128)[:, :a * b].reshape(4, a, b)
         out = np.zeros((4, a + 1, b + 1), dtype=np.complex128)
         for k, (di, dj) in enumerate(walk._SHIFTS):
             out[k, di:di + a, dj:dj + b] = mixed[k]
         blocks.append((u0 - 1, v0 - 1, out))
     return walk.WalkState(t=state.t + 1, blocks=tuple(blocks))
+
+
+@pytest.mark.parametrize("name", ["Haar", "grover"])
+def test_a_product_of_any_piece_rounds_as_one_long_product(rng, name):
+    # OpenBLAS's zgemm rounds the last n % 4 columns of a call its own way;
+    # walk._product forms them again, so every call length and offset, and
+    # the 2-row products a sweep places at a row stride, give each site the
+    # bits of one long product (48 sites, with no such tail)
+    coin = random_unitary(rng) if name == "Haar" else coins.grover_coin()
+    c = walk._product_matrix(coin)
+    assert c.dtype == (np.complex128 if name == "Haar" else np.float64)
+    sites = rng.normal(size=(4, 48)) + 1j * rng.normal(size=(4, 48))
+    x = sites.view(c.dtype)
+    w = x.shape[1] // 48   # columns per site
+    for rows in (c, c[:2], c[2:]):
+        long = rows @ x
+        for n, offset in itertools.product(range(1, 41), range(8)):
+            cols = slice(w * offset, w * (offset + n))
+            out = np.full((len(rows), w * (n + 3)), np.nan, dtype=c.dtype)[:, w:w * (n + 1)]
+            walk._product(rows, x[:, cols], out)
+            assert out.tobytes() == long[:, cols].tobytes(), (len(rows), n, offset)
+
+
+def _momentum_oracle(coin, psi, t):
+    """P(x, y, t) of the walk from the origin with coin state ``psi``, from
+    the momentum-space operator alone.
+
+    After t steps the amplitudes are a trigonometric polynomial of degree t
+    in kx and ky, so on n = 2t + 3 momenta k = 2 pi m / n the inverse DFT of
+    U(k)^t psi gives every site of the dense window, with no aliasing:
+    ``fftshift(fft2(U^t psi)) / n^2``.  U^t is formed by repeated squaring.
+    """
+    n = 2 * t + 3
+    k = 2 * np.pi * np.arange(n) / n
+    u = spectral.momentum_operator(coin, k[:, None], k[None, :])
+    power = np.broadcast_to(np.eye(4), u.shape)
+    while t:
+        if t & 1:
+            power = power @ u
+        u, t = u @ u, t >> 1
+    field = np.fft.fftshift(np.fft.fft2(power @ psi, axes=(0, 1)), axes=(0, 1)) / n ** 2
+    return np.sum(np.abs(field) ** 2, axis=-1)
+
+
+FIG4 = coins.TypeIIaParams(np.pi / 6, QUARTER, QUARTER, np.pi)
+
+
+@pytest.mark.parametrize("coin, psi", [
+    (coins.grover_coin(), FIG2_INITIAL),
+    (coins.coin_for(FIG4), coins.escaping_state(FIG4)),   # the fig4 escaping state
+    (SIMULATE_COINS["drawn TypeI"][0], FIG2_INITIAL),
+], ids=["grover", "fig4", "drawn TypeI"])
+def test_simulate_matches_the_momentum_space_oracle(coin, psi):
+    # the oracle shares no code with the walk, and checks its complex
+    # products (the fig4 and drawn coins) as well as its real ones; 51
+    # steps end in a sweep short of _SWEEP_STEPS
+    traj = walk.simulate(coin, walk.initial_state(psi), 51, snapshot_times=(26, 51))
+    for t in (26, 51):
+        assert np.max(np.abs(traj.snapshots[t].prob - _momentum_oracle(coin, psi, t))) <= 1e-14
 
 
 def _signed_permutation():
@@ -639,8 +700,8 @@ REAL_COINS = {
 
 @pytest.mark.parametrize("chunk, steps", [(37, 24), (walk._CHUNK_SITES, 130)])
 def test_chunked_coin_product_matches_one_product(monkeypatch, rng, chunk, steps):
-    # BLAS may round a site by where its column falls in the kernel's unroll;
-    # chunks that start off that grid would move the last bits
+    # chunks of 37 sites end at every offset of zgemm's 4-column unroll, so
+    # a chunk's last sites would move unless walk._product formed them again
     monkeypatch.setattr(walk, "_CHUNK_SITES", chunk)
     cases = [(coins.coin_for(params), params)
              for params in (drawer(rng) for drawer in DRAWERS.values())]

@@ -18,17 +18,17 @@ DIR receives
 * ``arrays.npz``: the localized cells at every eigenphase the classification
   reports, chiral partners included, and the trapped-weight operator at
   grid 64 (NaN where the coin does not trap);
-* ``walk.npz``: P(0, 0, t) and every snapshot of six ``simulate`` runs
+* ``walk.npz``: P(0, 0, t) and every snapshot of seven ``simulate`` runs
   (``walk_runs``): for the Grover, fig2, fig4 and fig6 coins, 150 steps from
   one fixed coin state with a snapshot at the end; the fig4 coin (a complex
   product) for 150 steps from the two blocks of its first stationary cell,
-  snapshots at t = 76 and 151; and Grover (a real product) for 203 steps
-  from the fixed state, snapshots at 101 and 203, which end real-coin
-  sweeps short of their depth.  It also holds ``fig4_cell_field``, the
-  dense ``WalkState.field`` of that two-block start after 20 ``walk.step``
-  calls, and ``coverage`` (``walk_coverage``), the ``coverage_fraction``
-  of the fig2, fig4 and fig6 snapshots at inflations 1.0, 1.05 and 1.2 and
-  floors 0 and 1e-5;
+  snapshots at t = 76 and 151; and Grover (a real product) and the fig4
+  coin for 203 steps from the fixed state, snapshots at 101 and 203, which
+  end sweeps of a real and of a complex product short of their depth.  It
+  also holds ``fig4_cell_field``, the dense ``WalkState.field`` of that
+  two-block start after 20 ``walk.step`` calls, and ``coverage``
+  (``walk_coverage``), the ``coverage_fraction`` of the fig2, fig4 and
+  fig6 snapshots at inflations 1.0, 1.05 and 1.2 and floors 0 and 1e-5;
 * ``near.json``: the classify JSON, or its error, of the 2700 coins of a
   seeded near-trapping scan (``near_coins``), one line per coin;
 * ``boundary.json``: the classify JSON, or its error, of 100 seeded
@@ -200,6 +200,7 @@ def walk_runs():
     cell = walk.state_from_cell(coins.stationary_cell(fig4)[0])
     runs.append(("fig4_cell", coins.coin_for(fig4), cell, 150, (76, 151)))
     runs.append(("grover_203", coins.grover_coin(), start, 203, (101, 203)))
+    runs.append(("fig4_203", coins.coin_for(fig4), start, 203, (101, 203)))
     return runs
 
 
