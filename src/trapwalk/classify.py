@@ -336,9 +336,7 @@ def _read_parameters(cell: _coins.AmplitudeCell, family: str, coin) -> _coins.Fa
     if family == "TypeI":
         delta1 = math.atan2(abs(a), abs(b))
         delta2 = math.atan2(abs(c), abs(d))
-        s1, c1 = math.sin(delta1), math.cos(delta1)
-        s2, c2 = math.sin(delta2), math.cos(delta2)
-        phases = _recover_phases(amps, (s1, c1, s2, c2, c2, s2, c1, s1))
+        phases = _recover_phases(amps, _coins._cell_magnitudes(delta1, delta2))
         return _coins.TypeIParams(delta1, delta2, *phases)
 
     if family == "TypeIIa":

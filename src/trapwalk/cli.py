@@ -127,9 +127,9 @@ def _parse_initial(text: str) -> np.ndarray:
     return _coins.complex_from_pairs(json.loads(text), 4, "initial state")
 
 
-def _run_simulation(coin, initial, steps, snapshot_times, outdir, floor=0.0):
-    # An outdir that cannot be made would throw the walk away: check it
-    # first, creating nothing, as simulate checks the steps and snapshot times.
+def _check_outdir(outdir):
+    """Raise unless ``outdir`` names a directory that exists or can be made;
+    creates nothing."""
     if not outdir:
         raise ValueError("--outdir must name a directory, got ''")
     nearest = os.path.abspath(outdir)
@@ -137,6 +137,12 @@ def _run_simulation(coin, initial, steps, snapshot_times, outdir, floor=0.0):
         nearest = os.path.dirname(nearest)
     if not os.path.isdir(nearest):
         raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), outdir)
+
+
+def _run_simulation(coin, initial, steps, snapshot_times, outdir, floor=0.0):
+    # An outdir that cannot be made would throw the walk away: check it
+    # first, creating nothing, as simulate checks the steps and snapshot times.
+    _check_outdir(outdir)
     traj = _walk.simulate(coin, _walk.initial_state(initial), steps,
                           snapshot_times=snapshot_times)
     os.makedirs(outdir, exist_ok=True)
@@ -236,7 +242,8 @@ def _cmd_figure(args) -> int:
     config = _figure_configs()[args.name]
     params = config["params"]
     coin = _coins.coin_for(params)
-    outdir = args.outdir or args.name
+    outdir = args.name if args.outdir is None else args.outdir
+    _check_outdir(outdir)
     os.makedirs(outdir, exist_ok=True)
     _emit_json(_coins.coin_to_json(coin, family=params.family, params=params),
                os.path.join(outdir, "coin.json"))

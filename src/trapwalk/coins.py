@@ -550,45 +550,33 @@ def coin_type_iib(p: TypeIIbParams) -> np.ndarray:
     return out
 
 
+def _cell_magnitudes(delta1: float, delta2: float, delta3: float | None = None) -> tuple:
+    """|a|..|h| of the Type I cell at (delta1, delta2), or of the Type IIa
+    cell at (delta1, delta2, delta3) when ``delta3`` is given."""
+    s1, c1 = math.sin(delta1), math.cos(delta1)
+    s2, c2 = math.sin(delta2), math.cos(delta2)
+    if delta3 is None:
+        return s1, c1, s2, c2, c2, s2, c1, s1
+    s3, c3 = math.sin(delta3), math.cos(delta3)
+    return s1 * s3, c1 * s2, s1 * c3, c1 * s2, c1 * c2, s1 * s3, c1 * c2, s1 * c3
+
+
 def stationary_cell(p: FamilyParams) -> tuple[AmplitudeCell, AmplitudeCell]:
     """Stationary amplitude cell of a family coin and its chiral partner.
 
     The first cell has eigenphase +1, the partner -1.  Type I cells carry
     norm 2 and uniform per-site probability 1/4; Type IIa cells carry norm
-    sqrt(2) with generally non-uniform site probabilities; Type IIb cells
+    sqrt(2) with generally non-uniform site probabilities; both take the
+    magnitudes of ``_cell_magnitudes`` with the same phases.  Type IIb cells
     are the quasi one-dimensional two-site pairs.
     """
-    if isinstance(p, TypeIParams):
-        s1, c1 = math.sin(p.delta1), math.cos(p.delta1)
-        s2, c2 = math.sin(p.delta2), math.cos(p.delta2)
-        cell = AmplitudeCell(
-            a=s1,
-            b=c1 * _exp(p.phi_d + p.phi_e - p.phi_g),
-            c=s2 * _exp(p.phi_h - p.phi_f),
-            d=c2 * _exp(p.phi_d),
-            e=c2 * _exp(p.phi_e),
-            f=s2 * _exp(p.phi_f),
-            g=c1 * _exp(p.phi_g),
-            h=s1 * _exp(p.phi_h),
-            eigenphase=1.0 + 0.0j,
-            norm=NORM_FULL_RANK,
-        )
-    elif isinstance(p, TypeIIaParams):
-        s1, c1 = math.sin(p.delta1), math.cos(p.delta1)
-        s2, c2 = math.sin(p.delta2), math.cos(p.delta2)
-        s3, c3 = math.sin(p.delta3), math.cos(p.delta3)
-        cell = AmplitudeCell(
-            a=s1 * s3,
-            b=c1 * s2 * _exp(p.phi_d + p.phi_e - p.phi_g),
-            c=s1 * c3 * _exp(p.phi_h - p.phi_f),
-            d=c1 * s2 * _exp(p.phi_d),
-            e=c1 * c2 * _exp(p.phi_e),
-            f=s1 * s3 * _exp(p.phi_f),
-            g=c1 * c2 * _exp(p.phi_g),
-            h=s1 * c3 * _exp(p.phi_h),
-            eigenphase=1.0 + 0.0j,
-            norm=NORM_RANK_DEFICIENT,
-        )
+    if isinstance(p, (TypeIParams, TypeIIaParams)):
+        full = isinstance(p, TypeIParams)
+        mags = _cell_magnitudes(p.delta1, p.delta2, None if full else p.delta3)
+        phases = (0.0, p.phi_d + p.phi_e - p.phi_g, p.phi_h - p.phi_f,
+                  p.phi_d, p.phi_e, p.phi_f, p.phi_g, p.phi_h)
+        cell = AmplitudeCell(*(m * _exp(t) for m, t in zip(mags, phases)),
+                             norm=NORM_FULL_RANK if full else NORM_RANK_DEFICIENT)
     elif isinstance(p, TypeIIbParams):
         # Variant 1: |0,0>|D> + e^{i gamma}|0,1>|U>; variant 2:
         # |0,0>|L> + e^{i phi_f}|1,0>|R>; both scaled to norm sqrt(2).

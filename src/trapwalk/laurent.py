@@ -39,7 +39,7 @@ import numpy as np
 
 from . import coins as _coins
 from .errors import DegenerateMinorError, KernelInconsistencyError, NotTrappingError
-from .linalg import RANK_TOL, _marginal, fix_vector_phase, require_unitary
+from .linalg import RANK_TOL, _marginal, _rank_decision, fix_vector_phase, require_unitary
 from .spectral import _momentum_operator
 
 __all__ = [
@@ -124,9 +124,10 @@ def _flat_roots(coeffs: np.ndarray):
     edge_size = float(np.abs(edges).max())
     decisions.append((edge_size, _coins._FLAT_TOL))
     if edge_size >= _coins._FLAT_TOL:
-        # one flat pair at the least-squares root of the linear edges; w = 0
-        # (no slope) never zeroes the center, which is det C there
-        w = np.linalg.lstsq(edges[:, 3:4], -edges[:, 1], rcond=None)[0][0]
+        # one flat pair at the least-squares root of the linear edges; the
+        # edges are not all zero and a unitary C has M = det C conj(C_jj), so
+        # neither are their slopes C_jj
+        w = -np.vdot(edges[:, 3], edges[:, 1]) / np.vdot(edges[:, 3], edges[:, 3])
         residual = float(np.abs(coeffs @ np.sqrt(w) ** np.arange(5)).max())
         decisions.append((residual, _coins._FLAT_TOL))
         return ([(w, 1)] if residual < _coins._FLAT_TOL else []), decisions
@@ -467,12 +468,13 @@ def _cell_from_amplitudes(amps: np.ndarray, eigenphase: complex) -> _coins.Ampli
     """The gauge-fixed cell of kernel amplitudes, at the norm its family takes.
 
     The norm is 2 when the cell's A has full rank at ``linalg.RANK_TOL`` (Type I)
-    and sqrt(2) otherwise: the rule by which classify reports the rank.
+    and sqrt(2) otherwise, by ``linalg._rank_decision``: the rule by which
+    classify reports the rank.
     """
     # Gauge: first non-negligible amplitude real nonnegative.
     amps = fix_vector_phase(amps)
-    s = np.linalg.svd(_coins._balance_pair(amps)[0], compute_uv=False)
-    target = _coins.NORM_FULL_RANK if s[-1] > RANK_TOL * s[0] else _coins.NORM_RANK_DEFICIENT
+    full = _rank_decision(_coins._balance_pair(amps)[0], RANK_TOL)[0] == 4
+    target = _coins.NORM_FULL_RANK if full else _coins.NORM_RANK_DEFICIENT
     amps = amps * (target / np.linalg.norm(amps))
     return _coins.AmplitudeCell(*amps, eigenphase=complex(eigenphase), norm=target)
 

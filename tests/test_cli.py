@@ -529,6 +529,23 @@ def test_error_json_on_bad_floor_simulate(tmp_path, capsys, floor):
     assert not outdir.exists()
 
 
+@pytest.mark.parametrize("outdir", ["", "taken"])
+def test_figure_into_an_empty_or_file_outdir_creates_nothing(tmp_path, capsys, monkeypatch,
+                                                             outdir):
+    # simulate's outdir check, run before coin.json is written: "" is not the
+    # preset name's default, and a file is not a directory
+    monkeypatch.chdir(tmp_path)
+    if outdir:
+        (tmp_path / outdir).write_text("kept\n")
+    err = _assert_json_error(capsys, run("figure", "fig6", "--outdir", outdir))
+    if outdir:
+        assert err["error"] == "NotADirectoryError" and repr(outdir) in err["message"]
+        assert (tmp_path / outdir).read_text() == "kept\n"
+    else:
+        assert err == {"error": "ValueError", "message": "--outdir must name a directory, got ''"}
+    assert sorted(os.listdir(tmp_path)) == ([outdir] if outdir else [])
+
+
 @pytest.mark.parametrize("floor", ["nan", "inf", "-1"])
 def test_error_json_on_bad_floor_figure(tmp_path, capsys, floor):
     outdir = tmp_path / "fig2"

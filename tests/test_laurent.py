@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import itertools
 
@@ -238,8 +239,8 @@ def test_quasi_1d_localized_cell_equals_stationary_cell(variant):
     assert laurent.verification_residual(coin, cell) < 1e-14
 
 
-def _scan_coin(seed, base, index):
-    """Coin ``index`` of base ``base`` in a seeded near-trapping scan.
+def _scan_coins(seed):
+    """(base, index) and coin of a seeded near-trapping scan, in order.
 
     The bases are Grover, then five Type IIa and three Type I draws; each is
     perturbed 150 times by expm(i eps H), eps log-uniform in [1e-11, 3e-8].
@@ -249,9 +250,12 @@ def _scan_coin(seed, base, index):
                                      for family in ["TypeIIa"] * 5 + ["TypeI"] * 3]
     for b, k in itertools.product(range(len(bases)), range(150)):
         eps = float(np.exp(rng.uniform(np.log(1e-11), np.log(3e-8))))
-        coin = perturbed(bases[b], eps, rng)
-        if (b, k) == (base, index):
-            return coin
+        yield (b, k), perturbed(bases[b], eps, rng)
+
+
+def _scan_coin(seed, base, index):
+    """Coin ``index`` of base ``base`` in the near-trapping scan of ``seed``."""
+    return next(coin for key, coin in _scan_coins(seed) if key == (base, index))
 
 
 # Scan coins whose seed member fails its kernel solve or cell check while its
@@ -308,6 +312,17 @@ def test_cell_norm_follows_the_rank_of_its_balance_matrix():
     for lam, _ in result.eigenphases:
         for cell in laurent.localized_cells(coin, lam):
             assert cell.norm == coins.NORM_FULL_RANK
+    # the near-trapping scan: every cell at a reported eigenphase takes norm 2
+    # exactly when classify reports rank 4, one rank rule for both
+    ranks = collections.Counter()
+    for seed in (0, 2):
+        for key, coin in _scan_coins(seed):
+            result = classify.classify_coin(coin)
+            ranks[result.rank_a] += 1
+            for lam, _ in result.eigenphases:
+                for cell in laurent.localized_cells(coin, lam):
+                    assert (cell.norm == coins.NORM_FULL_RANK) == (result.rank_a == 4), (seed, key)
+    assert ranks[4] and ranks[3]
 
 
 def test_partner_cells_match_a_solve_at_the_partner(rng):

@@ -16,8 +16,10 @@ DIR receives
   and ``region -i`` read off every coin and off the coin times a fixed random
   global phase (seed 17), or their errors;
 * ``arrays.npz``: the localized cells at every eigenphase the classification
-  reports, chiral partners included, and the trapped-weight operator at
-  grid 64 (NaN where the coin does not trap);
+  reports, chiral partners included, the trapped-weight operator at
+  grid 64 (NaN where the coin does not trap), and the ``stationary_cell``
+  pair of each criterion-4 draw (``criterion_params``): its amplitudes,
+  norms and eigenphases, shapes (3000, 2, 8), (3000, 2) and (3000, 2);
 * ``walk.npz``: P(0, 0, t) and every snapshot of seven ``simulate`` runs
   (``walk_runs``): for the Grover, fig2, fig4 and fig6 coins, 150 steps from
   one fixed coin state with a snapshot at the end; the fig4 coin (a complex
@@ -41,16 +43,17 @@ DIR receives
   ``region`` for the Grover and fig2 coins, and ``areasweep --n 50``.
 
 ``--diff`` compares two snapshots: the JSON files byte for byte, the cells,
-operators and walks bit for bit (with the number of cells and of operators
-that differ and their largest deviation, NaN-aware, and the largest deviation
-of each walk array that differs), the escaping-subspace projectors to
-their largest entrywise deviation, and the dispersions to their largest
-deviation in rho, e^{i beta}, e^{i phi}, and in omega, group velocity and
-area as this tree computes them.  It lists each near-trapping coin whose
+operators, stationary cells and walks bit for bit (with the number of rows
+of each array that differ and their largest deviation, NaN-aware, and the
+largest deviation of each walk array that differs), the escaping-subspace
+projectors to their largest entrywise deviation, and the dispersions to
+their largest deviation in rho, e^{i beta}, e^{i phi}, and in omega, group
+velocity and area as this tree computes them.  It lists each near-trapping coin whose
 family or ``marginal`` flag changed, and each boundary coin whose family or
 whether it has ``params`` changed.  It exits nonzero when the classify JSON,
-the cells, the operators, the walks, the near-trapping or the boundary JSON
-differ, a dispersion changes kind, or any file of ``text.json`` differs.
+the cells, the operators, the stationary cells, the walks, the near-trapping
+or the boundary JSON differ (an array that one snapshot lacks differs), a
+dispersion changes kind, or any file of ``text.json`` differs.
 """
 
 from __future__ import annotations
@@ -68,12 +71,19 @@ import numpy as np
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def coin_set() -> list[np.ndarray]:
-    from trapwalk import coins
-    from conftest import DEGENERATE_COINS, DRAWERS, hadamard_tensor_coin, random_unitary
+def criterion_params() -> list:
+    """The family parameters of the 3000 criterion-4 draws (seed 104, 1000 per family)."""
+    from conftest import DRAWERS
 
     rng = np.random.default_rng(104)
-    out = [coins.coin_for(drawer(rng)) for drawer in DRAWERS.values() for _ in range(1000)]
+    return [drawer(rng) for drawer in DRAWERS.values() for _ in range(1000)]
+
+
+def coin_set() -> list[np.ndarray]:
+    from trapwalk import coins
+    from conftest import DEGENERATE_COINS, hadamard_tensor_coin, random_unitary
+
+    out = [coins.coin_for(params) for params in criterion_params()]
     rng = np.random.default_rng(5)
     out += [random_unitary(rng) for _ in range(300)]
     return out + [coins.grover_coin(), hadamard_tensor_coin()] + DEGENERATE_COINS
@@ -234,7 +244,7 @@ def _dispersion(coin) -> dict:
 
 def snapshot(out: Path) -> None:
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
-    from trapwalk import classify, laurent, walk
+    from trapwalk import classify, coins, laurent, walk
 
     out.mkdir(parents=True, exist_ok=True)
     classified, escapes, dispersions, cells, weights = [], [], [], [], []
@@ -264,8 +274,13 @@ def snapshot(out: Path) -> None:
     (out / "classify.json").write_text("\n".join(classified) + "\n")
     (out / "escape.json").write_text("\n".join(escapes) + "\n")
     (out / "dispersion.json").write_text("\n".join(dispersions) + "\n")
+    pairs = [coins.stationary_cell(params) for params in criterion_params()]
     np.savez(out / "arrays.npz", weights=np.array(weights),
-             cell_counts=np.array([len(c) for c in cells]), cells=np.concatenate(cells))
+             cell_counts=np.array([len(c) for c in cells]), cells=np.concatenate(cells),
+             stationary_amplitudes=np.array([[c.amplitudes for c in pair] for pair in pairs]),
+             stationary_norms=np.array([[c.norm for c in pair] for pair in pairs]),
+             stationary_eigenphases=np.array([[c.eigenphase for c in pair] for pair in pairs],
+                                             dtype=complex))
     walks, ends = {}, {}
     for name, coin, start, steps, times in walk_runs():
         traj = walk.simulate(coin, start, steps, snapshot_times=times)
@@ -311,7 +326,12 @@ def diff(old: Path, new: Path) -> int:
         print(f"{name}: {differing} of {len(b)} lines differ")
         status |= name == "classify.json" and differing > 0
     with np.load(old / "arrays.npz") as a, np.load(new / "arrays.npz") as b:
-        for key in ("cell_counts", "cells", "weights"):
+        for key in ("cell_counts", "cells", "weights", "stationary_amplitudes",
+                    "stationary_norms", "stationary_eigenphases"):
+            if key not in a.files or key not in b.files:
+                print(f"{key}: missing from {'OLD' if key not in a.files else 'NEW'}")
+                status = 1
+                continue
             same = a[key].shape == b[key].shape and a[key].tobytes() == b[key].tobytes()
             print(f"{key}: {'bit-identical' if same else 'DIFFERENT'}")
             status |= not same
