@@ -58,7 +58,7 @@ def _atomic_write(path: str, write):
 
 
 def _emit(chunks, path: str | None):
-    """Write ``chunks``, bytes of whole LF-ended lines, to ``path`` or stdout."""
+    """Write the byte ``chunks``, ASCII that ends in a line end, to ``path`` or stdout."""
     if path:
         _atomic_write(path, lambda tmp: _text.write(tmp, chunks))
     else:

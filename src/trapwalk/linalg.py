@@ -101,6 +101,17 @@ def _coin_defect(coin_bytes: bytes, shape: tuple[int, ...]) -> float:
     return _defect(as_complex_matrix(a, (4, 4)), _EYE4)
 
 
+@functools.lru_cache(maxsize=16)
+def _coin_product(coin_bytes: bytes) -> np.ndarray:
+    """The checked coin with these bytes as ``walk`` multiplies by it,
+    read-only: its real part when every imaginary part is zero, else itself.
+    """
+    c = np.frombuffer(coin_bytes, dtype=np.complex128).reshape(4, 4)
+    product = c.copy() if np.count_nonzero(c.imag) else np.ascontiguousarray(c.real)
+    product.flags.writeable = False
+    return product
+
+
 def fix_vector_phase(v: np.ndarray) -> np.ndarray:
     """Rotate a vector so its first non-negligible component is real nonnegative."""
     mags = np.abs(v)

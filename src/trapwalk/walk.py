@@ -15,7 +15,7 @@ window of rows, about ``_CHUNK_SITES`` sites, through the steps one after
 another, since row i of a step needs only rows i - 1 and i of the step
 before.  ``step`` is a sweep of one step into a fresh array, so the states
 it returns share no memory.  ``simulate``, whose intermediate states never
-leave it, sweeps up to ``_SWEEP_STEPS`` (8) steps at a time, ending a
+leave it, sweeps up to ``_SWEEP_STEPS`` (24) steps at a time, ending a
 sweep at every snapshot time and at the last step.  A sweep reads the
 block from one of two buffers sized for the last step and writes it into
 the other, so the multi-MB blocks of a long walk cross L3 once per sweep
@@ -61,7 +61,7 @@ import numpy as np
 
 from . import _text
 from .coins import DISPLACEMENTS, AmplitudeCell
-from .linalg import _integer, _unit_state, require_unitary
+from .linalg import _coin_product, _integer, _unit_state, require_unitary
 from .spectral import SpreadRegion, region_contains
 
 __all__ = [
@@ -91,8 +91,10 @@ _SHIFTS = tuple(((dx + dy + 1) // 2, (dx - dy + 1) // 2) for dx, dy in DISPLACEM
 # step.
 _CHUNK_SITES = 8192
 # Steps simulate advances per sweep over a block's rows (_sweep_block), so
-# that the full buffers cross L3 once per sweep.
-_SWEEP_STEPS = 8
+# that the full buffers cross L3 once per sweep.  In an interleaved scan of
+# 500-step walks, 24 took 0.86x the time of 8 (Grover) and 0.95x (fig4 coin,
+# and the simulate CLI with its CSVs); 32 and 48 gained no more than noise.
+_SWEEP_STEPS = 24
 
 
 @dataclass(frozen=True)
@@ -354,15 +356,15 @@ def _sweep_block(c: np.ndarray, depth: int, u0: int, v0: int, amps: np.ndarray,
 
 
 def _product_matrix(coin) -> np.ndarray:
-    """The checked coin as ``_sweep_block`` multiplies by it.
+    """The checked coin as ``_sweep_block`` multiplies by it, read-only and
+    remembered per coin (``linalg._coin_product``).
 
     A coin whose imaginary parts are all zero (Grover, the fig2 and fig6
     coins) gives its real part: one real product over the interleaved re, im
     pairs is the complex product, at well under half the cost.  Any other
-    coin is returned as it is.
+    coin is multiplied as it is.
     """
-    c = require_unitary(coin)
-    return c if np.count_nonzero(c.imag) else np.ascontiguousarray(c.real)
+    return _coin_product(require_unitary(coin).tobytes())
 
 
 def step(state: WalkState, coin) -> WalkState:

@@ -64,6 +64,22 @@ def perturbed(coin, eps, rng) -> np.ndarray:
     return coin @ expm(1j * eps * h)
 
 
+def short_decimals(rng, n: int) -> np.ndarray:
+    """``n`` floats: decimals of 1 to 17 random digits at random decimal
+    exponents over the whole float64 range (a few round to 0), either
+    sign, as ``float`` reads them, then each one's two neighbours."""
+    draws = -(-n // 3)
+    size = rng.integers(1, 18, draws)
+    digits = rng.integers(10 ** (size - 1), 10 ** size)
+    power = rng.integers(-342, 309, draws) - size
+    sign = rng.choice(["", "-"], draws)
+    values = np.array([float(f"{s}{d}e{p}")
+                       for s, d, p in zip(sign, digits.tolist(), power.tolist())])
+    largest = np.finfo(np.float64).max
+    neighbours = [np.nextafter(values, -largest), np.nextafter(values, largest)]
+    return np.concatenate([values, *neighbours])[:n]
+
+
 def hadamard_tensor_coin() -> np.ndarray:
     h = np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2)
     return np.kron(h, h)
@@ -74,7 +90,8 @@ def fresh_memos():
     """Start every test with empty per-coin memos, so that no test reads a
     decision, unitarity defect or W that an earlier test left behind.
     """
-    for memo in (laurent._flat_bands, linalg._coin_defect, classify._weight_operator):
+    for memo in (laurent._flat_bands, linalg._coin_defect, linalg._coin_product,
+                 classify._weight_operator):
         memo.cache_clear()
 
 

@@ -9,7 +9,7 @@ import pytest
 from trapwalk import _text, classify, coins, laurent, spectral, walk
 from trapwalk.linalg import require_unitary
 
-from conftest import DRAWERS, hadamard_tensor_coin, random_unitary
+from conftest import DRAWERS, hadamard_tensor_coin, random_unitary, short_decimals
 
 QUARTER = np.pi / 4
 FIG2_INITIAL = np.array([0.5, 0.5j, 0.5j, 0.5])
@@ -474,6 +474,24 @@ def test_float_texts_match_repr_on_random_bit_patterns():
     assert _text._float_texts(values) == list(map(repr, values.tolist()))
 
 
+def test_float_texts_match_repr_on_short_decimals():
+    # uniform bit patterns almost all have 16- or 17-digit reprs; these drop
+    # many digits or round up, subnormals and both signs included
+    values = short_decimals(np.random.default_rng(33), 21_000)
+    assert _text._float_texts(values) == list(map(repr, values.tolist()))
+
+
+def test_product_matrix_is_one_read_only_array_per_coin():
+    for params in (coins.TypeIIaParams(QUARTER, QUARTER, QUARTER, np.pi),        # real
+                   coins.TypeIIaParams(np.pi / 6, QUARTER, QUARTER, np.pi)):     # complex
+        coin = coins.coin_for(params)
+        product = walk._product_matrix(coin)
+        assert not product.flags.writeable
+        assert walk._product_matrix(coin.copy()) is product
+        expected = coin if np.count_nonzero(coin.imag) else coin.real
+        assert product.dtype == expected.dtype and np.array_equal(product, expected)
+
+
 def test_block_shifts_match_hand_written_table():
     # L, D, U, R land at these (u, v) block offsets
     assert walk._SHIFTS == ((0, 0), (0, 1), (1, 0), (1, 1))
@@ -510,20 +528,20 @@ SIMULATE_COINS["H(x)H"] = (hadamard_tensor_coin(), None)
 @pytest.mark.parametrize("name", sorted(SIMULATE_COINS))
 def test_simulate_matches_a_loop_of_steps_bit_for_bit(monkeypatch, name):
     # Small chunks make a walk of 43 steps sweep over many windows of rows.
-    # Snapshots end sweeps of depth 1 and 3 and one that ends where an
-    # unbroken sweep would; 43 and 130 steps end in sweeps short of
-    # _SWEEP_STEPS.  Every coin, real or complex, also sweeps 130 steps at
-    # the module's chunk size, where the blocks outgrow one window.
+    # Snapshots end sweeps of depth 1 and 3 and an unbroken sweep of
+    # _SWEEP_STEPS; 43 and 130 steps end in sweeps short of it.  Every coin,
+    # real or complex, also sweeps 130 steps at the module's chunk size,
+    # where the blocks outgrow one window.
     # simulate's reused buffers and strips must give what fresh states give.
     coin, params = SIMULATE_COINS[name]
     starts = [walk.initial_state(FIG2_INITIAL)]
     if params is not None:   # and the two-block starts of both stationary cells
         starts += [walk.state_from_cell(cell) for cell in coins.stationary_cell(params)]
     runs = [(37, 43), (300, 43), (walk._CHUNK_SITES, 130)]
-    assert all(steps % walk._SWEEP_STEPS for _, steps in runs) and walk._SWEEP_STEPS == 8
+    assert all(steps % walk._SWEEP_STEPS for _, steps in runs) and walk._SWEEP_STEPS == 24
     for (chunk, steps), start in itertools.product(runs, starts):
         monkeypatch.setattr(walk, "_CHUNK_SITES", chunk)
-        times = (start.t + 1, start.t + 12, start.t + 20, start.t + steps)
+        times = (start.t + 1, start.t + 4, start.t + 28, start.t + steps)
         traj = walk.simulate(coin, start, steps, snapshot_times=times)
         state, p_origin = start, [start.origin_probability()]
         for _ in range(steps):
