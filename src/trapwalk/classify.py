@@ -5,7 +5,8 @@ memoized per coin: the constant eigenvalues of the momentum-space walk
 operator U(k) = S(k) C, each chiral pair confirmed by the 2x2 cell solved at
 its seed eigenphase (or, when that fails, at its partner).  Families follow
 from the rank of that cell's stationary amplitude matrix A (4, 3, 2 for
-Types I, IIa, IIb).
+Types I, IIa, IIb), decided once in ``laurent`` where the cell is solved and
+kept with it.
 """
 
 from __future__ import annotations
@@ -20,8 +21,7 @@ import numpy as np
 from . import coins as _coins
 from .errors import NotTrappingError
 from .laurent import _band_cells, _flat_bands
-from .linalg import (RANK_TOL, _integer, _rank_decision, _unit_state, fix_vector_phase,
-                     require_unitary)
+from .linalg import _integer, _unit_state, fix_vector_phase, require_unitary
 
 __all__ = [
     "ClassificationResult",
@@ -64,7 +64,10 @@ class ClassificationResult:
     on either side, a pair whose seed failed the kernel solve or the cell
     check (kept if its partner passed them, else left out), or a rank of A
     with a singular value within a factor ten of ``linalg.RANK_TOL`` times the
-    largest, on either side (``linalg._marginal``).
+    largest, on either side (``linalg._marginal``).  ``rank_a``, its margin and
+    ``escaping_dim`` come from the one rank decision of the first cell at the
+    first reported eigenphase, made in ``laurent`` where that cell's pair was
+    solved and kept by ``laurent._flat_bands``.
     """
 
     trapping: bool
@@ -76,19 +79,6 @@ class ClassificationResult:
     params: _coins.FamilyParams | None = None
     fully_trapped: bool = False
     marginal: bool = False
-
-
-def _rank_and_escaping(spectrum, solved) -> tuple[int, np.ndarray, bool]:
-    """Rank of the first cell's A at the first reported eigenphase, the escaping
-    subspace (the kernel of A†), and the rank's margin (a singular value within
-    a factor ten of RANK_TOL times the largest, on either side).
-
-    A partner's A is ``A diag(1, -1, -1, 1)``, and a coin with one flat pair
-    has one cell.  When all bands are flat their projectors sum to I: no state escapes.
-    """
-    cell = _band_cells(solved, spectrum[0][0])[0]
-    rank, kernel, marginal = _rank_decision(_coins._balance_pair(cell.amplitudes)[0], RANK_TOL)
-    return rank, kernel if sum(m for _, m in spectrum) < 4 else kernel[:, :0], marginal
 
 
 def escaping_subspace(coin) -> np.ndarray:
@@ -106,7 +96,10 @@ def escaping_subspace(coin) -> np.ndarray:
     spectrum, _, solved = _flat_bands(require_unitary(coin).tobytes())
     if not spectrum:
         raise NotTrappingError("coin is not trapping; every coin state escapes")
-    return _rank_and_escaping(spectrum, solved)[1]
+    # the kernel of A† at the first reported eigenphase; when all bands are
+    # flat their projectors sum to I, and no state escapes
+    kernel = _band_cells(solved, spectrum[0][0])[1][1]
+    return (kernel if sum(m for _, m in spectrum) < 4 else kernel[:, :0]).copy()
 
 
 # Below this fraction of a = |A|^2 + |B|^2 the row formula for |v|^2 has
@@ -186,7 +179,7 @@ def _weight_operator(coin_bytes: bytes, grid_n: int) -> np.ndarray:
     for lam, _ in spectrum:
         # Distinct cells of a direct sum live in orthogonal sectors, so
         # their projectors add without re-orthonormalization.
-        band = sum(_band_projector(cell, z, z) for cell in _band_cells(solved, lam))
+        band = sum(_band_projector(cell, z, z) for cell in _band_cells(solved, lam)[0])
         op += band.conj().T @ band
     return (op + op.conj().T) / 2
 
@@ -226,16 +219,14 @@ def classify_coin(coin) -> ClassificationResult:
         return ClassificationResult(
             trapping=False, eigenphases=(), family="NotTrapping", marginal=marginal,
         )
-    total_mult = sum(m for _, m in spectrum)
-    fully = total_mult >= 4
-    phases = tuple(spectrum)
-    rank, escaping, rank_marginal = _rank_and_escaping(spectrum, solved)
-    esc_dim = escaping.shape[1]
+    fully = sum(m for _, m in spectrum) >= 4
+    cells, (rank, escaping, rank_marginal) = _band_cells(solved, spectrum[0][0])
+    esc_dim = 0 if fully else escaping.shape[1]
     marginal |= rank_marginal
 
     if any(m >= 2 for _, m in spectrum):
         return ClassificationResult(
-            trapping=True, eigenphases=phases, family="DirectSumDegenerate",
+            trapping=True, eigenphases=spectrum, family="DirectSumDegenerate",
             escaping_dim=esc_dim, fully_trapped=fully, marginal=marginal,
         )
 
@@ -247,11 +238,11 @@ def classify_coin(coin) -> ClassificationResult:
     params = None
     if not fully:
         try:
-            params = recover_parameters(_band_cells(solved, spectrum[0][0])[0], family, c)
+            params = recover_parameters(cells[0], family, c)
         except (ValueError, ArithmeticError):
             pass
     return ClassificationResult(
-        trapping=True, eigenphases=phases, family=family, rank_a=rank,
+        trapping=True, eigenphases=spectrum, family=family, rank_a=rank,
         escaping_dim=esc_dim, variant=variant, params=params,
         fully_trapped=fully, marginal=marginal,
     )

@@ -26,8 +26,9 @@ its explicit coefficients are all negligible.
 The flat-band decision, ``_flat_bands``, lives here beside the polynomial
 ``det(z S^-1 - C)`` it reads and the kernel solve that confirms each chiral
 pair of flat bands; ``classify`` and ``localized_cells`` read it.  It is
-memoized on the checked coin's bytes, with the cells it solved, so each coin
-is decided once however many entries read it.
+memoized on the checked coin's bytes, with the cells it solved and the rank
+decision of each solved cell's A, so each coin is decided once however many
+entries read it.
 """
 
 from __future__ import annotations
@@ -71,9 +72,10 @@ ZERO_REL_TOL = 1e-10       # identity-zero test: largest coefficient magnitude a
 #   and the check; a pair whose seed fails either is marginal.
 # - 1e-9: an angle that close below 2 pi sorts as 0, the canonical angle.
 # - linalg.RANK_TOL: the one family rule.  A singular value of a cell's A below
-#   it over the largest is zero: it sets the cell's norm convention here, and
-#   the rank (the family, with its margin) and the kernel of A^H (the escaping
-#   subspace) in classify.
+#   it over the largest is zero.  _cell_from_amplitudes (or, for the direct-sum
+#   pattern cells, _localized_cells) decides it once per solved cell: the rank
+#   sets the cell's norm convention, and _flat_bands keeps the rank, the kernel
+#   of A^H (the escaping subspace) and the margin with the cells for classify.
 _DOUBLE_ROOT_TOL = 1e-6
 KERNEL_REL_TOL = 1e-9
 
@@ -149,9 +151,11 @@ def _flat_bands(coin_bytes: bytes):
     U(0) = C, or of U at the other momentum where the (m+1)-th nearest is
     within coins._FLAT_TOL at k = 0 but not there.  A pair's seed is its member
     that sorts first in the spectrum.  The pair counts if the seed's cells
-    solve and check, or else, marginally, its partner's.  ``solved`` pairs the
-    member solved in each pair with its cells; ``_band_cells`` reads the cells
-    of any reported eigenphase off it.
+    solve and check, or else, marginally, its partner's.  ``solved`` holds, for
+    the member solved in each pair, its eigenphase, its cells and the rank
+    decision of its first cell's A (rank, kernel of A^H, margin) made where the
+    cells were solved; ``_band_cells`` reads the cells and the decision of any
+    reported eigenphase off it.
 
     The last 16 decisions are kept, so that every entry reading a coin's flat
     bands decides it once; the values are immutable, and an exception is not
@@ -178,7 +182,7 @@ def _flat_bands(coin_bytes: bytes):
         pair.sort(key=angle)
         for lam, _ in pair:
             try:
-                solved.append((lam, tuple(_localized_cells(c, lam))))
+                solved.append((lam, *_localized_cells(c, lam)))
             except (KernelInconsistencyError, ValueError):
                 marginal = True
                 continue
@@ -187,18 +191,23 @@ def _flat_bands(coin_bytes: bytes):
     return tuple(sorted(spectrum, key=angle)), marginal, tuple(sorted(solved, key=angle))
 
 
-def _band_cells(solved, z: complex) -> list[_coins.AmplitudeCell]:
-    """A new list of the cells of the reported eigenphase ``z``: those
-    ``_flat_bands`` solved there, or else, since S(k + pi) = -S(k), the chiral
-    partners of those it solved at the pair's other member, gauge-fixed again.
-    Partner cells are built here only, when read.
+def _band_cells(solved, z: complex):
+    """A new list of the cells of the reported eigenphase ``z``, and the rank
+    decision of the first one's A: rank, kernel of A^H (read-only), margin.
+
+    The cells are those ``_flat_bands`` solved at ``z``, or else, since
+    S(k + pi) = -S(k), the chiral partners of those it solved at the pair's
+    other member, gauge-fixed again.  A partner's A is phase A diag(1, -1, -1, 1):
+    its rank, singular values and kernel of A^H are its member's, so it takes
+    its member's decision.  Partner cells are built here only, when read.
     """
-    solved = dict(solved)
-    if z in solved:
-        return list(solved[z])
-    partners = (cell.chiral_partner() for cell in solved[min(solved, key=lambda s: abs(s + z))])
+    members = {lam: (cells, decision) for lam, cells, decision in solved}
+    if z in members:
+        return list(members[z][0]), members[z][1]
+    cells, decision = members[min(members, key=lambda s: abs(s + z))]
+    partners = (cell.chiral_partner() for cell in cells)
     return [_coins.AmplitudeCell(*fix_vector_phase(p.amplitudes), eigenphase=p.eigenphase,
-                                 norm=p.norm) for p in partners]
+                                 norm=p.norm) for p in partners], decision
 
 
 class LaurentPoly:
@@ -464,19 +473,23 @@ def _cell_kernel(adjusted: np.ndarray) -> np.ndarray:
     return vh.conj().T[:, s < KERNEL_REL_TOL * s[0]]
 
 
-def _cell_from_amplitudes(amps: np.ndarray, eigenphase: complex) -> _coins.AmplitudeCell:
-    """The gauge-fixed cell of kernel amplitudes, at the norm its family takes.
+def _cell_from_amplitudes(amps: np.ndarray, eigenphase: complex):
+    """The gauge-fixed cell of kernel amplitudes, at the norm its family takes,
+    and the rank decision of its A.
 
-    The norm is 2 when the cell's A has full rank at ``linalg.RANK_TOL`` (Type I)
-    and sqrt(2) otherwise, by ``linalg._rank_decision``: the rule by which
-    classify reports the rank.
+    The one decision, ``linalg._rank_decision`` at ``linalg.RANK_TOL``, is made
+    on A at the norm sqrt(2): rank, kernel of A^H and margin, which classify
+    reports as family, escaping subspace and margin.  The norm is 2 when the
+    rank is full (Type I) and sqrt(2) otherwise.
     """
     # Gauge: first non-negligible amplitude real nonnegative.
     amps = fix_vector_phase(amps)
-    full = _rank_decision(_coins._balance_pair(amps)[0], RANK_TOL)[0] == 4
-    target = _coins.NORM_FULL_RANK if full else _coins.NORM_RANK_DEFICIENT
-    amps = amps * (target / np.linalg.norm(amps))
-    return _coins.AmplitudeCell(*amps, eigenphase=complex(eigenphase), norm=target)
+    size = np.linalg.norm(amps)
+    a = _coins._balance_pair(amps * (_coins.NORM_RANK_DEFICIENT / size))[0]
+    decision = _rank_decision(a, RANK_TOL)
+    norm = _coins.NORM_FULL_RANK if decision[0] == 4 else _coins.NORM_RANK_DEFICIENT
+    cell = _coins.AmplitudeCell(*(amps * (norm / size)), eigenphase=complex(eigenphase), norm=norm)
+    return cell, decision
 
 
 def _degenerate_pattern_cells(adjusted, eigenphase: complex):
@@ -522,21 +535,25 @@ def localized_cells(coin, eigenphase: complex) -> list[_coins.AmplitudeCell]:
         raise NotTrappingError(f"{lam} is not a constant eigenvalue of the walk operator")
     if lam != flat:
         try:
-            return _localized_cells(c, lam)
+            return list(_localized_cells(c, lam)[0])
         except (KernelInconsistencyError, ValueError):
             pass
-    return _band_cells(solved, flat)
+    return _band_cells(solved, flat)[0]
 
 
-def _localized_cells(c: np.ndarray, lam: complex) -> list[_coins.AmplitudeCell]:
-    """The cells of a checked coin at ``lam``; raises if none solves or checks."""
+def _localized_cells(c: np.ndarray, lam: complex):
+    """The cells of a checked coin at ``lam``, as a tuple, and the rank decision
+    of the first one's A (``_cell_from_amplitudes``), its kernel read-only;
+    raises if none solves or checks.
+    """
     adjusted = np.conj(lam) * c
     kernel = _cell_kernel(adjusted)
     if kernel.shape[1] == 0:
         raise KernelInconsistencyError("det D vanishes identically but the coefficient "
                                        "system has no kernel")
     if kernel.shape[1] == 1:
-        cells = [_cell_from_amplitudes(kernel[:, 0], lam)]
+        cell, decision = _cell_from_amplitudes(kernel[:, 0], lam)
+        cells = [cell]
     else:
         # Kernel dimension >= 2: only direct sums of one-dimensional coins do
         # this (translated copies of a quasi-1D pair both fit in the window).
@@ -549,9 +566,11 @@ def _localized_cells(c: np.ndarray, lam: complex) -> list[_coins.AmplitudeCell]:
             raise KernelInconsistencyError(
                 "direct-sum coin matches neither degenerate sparsity pattern"
             )
+        decision = _rank_decision(_coins._balance_pair(cells[0].amplitudes)[0], RANK_TOL)
     for cell in cells:
         cell.validate()
-    return cells
+    decision[1].flags.writeable = False
+    return tuple(cells), decision
 
 
 def localized_eigenstate(coin, eigenphase: complex) -> _coins.AmplitudeCell:

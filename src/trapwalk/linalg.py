@@ -50,9 +50,11 @@ def _integer(value, name: str, least: int | None = None) -> int:
 
 def _unit_state(state) -> np.ndarray:
     """The coin state ``state`` as a new complex128 (4,) array; a ValueError
-    unless its norm is 1 to within 1e-12.
+    unless it has shape (4,) and its norm is 1 to within 1e-12.
     """
-    psi = np.array(state, dtype=np.complex128).reshape(4)
+    psi = np.array(state, dtype=np.complex128)
+    if psi.shape != (4,):
+        raise ValueError(f"initial coin state must have shape (4,), got {psi.shape}")
     nrm = float(np.linalg.norm(psi))
     if not (abs(nrm - 1.0) <= 1e-12):
         raise ValueError(f"initial coin state must have unit norm, got {nrm!r}")

@@ -172,7 +172,8 @@ class WalkState:
 def initial_state(coin_state) -> WalkState:
     """Point-localized walker at the origin with the given coin state.
 
-    The coin state must be normalized already; nothing is silently rescaled.
+    The coin state must be a (4,) vector normalized already; nothing is
+    silently reshaped or rescaled.
     """
     return WalkState(t=0, blocks=((0, 0, _unit_state(coin_state).reshape(4, 1, 1)),))
 

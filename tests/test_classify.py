@@ -1,10 +1,11 @@
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
 
-from trapwalk import classify, cli, coins, laurent, spectral, walk
+from trapwalk import classify, cli, coins, laurent, linalg, spectral, walk
 from trapwalk.errors import NotTrappingError
 from trapwalk.linalg import require_unitary
 
@@ -71,7 +72,7 @@ def test_marginal_flag():
     residual = laurent._flat_roots(laurent._charpoly(coin))[1][-1][0]
     assert coins._FLAT_TOL / 10 <= residual < coins._FLAT_TOL
     spectrum, _, solved = laurent._flat_bands(coin.tobytes())
-    assert spectrum[0][0] in dict(solved)
+    assert spectrum[0][0] in [lam for lam, _, _ in solved]
     result = classify.classify_coin(coin)
     assert result.family == "TypeIIa" and result.marginal
 
@@ -488,6 +489,18 @@ def test_trapped_weight_and_the_walk_share_the_norm_check():
     assert messages == [f"initial coin state must have unit norm, got {nrm!r}"] * 2
 
 
+@pytest.mark.parametrize("state", [np.full((2, 2), 0.5), np.full((4, 1), 0.5), [1.0, 0, 0, 0, 0],
+                                   [[1.0, 0, 0, 0]], 1.0])
+def test_trapped_weight_and_the_walk_take_only_a_four_vector(state):
+    # a unit-norm array of another shape is not a coin state, not even with
+    # four entries; the error names the shape
+    shape = np.shape(state)
+    for call in (lambda: classify.trapped_weight(coins.grover_coin(), state, grid_n=8),
+                 lambda: walk.initial_state(state)):
+        with pytest.raises(ValueError, match=re.escape(f"must have shape (4,), got {shape}")):
+            call()
+
+
 def test_trapped_weight_rejects_nan_state():
     with pytest.raises(ValueError):
         classify.trapped_weight(coins.grover_coin(), np.array([np.nan, 0, 0, 0], dtype=complex))
@@ -633,9 +646,9 @@ def count_checks(monkeypatch) -> dict:
     build = laurent._localized_cells
 
     def counting_build(c, eigenphase):
-        cells = build(c, eigenphase)
+        cells, decision = build(c, eigenphase)
         calls["built"] += len(cells)
-        return cells
+        return cells, decision
 
     for module in (classify, laurent, spectral, walk):
         monkeypatch.setattr(module, "require_unitary", unitary)
@@ -692,6 +705,30 @@ def test_every_entry_reads_one_decision_per_coin(monkeypatch, rng):
         assert [len(laurent.localized_cells(coin, lam))
                 for lam, _ in classify.detect_point_spectrum(coin)] == lengths
     assert len(decided) == len(sample)
+
+
+def test_a_fresh_coin_decides_the_rank_of_its_a_once(monkeypatch, rng):
+    # laurent decides the rank of A where it solves a cell and keeps the
+    # decision with it: classification, escaping subspace and the cells at
+    # every reported eigenphase of a fresh family coin make one decision between them
+    assert not hasattr(classify, "_rank_decision")
+    decide, decisions = linalg._rank_decision, []
+
+    def counting(a, tol):
+        decisions.append(tol)
+        return decide(a, tol)
+
+    for module in (laurent, linalg):
+        monkeypatch.setattr(module, "_rank_decision", counting)
+    for family, draw in DRAWERS.items():
+        for _ in range(3):
+            coin = coins.coin_for(draw(rng))
+            del decisions[:]
+            result = classify.classify_coin(coin)
+            assert classify.escaping_subspace(coin).shape == (4, result.escaping_dim)
+            for lam, _ in result.eigenphases:
+                assert laurent.localized_cells(coin, lam)
+            assert result.family == family and decisions == [linalg.RANK_TOL]
 
 
 def test_escaping_states_decay(rng):

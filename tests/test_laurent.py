@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from trapwalk import classify, coins, laurent
+from trapwalk import classify, coins, laurent, linalg
 from trapwalk.errors import DegenerateMinorError, NotTrappingError
 from trapwalk.laurent import LaurentPoly
 
@@ -285,7 +285,7 @@ def test_localized_cells_at_every_reported_eigenphase(seed, base, index, family)
     result = classify.classify_coin(coin)
     assert result.family == family
     assert result.marginal
-    seed_cells = dict(laurent._flat_bands(coin.tobytes())[2])
+    seed_cells = {lam: cells for lam, cells, _ in laurent._flat_bands(coin.tobytes())[2]}
     for lam, _ in result.eigenphases:
         cells = laurent.localized_cells(coin, lam)
         if lam not in seed_cells:
@@ -313,8 +313,9 @@ def test_cell_norm_follows_the_rank_of_its_balance_matrix():
         for cell in laurent.localized_cells(coin, lam):
             assert cell.norm == coins.NORM_FULL_RANK
     # the near-trapping scan: every cell at a reported eigenphase takes norm 2
-    # exactly when classify reports rank 4, one rank rule for both
-    ranks = collections.Counter()
+    # exactly when classify reports rank 4, one rank rule for both; the coins
+    # whose first reported eigenphase is a partner are those of SEED_FAILS
+    ranks, partner_first = collections.Counter(), []
     for seed in (0, 2):
         for key, coin in _scan_coins(seed):
             result = classify.classify_coin(coin)
@@ -322,7 +323,39 @@ def test_cell_norm_follows_the_rank_of_its_balance_matrix():
             for lam, _ in result.eigenphases:
                 for cell in laurent.localized_cells(coin, lam):
                     assert (cell.norm == coins.NORM_FULL_RANK) == (result.rank_a == 4), (seed, key)
+            spectrum, _, solved = laurent._flat_bands(coin.tobytes())
+            if spectrum and spectrum[0][0] not in [lam for lam, _, _ in solved]:
+                partner_first.append((seed, *key))
     assert ranks[4] and ranks[3]
+    assert partner_first == [(seed, base, index) for seed, base, index, _ in SEED_FAILS]
+
+
+@pytest.mark.parametrize("seed, base, index, family", SEED_FAILS)
+def test_a_partner_takes_the_rank_decision_of_its_member(seed, base, index, family):
+    # the first reported eigenphase of these coins is the partner of the member
+    # solved.  The partner's A is phase A diag(1, -1, -1, 1), so the rank, margin
+    # and escaping subspace its member's decision gives are those of a decision
+    # made afresh on the partner cell's A
+    coin = _scan_coin(seed, base, index)
+    spectrum, _, solved = laurent._flat_bands(coin.tobytes())
+    first = spectrum[0][0]
+    assert first not in [lam for lam, _, _ in solved]
+    _, (rank, kernel, margin) = laurent._band_cells(solved, first)
+    assert not kernel.flags.writeable
+    a = coins._balance_pair(laurent.localized_cells(coin, first)[0].amplitudes)[0]
+    fresh_rank, fresh_kernel, fresh_margin = linalg._rank_decision(a, linalg.RANK_TOL)
+    assert (rank, margin) == (fresh_rank, fresh_margin)
+    result = classify.classify_coin(coin)
+    assert (result.family, result.rank_a, result.escaping_dim) == (family, fresh_rank,
+                                                                   fresh_kernel.shape[1])
+    assert result.marginal
+    escaping = classify.escaping_subspace(coin)
+    assert escaping.shape == fresh_kernel.shape
+    projector = escaping @ escaping.conj().T
+    assert np.abs(projector - fresh_kernel @ fresh_kernel.conj().T).max() <= 1e-15
+    # the escaping subspace handed out is the caller's own copy of the kept kernel
+    escaping[...] = 0.0
+    assert classify.escaping_subspace(coin).tobytes() == kernel.tobytes()
 
 
 def test_partner_cells_match_a_solve_at_the_partner(rng):
@@ -332,9 +365,9 @@ def test_partner_cells_match_a_solve_at_the_partner(rng):
     sample = DEGENERATE_COINS + [coins.coin_for(draw(rng)) for draw in DRAWERS.values()]
     for coin in sample:
         spectrum, _, solved_cells = laurent._flat_bands(coin.tobytes())
-        for lam in (z for z, _ in spectrum if z not in dict(solved_cells)):
+        for lam in (z for z, _ in spectrum if z not in [s for s, _, _ in solved_cells]):
             cells = laurent.localized_cells(coin, lam)
-            solved = laurent._localized_cells(coin, lam)
+            solved, _ = laurent._localized_cells(coin, lam)
             assert len(cells) == len(solved)
             for cell, ref in zip(cells, solved):
                 assert np.max(np.abs(cell.amplitudes - ref.amplitudes)) < 1e-13
@@ -356,10 +389,10 @@ def test_localized_cells_at_a_seed_reuse_its_solve(monkeypatch, rng):
         for lam, _ in spectrum:
             laurent.localized_cells(coin, lam)
         assert solves == []
-        for seed, _ in seed_cells:
+        for seed, _, _ in seed_cells:
             cells = laurent.localized_cells(coin, seed)
             assert solves == []
-            solved = solve(coin, seed)
+            solved, _ = solve(coin, seed)
             assert len(cells) == len(solved) >= 1
             for cell, ref in zip(cells, solved):
                 assert cell.amplitudes.tobytes() == ref.amplitudes.tobytes()

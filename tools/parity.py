@@ -33,6 +33,10 @@ DIR receives
   fig6 snapshots at inflations 1.0, 1.05 and 1.2 and floors 0 and 1e-5;
 * ``near.json``: the classify JSON, or its error, of the 2700 coins of a
   seeded near-trapping scan (``near_coins``), one line per coin;
+* ``near_escape.json``: the escaping-subspace basis, or its error, of the same
+  2700 coins in the same order, one line per coin.  The scan is the only set
+  here with coins whose first reported eigenphase is the partner of the
+  member the flat-band decision solved;
 * ``boundary.json``: the classify JSON, or its error, of 100 seeded
   random-phase family coins with one angle at an endpoint of its range
   (``boundary_coins``), one line per coin;
@@ -49,11 +53,13 @@ largest deviation of each walk array that differs), the escaping-subspace
 projectors to their largest entrywise deviation, and the dispersions to
 their largest deviation in rho, e^{i beta}, e^{i phi}, and in omega, group
 velocity and area as this tree computes them.  It lists each near-trapping coin whose
-family or ``marginal`` flag changed, and each boundary coin whose family or
-whether it has ``params`` changed.  It exits nonzero when the classify JSON,
-the cells, the operators, the stationary cells, the walks, the near-trapping
-or the boundary JSON differ (an array that one snapshot lacks differs), a
-dispersion changes kind, or any file of ``text.json`` differs.
+family or ``marginal`` flag changed, each near-trapping coin whose escaping
+projector moved, with its largest deviation, and each boundary coin whose
+family or whether it has ``params`` changed.  It exits nonzero when the
+classify JSON, the cells, the operators, the stationary cells, the walks, the
+near-trapping or the boundary JSON differ (an array or file that one snapshot
+lacks differs), an escaping subspace changes dimension or starts or stops
+failing, a dispersion changes kind, or any file of ``text.json`` differs.
 """
 
 from __future__ import annotations
@@ -196,6 +202,16 @@ def _classified(coin) -> str:
         return _error(exc)
 
 
+def _escaped(coin) -> str:
+    from trapwalk import classify
+
+    try:
+        basis = classify.escaping_subspace(coin)
+    except Exception as exc:
+        return _error(exc)
+    return json.dumps([[[z.real, z.imag] for z in col] for col in basis.T])
+
+
 def walk_runs():
     """(name, coin, initial state, steps, snapshot times) of the ``walk.npz``
     runs, whose arrays are ``{name}_p_origin`` and ``{name}_prob_t{t}``."""
@@ -258,11 +274,7 @@ def snapshot(out: Path) -> None:
         except Exception as exc:
             result = None
             classified.append(_error(exc))
-        try:
-            basis = classify.escaping_subspace(coin)
-            escapes.append(json.dumps([[[z.real, z.imag] for z in col] for col in basis.T]))
-        except Exception as exc:
-            escapes.append(_error(exc))
+        escapes.append(_escaped(coin))
         amps = []
         if result is not None and result.trapping:
             for lam, _ in result.eigenphases:
@@ -300,6 +312,8 @@ def snapshot(out: Path) -> None:
                  for key, coin in scan()]
         (out / name).write_text("\n".join(lines) + "\n")
         counts.append(len(lines))
+    lines = [_escaped(coin) for _, coin in near_coins()]
+    (out / "near_escape.json").write_text("\n".join(lines) + "\n")
     texts = _text_digests()
     (out / "text.json").write_text(json.dumps(texts, indent=1) + "\n")
     print(f"{len(classified)} coins, {counts[0]} near-trapping and {counts[1]} boundary "
@@ -350,18 +364,42 @@ def diff(old: Path, new: Path) -> int:
             else:
                 print(f"walk {key}: missing or reshaped")
         status |= bool(differing)
-    deviation = 0.0
-    for p, q in zip(_projectors(old / "escape.json"), _projectors(new / "escape.json")):
-        if (p is None) != (q is None) or (p is not None and p.shape != q.shape):
-            print("escape: an escaping subspace changed dimension or failed")
-            return 1
-        if p is not None:
-            deviation = max(deviation, float(np.abs(p - q).max(initial=0.0)))
-    print(f"escape projectors: max deviation {deviation:.1e}")
+    status |= _diff_escapes(old, new, "escape.json")
     status |= _diff_scan(old, new, "near.json", "marginal")
+    keys = [json.loads(line)["coin"] for line in (new / "near.json").read_text().splitlines()]
+    status |= _diff_escapes(old, new, "near_escape.json", keys)
     status |= _diff_scan(old, new, "boundary.json", "params")
     status |= _diff_texts(old / "text.json", new / "text.json")
     return int(status) | _diff_dispersions(old / "dispersion.json", new / "dispersion.json")
+
+
+def _diff_escapes(old: Path, new: Path, name: str, keys=None) -> int:
+    """The largest deviation between the escaping-subspace projectors of one file
+    of two snapshots and, given the coins' ``keys``, each coin whose projector
+    moved; 1 if the file is missing from either or a subspace changed dimension
+    or started or stopped failing.
+    """
+    if not (old / name).exists() or not (new / name).exists():
+        print(f"{name}: missing from {'OLD' if not (old / name).exists() else 'NEW'}")
+        return 1
+    deviation, moved, status = 0.0, [], 0
+    for i, (p, q) in enumerate(zip(_projectors(old / name), _projectors(new / name))):
+        # every projector is 4 x 4; its trace is the subspace's dimension
+        if (p is None) != (q is None) or (p is not None
+                                          and round(np.trace(p).real) != round(np.trace(q).real)):
+            print(f"{name} {tuple(keys[i]) if keys else i}: escaping subspace changed "
+                  f"dimension or failure")
+            status = 1
+        elif p is not None:
+            dev = float(np.abs(p - q).max(initial=0.0))
+            deviation = max(deviation, dev)
+            if keys and dev > 0.0:
+                moved.append((tuple(keys[i]), dev))
+    print(f"{name} projectors: max deviation {deviation:.1e}"
+          + (f", {len(moved)} of {len(keys)} coins moved" if keys else ""))
+    for key, dev in moved:
+        print(f"{name} {key}: projector deviation {dev:.1e}")
+    return status
 
 
 def _diff_texts(old: Path, new: Path) -> int:
