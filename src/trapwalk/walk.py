@@ -19,12 +19,12 @@ leave it, sweeps up to ``_SWEEP_STEPS`` (24) steps at a time, ending a
 sweep at every snapshot time and at the last step.  A sweep reads the
 block from one of two buffers sized for the last step and writes it into
 the other, so the multi-MB blocks of a long walk cross L3 once per sweep
-rather than once per step; the steps between live in two small strips, one
-window of rows each, which they take in turn, and the strips are freed
-before a snapshot's distribution is built.  A walk from one site holds
-about 2 x 64 (t+1)^2 bytes of buffers (32 MB at t = 500) and, while it
-steps, 2 x 64 (w + 2 t) bytes of strips for windows of w sites (1.2 MB at
-t = 500).
+rather than once per step.  The steps between live in two small strips, one
+window of rows each, which they take in turn; the kernel allocates them
+for each sweep and they are freed when it returns, so no snapshot is built
+while they are held.  A walk from one site holds about 2 x 64 (t+1)^2
+bytes of buffers (32 MB at t = 500) and, during a sweep, 2 x 64 (w + 2 t)
+bytes of strips for windows of w sites (1.2 MB at t = 500).
 
 The dense views (``WalkState.probability`` and ``.field``, hence every
 snapshot) cost their window plus O(``_CHUNK_SITES``) temporaries: a block's
@@ -275,14 +275,8 @@ def _window_rows(a: int, b: int, depth: int) -> int:
     return max(1, min(_CHUNK_SITES // (b + depth), a + depth - 1))
 
 
-def _strip_entries(a: int, b: int, depth: int) -> int:
-    """Entries of each strip ``_sweep_block`` takes over a block (4, a, b),
-    ``depth`` steps: one window of rows and the two after it."""
-    return _Rows.entries(_window_rows(a, b, depth) + 2, b + depth)
-
-
 def _sweep_block(c: np.ndarray, depth: int, u0: int, v0: int, amps: np.ndarray,
-                 out: np.ndarray, strips=(), origin=None):
+                 out: np.ndarray, origin=None):
     """``depth`` steps of the block ``amps`` (4, a, b) in one pass over its rows.
 
     ``c`` is the matrix ``_product_matrix`` gives and ``amps`` is
@@ -293,22 +287,24 @@ def _sweep_block(c: np.ndarray, depth: int, u0: int, v0: int, amps: np.ndarray,
     every level.  Level 0 reads ``amps`` and the last level writes the flat
     buffer ``out``: the new block is its first 4 (a + depth) (b + depth)
     entries, and ``out`` holds ``_Rows.entries`` of them when ``depth`` > 1.
-    The levels between take turns in the two ``strips``, which hold one
-    window of rows and the two after it: a level's window leaves the row
-    after it half written, and that row, kept aside, is row 0 of the
-    level's next window.  Strips and ``out`` share the pitch b + depth, the
-    last level's width, so the rows of every level before the last end in
-    zero columns and each level after level 0 places its own product
-    (``_Rows.place``); level 0, whose input rows are b sites apart, scatters
-    it.  Given ``origin`` (depth, 4), level k's amplitudes at the origin are
-    added to ``origin[k]``.  Every entry of the new block is written,
-    whatever ``out`` held before.
+    The levels between take turns in two strips, allocated here and freed
+    on return, which hold one window of rows and the two after it: a
+    level's window leaves the row after it half written, and that row, kept
+    aside, is row 0 of the level's next window.  A sweep of one step
+    allocates none, and one of two steps one.  Strips and ``out`` share the
+    pitch b + depth, the last level's width, so the rows of every level
+    before the last end in zero columns and each level after level 0 places
+    its own product (``_Rows.place``); level 0, whose input rows are b sites
+    apart, scatters it.  Given ``origin`` (depth, 4), level k's amplitudes at
+    the origin are added to ``origin[k]``.  Every entry of the new block is
+    written, whatever ``out`` held before.
     """
     _, a, b = amps.shape
     pitch = b + depth
     rows = _window_rows(a, b, depth)
     places = c.dtype if depth > 1 else None   # only then do levels place
-    pair = [_Rows(strip, rows + 2, pitch, places) for strip in strips[:depth - 1]]
+    pair = [_Rows(np.empty(_Rows.entries(rows + 2, pitch), dtype=np.complex128),
+                  rows + 2, pitch, places) for _ in range(min(depth - 1, 2))]
     # levels 0 .. depth - 2 alternate between the strips
     levels = (pair * depth)[:depth - 1] + [_Rows(out, a + depth, pitch, places)]
     for level in levels[1:]:
@@ -418,7 +414,8 @@ def simulate(coin, initial: WalkState, steps: int,
     initial.t + steps] (time 0 snapshots refer to the initial state).
     Every coin advances each block up to ``_SWEEP_STEPS`` steps per sweep,
     ending a sweep at every snapshot time.  Each sweep writes a block into
-    one of two buffers sized for its last step, in turn (module docstring).
+    one of two buffers sized for its last step, in turn; the buffers are all
+    the scratch memory kept from one sweep to the next (module docstring).
     """
     steps = _integer(steps, "steps", 1)
     c = _product_matrix(coin)
@@ -435,26 +432,17 @@ def simulate(coin, initial: WalkState, steps: int,
     snapshots: dict[int, Snapshot] = {}
     if state.t in wanted:
         snapshots[state.t] = Snapshot(t=state.t, prob=state.probability())
-    shapes = [amps.shape[1:] for _, _, amps in state.blocks]
     # Each block's sweeps write into its two buffers in turn, each sized for
     # the block's last step.
-    buffers = [[np.empty(_Rows.entries(a + steps, b + steps), dtype=np.complex128)
-                for _ in range(2)] for a, b in shapes]
-    sweeps = []   # (start time, depth)
-    t, end = state.t, state.t + steps
-    while t < end:
-        stop = min([w for w in wanted if w > t] + [end])
-        sweeps.append((t, min(_SWEEP_STEPS, stop - t)))
-        t += sweeps[-1][1]
-    strip_size = max((_strip_entries(a + t - initial.t, b + t - initial.t, depth)
-                      for t, depth in sweeps if depth > 1 for a, b in shapes), default=0)
-    strips: list[np.ndarray] = []
-    for t, depth in sweeps:
-        strips += [np.empty(strip_size, dtype=np.complex128)
-                   for _ in range(min(depth - 1, 2) - len(strips))]
+    buffers = [[np.empty(_Rows.entries(amps.shape[1] + steps, amps.shape[2] + steps),
+                         dtype=np.complex128) for _ in range(2)] for _, _, amps in state.blocks]
+    end = state.t + steps
+    while state.t < end:
+        t = state.t
+        depth = min(_SWEEP_STEPS, min((w for w in wanted if w > t), default=end) - t)
         origin = np.zeros((depth, 4), dtype=np.complex128)
         state = WalkState(t=t + depth, blocks=tuple(
-            _sweep_block(c, depth, *block, pair[0], strips, origin)
+            _sweep_block(c, depth, *block, pair[0], origin)
             for block, pair in zip(state.blocks, buffers)))
         for pair in buffers:
             pair.reverse()
@@ -462,7 +450,6 @@ def simulate(coin, initial: WalkState, steps: int,
         # the sum WalkState.origin_probability takes, bit for bit
         p_origin[first:first + depth] = [float(np.sum(np.abs(z) ** 2)) for z in origin]
         if state.t in wanted:
-            strips = []   # freed before the snapshot's arrays are made
             snapshots[state.t] = Snapshot(t=state.t, prob=state.probability())
     return Trajectory(steps=steps, p_origin=p_origin, snapshots=snapshots)
 

@@ -831,10 +831,11 @@ def test_recover_raises_when_parameters_miss_the_coin():
         classify.recover_parameters(cell, "TypeIIa", coins.grover_coin()[None])
 
 
-@pytest.mark.parametrize("delta2, delta3", [(np.pi / 2, 0.7), (0.5, 0.0)])
+@pytest.mark.parametrize("delta2, delta3", [(np.pi / 2, 0.7), (0.5, 0.0), (0.0, 0.7)])
 def test_type_iia_angle_endpoints_keep_parameters(rng, delta2, delta3):
     # at delta3 = 0 phi_f is read off h and c (a = f = 0); at delta2 = pi/2
-    # phi_e - phi_g is read off b and d (e = g = 0)
+    # phi_e - phi_g is read off b and d (e = g = 0); at delta2 = 0 (b = d = 0)
+    # no amplitude carries phi_d, which is set to zero
     for _ in range(10):
         eta = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.1, np.pi))
         params = coins.TypeIIaParams(rng.uniform(0.1, 1.4), delta2, delta3, eta,

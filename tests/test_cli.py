@@ -393,6 +393,18 @@ def test_error_json_on_coin_without_matrix(tmp_path, capsys):
                    "message": "coin JSON must be an object with a 'matrix' field"}
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("coin", "--family", "I"), "--delta1 is required for family I"),
+    (("region",), "give either --input coin.json or family parameters"),
+    (("spectrum", "-i", "{coin}"), "fully trapped coin: the spectrum is flat, no dispersion"),
+], ids=["coin-without-delta1", "region-without-input", "spectrum-of-a-fully-trapped-coin"])
+def test_error_json_on_missing_parameters_and_a_flat_spectrum(tmp_path, capsys, argv, message):
+    coin_path = tmp_path / "coin.json"
+    coins.write_coin_json(coin_path, coins.coin_for(coins.TypeIParams(np.pi / 2, 0.0)))
+    err = _assert_json_error(capsys, run(*(arg.format(coin=coin_path) for arg in argv)))
+    assert err == {"error": "TrapwalkError", "message": message}
+
+
 @pytest.mark.parametrize("basis", [5, "LDUR"])
 def test_error_json_on_non_list_basis(tmp_path, capsys, basis):
     doc = json.loads(coins.coin_to_json(coins.grover_coin()))

@@ -335,6 +335,22 @@ def test_dispersion_spec_rejects_non_finite(field, value):
         spectral.DispersionSpec(**(kwargs | {field: value}))
 
 
+@pytest.mark.parametrize("change, match", [
+    ({"kind": "3d"}, "unknown dispersion kind '3d'"),
+    ({"kind": "2D"}, "unknown dispersion kind '2D'"),
+    ({"rho_x": -1e-300}, "nonnegative"),
+    ({"rho_y": -0.2}, "nonnegative"),
+    ({"rho_x": 0.5, "rho_y": 0.5 + 2e-12}, "must satisfy rho_x"),
+    ({"rho_x": 1.0 + 2e-12, "rho_y": 0.0}, "must satisfy rho_x"),
+], ids=["kind-3d", "kind-2D", "rho_x-negative", "rho_y-negative", "sum-past-1", "rho_x-past-1"])
+def test_dispersion_spec_rejects_values_outside_its_domain(change, match):
+    kwargs = {"kind": "2d", "beta": 0.1, "rho_x": 0.3, "rho_y": 0.2, "phi_x": 0.4, "phi_y": 0.5}
+    with pytest.raises(ValueError, match=match):
+        spectral.DispersionSpec(**(kwargs | change))
+    # the sum may pass 1 by round-off, up to 1e-12
+    spectral.DispersionSpec(**(kwargs | {"rho_x": 0.5, "rho_y": 0.5 + 5e-13}))
+
+
 def test_region_fully_trapped_degenerate():
     spec = spectral.DispersionSpec(kind="2d", beta=0.0, rho_x=0.0, rho_y=0.0)
     region = spectral.spread_region(spec)

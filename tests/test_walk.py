@@ -528,11 +528,13 @@ SIMULATE_COINS["H(x)H"] = (hadamard_tensor_coin(), None)
 @pytest.mark.parametrize("name", sorted(SIMULATE_COINS))
 def test_simulate_matches_a_loop_of_steps_bit_for_bit(monkeypatch, name):
     # Small chunks make a walk of 43 steps sweep over many windows of rows.
-    # Snapshots end sweeps of depth 1 and 3 and an unbroken sweep of
-    # _SWEEP_STEPS; 43 and 130 steps end in sweeps short of it.  Every coin,
-    # real or complex, also sweeps 130 steps at the module's chunk size,
-    # where the blocks outgrow one window.
-    # simulate's reused buffers and strips must give what fresh states give.
+    # Snapshots end sweeps of depth 1, 3 and 2 (one strip) and an unbroken
+    # sweep of _SWEEP_STEPS; 43 and 130 steps end in sweeps short of it.
+    # Every coin, real or complex, also sweeps 130 steps at the module's
+    # chunk size, where the blocks outgrow one window.  A snapshot at the
+    # start time is the start's own distribution.
+    # simulate's reused buffers, and the strips each sweep allocates, must
+    # give what fresh states give.
     coin, params = SIMULATE_COINS[name]
     starts = [walk.initial_state(FIG2_INITIAL)]
     if params is not None:   # and the two-block starts of both stationary cells
@@ -541,8 +543,13 @@ def test_simulate_matches_a_loop_of_steps_bit_for_bit(monkeypatch, name):
     assert all(steps % walk._SWEEP_STEPS for _, steps in runs) and walk._SWEEP_STEPS == 24
     for (chunk, steps), start in itertools.product(runs, starts):
         monkeypatch.setattr(walk, "_CHUNK_SITES", chunk)
-        times = (start.t + 1, start.t + 4, start.t + 28, start.t + steps)
+        times = (start.t, start.t + 1, start.t + 4, start.t + 6, start.t + 30, start.t + steps)
         traj = walk.simulate(coin, start, steps, snapshot_times=times)
+        assert traj.snapshots[start.t].prob.tobytes() == start.probability().tobytes()
+        if start.t == 0:
+            region = spectral.SpreadRegion(1, 1, 1, 1, 1, np.pi, 0, np.pi)
+            with pytest.raises(ValueError, match=r"evolved snapshot \(t >= 1\)"):
+                walk.coverage_fraction(traj.snapshots[0], region)
         state, p_origin = start, [start.origin_probability()]
         for _ in range(steps):
             state = walk.step(state, coin)
