@@ -30,6 +30,9 @@ __all__ = ["main", "build_parser"]
 # The family parameter classes by their --family name: I, IIa, IIb.
 _FAMILIES = {cls.family.removeprefix("Type"): cls
              for cls in (_coins.TypeIParams, _coins.TypeIIaParams, _coins.TypeIIbParams)}
+# Every field of every family, each with a flag of its own, in first-seen order.
+_FIELDS = tuple(dict.fromkeys(f.name for cls in _FAMILIES.values()
+                              for f in dataclasses.fields(cls)))
 
 
 def _atomic_write(path: str, write):
@@ -72,27 +75,39 @@ def _emit_json(text: str, path: str | None):
 def _add_family_arguments(parser: argparse.ArgumentParser, required: bool = True):
     parser.add_argument("--family", required=required, choices=list(_FAMILIES),
                         help="coin family")
-    parser.add_argument("--variant", type=int, choices=[1, 2], default=1,
-                        help="rank-2 sub-family arrangement (IIb only)")
-    # every other field is an angle, flagged once each in first-seen order
-    for name in dict.fromkeys(f.name for cls in _FAMILIES.values()
-                              for f in dataclasses.fields(cls) if f.name != "variant"):
-        parser.add_argument(f"--{name.replace('_', '-')}", type=float, default=None)
-    parser.add_argument("--degrees", action="store_true",
+    parser.add_argument("--variant", type=int, choices=[1, 2],
+                        help="rank-2 sub-family arrangement (IIb only; default 1)")
+    # every other field is an angle
+    for name in _FIELDS:
+        if name != "variant":
+            parser.add_argument(f"--{name.replace('_', '-')}", type=float)
+    # None unless given, like every family flag
+    parser.add_argument("--degrees", action="store_true", default=None,
                         help="interpret all angle arguments as degrees")
 
 
+def _given(args, names) -> list[str]:
+    """The flags of the fields or options ``names`` given on the command line."""
+    return [f"--{n.replace('_', '-')}" for n in names if getattr(args, n) is not None]
+
+
 def _family_params(args) -> _coins.FamilyParams:
-    """The family's parameters; a field with no default needs its flag."""
+    """The family's parameters; a field with no default needs its flag, and
+    the flag of a field the family does not have is an error."""
     cls, values = _FAMILIES[args.family], {}
+    names = [field.name for field in dataclasses.fields(cls)]
+    if extra := _given(args, [name for name in _FIELDS if name not in names]):
+        raise TrapwalkError(f"family {args.family} has no {', '.join(extra)}")
     for field in dataclasses.fields(cls):
         value = getattr(args, field.name)
-        if value is None and field.default is dataclasses.MISSING:
+        if field.name == "variant":
+            value = 1 if value is None else value
+        elif value is None and field.default is dataclasses.MISSING:
             raise TrapwalkError(f"--{field.name.replace('_', '-')} is required "
                                 f"for family {args.family}")
-        if value is None:
+        elif value is None:
             value = field.default
-        elif args.degrees and field.name != "variant":
+        elif args.degrees:
             value = math.radians(value)
         values[field.name] = value
     return cls(**values)
@@ -177,7 +192,9 @@ def _dispersion_from_coin(coin) -> "_spectral.DispersionSpec":
 
 
 def _resolve_spec(args) -> "_spectral.DispersionSpec":
-    if args.input:
+    if args.input is not None:
+        if given := _given(args, ("family", *_FIELDS, "degrees")):
+            raise TrapwalkError(f"--input takes no family flags, got {', '.join(given)}")
         return _dispersion_from_coin(_coins.read_coin_json(args.input))
     if args.family is None:
         raise TrapwalkError("give either --input coin.json or family parameters")

@@ -5,8 +5,6 @@ Rank and kernel computations use singular values.
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
 from .errors import NotUnitaryError
@@ -61,57 +59,26 @@ def _unit_state(state) -> np.ndarray:
     return psi
 
 
-def _defect(a: np.ndarray, eye: np.ndarray) -> float:
-    return float(np.abs(a.conj().T @ a - eye).max())
-
-
 def unitarity_defect(m) -> float:
     """Max-norm (largest entry magnitude) of M^dag M - I."""
     a = as_complex_matrix(m)
-    return _defect(a, np.eye(a.shape[0]))
-
-
-_EYE4 = np.eye(4)
-_EYE4.flags.writeable = False
+    return float(np.abs(a.conj().T @ a - np.eye(a.shape[0])).max())
 
 
 def require_unitary(m, tol: float = UNITARITY_TOL) -> np.ndarray:
     """The four-state coin ``m`` as a complex128 (4, 4) array, checked unitary.
 
     Raises ValueError for another shape or non-finite entries and
-    NotUnitaryError when the unitarity defect exceeds ``tol``.
-
-    The defect is memoized on the coin's bytes (``_coin_defect``, the last
-    16 coins), so a coin checked again, as by ``walk.step`` in a loop, costs
-    a lookup instead of a product, at any ``tol``.  Equal bytes are equal
-    entries, so a coin changed in place is checked afresh; a coin that
-    raises ValueError is never remembered.
+    NotUnitaryError when the unitarity defect exceeds ``tol``.  The defect
+    is computed on every call; ``m`` itself is returned when it is complex128
+    already.
     """
-    a = np.asarray(m, dtype=np.complex128)
-    defect = _coin_defect(a.tobytes(), a.shape)
+    a = as_complex_matrix(m, (4, 4))
+    # unitarity_defect(a), without checking ``a`` a second time
+    defect = float(np.abs(a.conj().T @ a - np.eye(4)).max())
     if defect > tol:
         raise NotUnitaryError(f"unitarity defect {defect:.3e} exceeds tolerance {tol:.1e}")
     return a
-
-
-@functools.lru_cache(maxsize=16)
-def _coin_defect(coin_bytes: bytes, shape: tuple[int, ...]) -> float:
-    """The unitarity defect of the array with these bytes and shape, which must
-    be a finite 4x4 coin.
-    """
-    a = np.frombuffer(coin_bytes, dtype=np.complex128).reshape(shape)
-    return _defect(as_complex_matrix(a, (4, 4)), _EYE4)
-
-
-@functools.lru_cache(maxsize=16)
-def _coin_product(coin_bytes: bytes) -> np.ndarray:
-    """The checked coin with these bytes as ``walk`` multiplies by it,
-    read-only: its real part when every imaginary part is zero, else itself.
-    """
-    c = np.frombuffer(coin_bytes, dtype=np.complex128).reshape(4, 4)
-    product = c.copy() if np.count_nonzero(c.imag) else np.ascontiguousarray(c.real)
-    product.flags.writeable = False
-    return product
 
 
 def fix_vector_phase(v: np.ndarray) -> np.ndarray:

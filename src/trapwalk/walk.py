@@ -37,8 +37,11 @@ four sites more for a complex call's tail (below).  A coin whose imaginary
 parts are all zero, such as Grover and the fig2 and fig6 coins, is
 multiplied by its real part: the complex128 amplitudes are read as
 interleaved float64 re, im pairs, so one real ``dgemm`` forms the complex
-product.  That choice, and the conversion of the given state's blocks to
-C-contiguous complex128, is made once per ``step`` or ``simulate`` call.
+product.  That choice is made once per coin, when it is checked, and the
+product matrix is remembered with it (``_product_matrix``, the last 16
+coins), so a loop of ``step`` calls checks its coin once.  The conversion
+of the given state's blocks to C-contiguous complex128 is made once per
+``step`` or ``simulate`` call.
 The first step of a sweep scatters its product to the shifted places; past
 it, a sweep's rows carry zero columns up to the last step's width, so a
 window's product places its own output: the L, D pair is one 2-row
@@ -61,7 +64,7 @@ import numpy as np
 
 from . import _text
 from .coins import DISPLACEMENTS, AmplitudeCell
-from .linalg import _coin_product, _integer, _unit_state, require_unitary
+from .linalg import _integer, _unit_state, require_unitary
 from .spectral import SpreadRegion, region_contains
 
 __all__ = [
@@ -352,16 +355,35 @@ def _sweep_block(c: np.ndarray, depth: int, u0: int, v0: int, amps: np.ndarray,
     return u0 - depth, v0 - depth, levels[-1].grid
 
 
+# (key, product) of the last 16 coins ``_product_matrix`` checked, newest
+# first, keyed by the bytes and shape of each coin's complex128 form.  A list
+# read by a scan and replaced whole, so that no lookup can fail while another
+# thread changes it.
+_products: list[tuple[tuple[bytes, tuple[int, ...]], np.ndarray]] = []
+
+
 def _product_matrix(coin) -> np.ndarray:
-    """The checked coin as ``_sweep_block`` multiplies by it, read-only and
-    remembered per coin (``linalg._coin_product``).
+    """The checked coin as ``_sweep_block`` multiplies by it, read-only.
 
     A coin whose imaginary parts are all zero (Grover, the fig2 and fig6
     coins) gives its real part: one real product over the interleaved re, im
     pairs is the complex product, at well under half the cost.  Any other
     coin is multiplied as it is.
+
+    The products of the last 16 coins are remembered (``_products``), so a
+    loop of ``step`` calls checks its coin once.  Only a coin whose bytes and
+    shape are new is checked (``require_unitary``): one changed in place is
+    checked again, and one that fails the check is never remembered.
     """
-    return _coin_product(require_unitary(coin).tobytes())
+    a = np.asarray(coin, dtype=np.complex128, order="C")
+    key = a.tobytes(), a.shape
+    product = next((p for k, p in _products if k == key), None)
+    if product is None:
+        # the check, then a copy of the real part or of the coin itself
+        product = np.array(a if np.count_nonzero(require_unitary(a).imag) else a.real)
+        product.flags.writeable = False
+        _products[:] = [(key, product)] + _products[:15]
+    return product
 
 
 def step(state: WalkState, coin) -> WalkState:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import settings
 from scipy.linalg import expm
 
-from trapwalk import classify, coins, laurent, linalg
+from trapwalk import classify, coins, laurent, walk
 
 # Property tests replay the same examples on every run.
 settings.register_profile("trapwalk", derandomize=True, deadline=None)
@@ -88,11 +88,11 @@ def hadamard_tensor_coin() -> np.ndarray:
 @pytest.fixture(autouse=True)
 def fresh_memos():
     """Start every test with empty per-coin memos, so that no test reads a
-    decision, unitarity defect or W that an earlier test left behind.
+    decision, walk product or W that an earlier test left behind.
     """
-    for memo in (laurent._flat_bands, linalg._coin_defect, linalg._coin_product,
-                 classify._weight_operator):
+    for memo in (laurent._flat_bands, classify._weight_operator):
         memo.cache_clear()
+    walk._products.clear()
 
 
 @pytest.fixture

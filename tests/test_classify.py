@@ -810,6 +810,13 @@ def test_recover_quasi_1d_rejects_coin_in_neither_arrangement():
         classify.recover_parameters(cell, "TypeIIb", coin=coins.grover_coin())
 
 
+def test_recover_rejects_an_unknown_family():
+    cell, _ = coins.stationary_cell(coins.TypeIParams(1.0, 0.5))
+    coin = coins.coin_for(coins.TypeIParams(1.0, 0.5))
+    with pytest.raises(ValueError, match="supports TypeI, TypeIIa and TypeIIb, not 'Haar'"):
+        classify.recover_parameters(cell, "Haar", coin)
+
+
 def test_recover_rejects_mismatched_cell(rng):
     # |a| != |h| and |a| != |f|: no family cell, so no parameters read off it
     # rebuild either coin

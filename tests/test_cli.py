@@ -405,6 +405,49 @@ def test_error_json_on_missing_parameters_and_a_flat_spectrum(tmp_path, capsys, 
     assert err == {"error": "TrapwalkError", "message": message}
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("coin", "--family", "I", "--delta1", "1.0", "--delta2", "0.5", "--eta", "2.0",
+      "--delta3", "0.3"), "family I has no --delta3, --eta"),
+    (("coin", "--family", "I", "--delta1", "1.0", "--delta2", "0.5", "--variant", "2"),
+     "family I has no --variant"),
+    (("coin", "--family", "I", "--delta1", "1.0", "--delta2", "0.5", "--delta3", "0"),
+     "family I has no --delta3"),
+    (("coin", "--family", "IIb", "--delta", "0.3", "--delta1", "0.3", "--phi-d", "0.1"),
+     "family IIb has no --delta1, --phi-d"),
+    (("spectrum", "--family", "IIa", "--delta1", "0.7", "--delta2", "0.7", "--delta3", "0.7",
+      "--eta", "1.0", "--delta", "0.2", "--gamma", "0.1"), "family IIa has no --delta, --gamma"),
+    (("region", "-i", "{coin}", "--family", "I", "--delta1", "1.0", "--delta2", "0.5"),
+     "--input takes no family flags, got --family, --delta1, --delta2"),
+    (("spectrum", "-i", "{coin}", "--degrees"), "--input takes no family flags, got --degrees"),
+    (("region", "-i", "{coin}", "--variant", "1", "--phi-h", "0"),
+     "--input takes no family flags, got --phi-h, --variant"),
+    (("region", "-i", "", "--family", "I", "--delta1", "1.0", "--delta2", "0.5"),
+     "--input takes no family flags, got --family, --delta1, --delta2"),
+], ids=["I-with-IIa-angles", "I-with-variant", "I-with-a-zero-angle", "IIb-with-I-angles",
+        "spectrum-IIa-with-IIb-angles", "region-input-and-family", "spectrum-input-and-degrees",
+        "region-input-and-variant", "region-empty-input-and-family"])
+def test_error_json_on_flags_the_family_or_input_does_not_take(tmp_path, capsys, argv,
+                                                               message):
+    coin_path, out = tmp_path / "coin.json", tmp_path / "out"
+    coins.write_coin_json(coin_path, coins.coin_for(coins.TypeIParams(np.pi / 3, np.pi / 4)))
+    status = run(*(arg.format(coin=coin_path) for arg in argv), "-o", str(out))
+    err = _assert_json_error(capsys, status)
+    assert err == {"error": "TrapwalkError", "message": message}
+    assert not out.exists() and capsys.readouterr().out == ""
+
+
+def test_a_iib_coin_without_variant_is_variant_1(capsys):
+    coins_by_variant = []
+    for variant in ((), ("--variant", "1"), ("--variant", "2")):
+        assert run("coin", "--family", "IIb", "--delta", "0.3", "--gamma", "0.2",
+                   "--phi-f", "0.4", *variant) == 0
+        coins_by_variant.append(coins.coin_from_json(capsys.readouterr().out))
+    params = [coins.TypeIIbParams(v, 0.3, gamma=0.2, phi_f=0.4) for v in (1, 1, 2)]
+    for coin, p in zip(coins_by_variant, params):
+        assert np.array_equal(coin, coins.coin_for(p))
+    assert not np.array_equal(coins_by_variant[0], coins_by_variant[2])
+
+
 @pytest.mark.parametrize("basis", [5, "LDUR"])
 def test_error_json_on_non_list_basis(tmp_path, capsys, basis):
     doc = json.loads(coins.coin_to_json(coins.grover_coin()))

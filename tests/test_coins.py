@@ -346,6 +346,17 @@ def test_cell_validation_rejects_constraint_violation():
         bad.validate()
 
 
+def test_cell_validation_rejects_non_finite_amplitudes():
+    with pytest.raises(ValueError, match="cell has non-finite amplitudes"):
+        coins.AmplitudeCell(*[np.nan] * 8).validate()
+
+
+@pytest.mark.parametrize("build", [coins.coin_for, coins.stationary_cell])
+def test_family_builders_reject_other_parameter_types(build):
+    with pytest.raises(TypeError, match="unsupported parameter type str"):
+        build("x")
+
+
 def literal_check_accepts(cell, tol=1e-10):
     """The five amplitude constraints of a stationary cell, as written out by hand."""
     a, b, c, d, e, f, g, h = cell.amplitudes

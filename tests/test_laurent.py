@@ -1,6 +1,7 @@
 import collections
 import dataclasses
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from trapwalk import classify, coins, laurent, linalg
 from trapwalk.errors import DegenerateMinorError, NotTrappingError
 from trapwalk.laurent import LaurentPoly
 
+import _exact
 from conftest import DEGENERATE_COINS, DRAWERS, hadamard_tensor_coin, perturbed, random_unitary
 
 QUARTER = np.pi / 4
@@ -98,9 +100,66 @@ def test_hadamard_tensor_determinant_does_not_vanish():
     assert not det.is_identically_zero()
 
 
+@pytest.mark.parametrize("family, draw, seed, rank_a, escaping_dim", [
+    ("TypeI", _exact.draw_type_i, 1, 4, 0),
+    ("TypeIIa", _exact.draw_type_iia, 2, 3, 1),
+])
+def test_exact_family_coins_pass_the_first_flat_decision(family, draw, seed, rank_a,
+                                                         escaping_dim):
+    rnd = random.Random(seed)
+    for _ in range(20):
+        exact, params = draw(rnd)
+        assert all(sum((exact[k][i].conj() * exact[k][j] for k in range(4)), 0) == (i == j)
+                   for i in range(4) for j in range(4))
+        # the corners of _charpoly: the mixed x/y 2x2 principal minors, exactly zero
+        for i, j in itertools.product((coins._L, coins._R), (coins._D, coins._U)):
+            assert exact[i][i] * exact[j][j] - exact[i][j] * exact[j][i] == 0
+        coin = np.array(_exact.rounded(exact))
+        _, decisions = laurent._flat_roots(laurent._charpoly(coin))
+        assert decisions[0][1] == coins._FLAT_TOL and decisions[0][0] <= 1e-15
+        assert np.abs(coins.coin_for(params) - coin).max() <= 2e-15
+        result = classify.classify_coin(coin)
+        assert (result.family, result.rank_a, result.escaping_dim) == (family, rank_a,
+                                                                         escaping_dim)
+        assert not result.marginal
+
+
 def test_poly_is_unhashable():
     with pytest.raises(TypeError):
         hash(LaurentPoly.zero())
+
+
+def test_poly_repr_and_equality():
+    assert repr(LaurentPoly.zero()) == "LaurentPoly(0)"
+    p = LaurentPoly.monomial(1, -1, 2.0) + 0.5j
+    assert repr(p) == "LaurentPoly((0,0): 0+0.5j, (1,-1): 2+0j)"
+    assert p == LaurentPoly({(1, -1): 2.0, (0, 0): 0.5j}, window=(-3, 3, -3, 3))
+    assert p != LaurentPoly.monomial(1, -1, 2.0)
+    # a number is no polynomial: __eq__ defers, and Python falls back to identity
+    assert LaurentPoly.constant(3.0) != 3.0 and not LaurentPoly.zero() == 0
+
+
+@pytest.mark.parametrize("op", ["+", "-", "*"])
+def test_poly_arithmetic_rejects_other_types(op):
+    p = LaurentPoly.monomial(1, 0)
+    with pytest.raises(TypeError):
+        eval(f"p {op} 'x'", {"p": p})
+
+
+def test_laurent_matrix_shape_errors():
+    with pytest.raises(ValueError, match="ragged rows"):
+        laurent.LaurentMatrix([[1.0, 2.0], [3.0]])
+    rect = laurent.LaurentMatrix([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+    with pytest.raises(ValueError, match="determinant of a non-square matrix"):
+        rect.det()
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        rect.matvec([LaurentPoly.constant(1.0)] * 2)
+    with pytest.raises(ValueError, match="square matrix required"):
+        laurent.adjugate_kernel_vector(rect, 0)
+    grover = laurent.kernel_matrix(coins.grover_coin())
+    for index in (4, -1):
+        with pytest.raises(ValueError, match=rf"index must be in \[0, 4\), got {index}"):
+            laurent.adjugate_kernel_vector(grover, index)
 
 
 def random_poly(rng, window):

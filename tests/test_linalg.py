@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -65,7 +67,6 @@ def test_a_non_default_tol_always_checks():
     assert 1e-14 < defect <= linalg.UNITARITY_TOL
     message = f"unitarity defect {defect:.3e} exceeds tolerance 1.0e-14"
     for tols in ((linalg.UNITARITY_TOL, 1e-14), (1e-14, linalg.UNITARITY_TOL)):
-        linalg._coin_defect.cache_clear()
         coin = grover_coin() * (1 + 2e-13)
         for tol in tols + tols:
             if tol == 1e-14:
@@ -82,15 +83,29 @@ def test_a_non_default_tol_always_checks():
 
 
 def test_remembered_coins_stay_bounded(rng):
-    memo = linalg._coin_defect
-    assert memo.cache_info().maxsize is not None
-    drawn = [random_unitary(rng) for _ in range(3 * memo.cache_info().maxsize)]
+    # walk remembers the products of the last 16 coins it stepped with
+    state = walk.initial_state([1.0, 0.0, 0.0, 0.0])
+    drawn = [random_unitary(rng) for _ in range(3 * 16)]
     for coin in drawn + drawn:
+        walk.step(state, coin)
         assert linalg.require_unitary(coin) is coin
         assert linalg.require_unitary(coin.tolist()).tobytes() == coin.tobytes()
         with pytest.raises(NotUnitaryError):
             linalg.require_unitary(1.5 * coin)
-        assert memo.cache_info().currsize <= memo.cache_info().maxsize
+        with pytest.raises(NotUnitaryError):
+            walk.step(state, 1.5 * coin)
+        assert 0 < len(walk._products) <= 16
+    assert walk._products[0][0] == (drawn[-1].tobytes(), (4, 4))
+
+
+def test_a_remembered_coin_of_another_shape_is_checked():
+    # the walk's memo keys on shape as well as bytes
+    state = walk.initial_state([1.0, 0.0, 0.0, 0.0])
+    coin = grover_coin()
+    walk.step(state, coin)
+    for shape in ((16,), (2, 8)):
+        with pytest.raises(ValueError, match=re.escape(f"expected shape (4, 4), got {shape}")):
+            walk.step(state, coin.reshape(shape))
 
 
 # Every public entry that takes a coin checks its shape before using it.
@@ -173,3 +188,11 @@ def test_rank_requires_positive_tol():
 def test_rank_rejects_tol_outside_unit_interval(tol):
     with pytest.raises(ValueError):
         linalg.numerical_rank(np.eye(4), tol=tol)
+
+
+def test_zero_inputs_of_rank_and_phase():
+    zero = np.zeros(4, dtype=np.complex128)
+    assert linalg.fix_vector_phase(zero) is zero
+    rank, kernel = linalg.numerical_rank(np.zeros((4, 4)))
+    # every vector is in the kernel of the zero matrix's adjoint
+    assert rank == 0 and np.allclose(kernel.conj().T @ kernel, np.eye(4))

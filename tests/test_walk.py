@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from trapwalk import _text, classify, coins, laurent, spectral, walk
+from trapwalk.errors import NotUnitaryError
 from trapwalk.linalg import require_unitary
 
 from conftest import DRAWERS, hadamard_tensor_coin, random_unitary, short_decimals
@@ -242,6 +243,12 @@ def test_origin_average_of_stationary_state():
     expected = state.origin_probability()
     assert np.allclose(traj.p_origin, expected, atol=1e-12)
     assert walk.origin_time_average(traj) == pytest.approx(expected, abs=1e-12)
+
+
+def test_origin_average_needs_an_evolved_step():
+    traj = walk.Trajectory(steps=0, p_origin=np.ones(1), snapshots={})
+    with pytest.raises(ValueError, match="trajectory has no evolved steps"):
+        walk.origin_time_average(traj)
 
 
 def test_escaping_state_origin_average_decays():
@@ -508,6 +515,25 @@ def test_simulate_checks_the_coin_once(monkeypatch):
     traj = walk.simulate(coins.grover_coin(), walk.initial_state(FIG2_INITIAL), 20)
     assert len(calls) == 1
     assert traj.p_origin.shape == (21,)
+
+
+def test_a_loop_of_steps_checks_its_coin_once(monkeypatch):
+    calls = []
+
+    def counting(coin, *args, **kwargs):
+        calls.append(1)
+        return require_unitary(coin, *args, **kwargs)
+
+    monkeypatch.setattr(walk, "require_unitary", counting)
+    coin, state = coins.grover_coin(), walk.initial_state(FIG2_INITIAL)
+    for _ in range(5):
+        state = walk.step(state, coin)
+    walk.simulate(coin.tolist(), state, 3)
+    assert len(calls) == 1
+    coin[0, 0] = -coin[0, 0]   # new bytes: checked again, and found not unitary
+    with pytest.raises(NotUnitaryError):
+        walk.step(state, coin)
+    assert len(calls) == 2
 
 
 KERNEL_PARAMS = {
