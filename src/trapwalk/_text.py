@@ -8,7 +8,8 @@ round-trip digits over uint64 arrays, one 64 x 128-bit product per value
 interval or the value itself scales to an integer, the halfway ties among
 them, and for the powers of two), laid out as ASCII with ``repr``'s choice
 between ``0.00012`` and ``1.2e-05``, one block of grid rows (about 8k
-values) at a time, so that the text of a large snapshot is never held whole.
+values, whatever the number of value columns) at a time, so that the text
+of a large snapshot is never held whole.
 
 ``csv_lines`` lays out the lines of every CSV the package writes (the walk's
 distributions and trajectories, ``spectrum`` and ``areasweep``), and
@@ -47,9 +48,11 @@ _LIMB = 0xFFFFFFFF
 _POW10 = np.array([10 ** k for k in range(20)], dtype=np.uint64)
 _COMMA = np.uint64(ord(",") << 56)   # a comma in the last byte of a word
 _CELL = np.dtype("<u8")   # cell words are little-endian: byte 0 is the first character
-# Values per block of CSV lines: enough to spread numpy's per-call cost, few
-# enough that the digit arrays (64 kB each) stay in L2; blocks twice as large
-# ran 1.5x slower per value.
+# Values per block of CSV lines, over all value columns, and so per
+# _float_cells call: enough to spread numpy's per-call cost, few enough that
+# the digit arrays (64 kB each) stay in L2; blocks twice as large ran 1.5x
+# slower per value.  A grid-128 spectrum (four values per point) takes 16 rows
+# a block, a t = 500 distribution 8.
 _BLOCK_VALUES = 8192
 
 
@@ -261,8 +264,8 @@ def _label_cells(labels: np.ndarray, prefix: str) -> np.ndarray:
 def csv_lines(header: str, axis_labels, value_grids, newline: str, keep=None):
     """The bytes of a grid CSV: the ``header`` line, then blocks of lines
     ``label_1, ..., label_d, v_1, v_2, ...``, one per grid point in row-major
-    order, each block about ``_BLOCK_VALUES`` values' worth of rows (one row
-    at least).
+    order, each block about ``_BLOCK_VALUES`` values' worth of rows over all
+    the value grids (one row at least).
 
     ``axis_labels`` are the d = 1 or 2 axes' label arrays, integer or float;
     the float arrays ``value_grids`` have the axes' lengths as their shape.
@@ -272,7 +275,8 @@ def csv_lines(header: str, axis_labels, value_grids, newline: str, keep=None):
     """
     yield header.encode("ascii")
     labels = [_label_cells(axis, newline if k == 0 else "") for k, axis in enumerate(axis_labels)]
-    step = max(1, _BLOCK_VALUES // max(1, math.prod(map(len, labels[1:]))))
+    row_values = math.prod(map(len, labels[1:])) * len(value_grids)
+    step = max(1, _BLOCK_VALUES // max(1, row_values))
     for start in range(0, len(labels[0]), step):
         rows = slice(start, start + step)
         # a block's cells live only in _block_lines, never beside the next block's
@@ -285,15 +289,16 @@ def _block_lines(axes, grids, keep) -> bytes:
     """The lines of one block of rows of ``csv_lines``: ``axes`` are the label
     cells of the block's rows and of the other axes, ``grids`` the block's
     values and ``keep`` None or its mask."""
-    values = [_float_cells(g if keep is None else g[keep]) for g in grids]
-    for cells in values[:-1]:
-        cells[:, -1] |= _COMMA
+    # all the block's values in one _float_cells call
+    stacked = np.stack([g if keep is None else g[keep] for g in grids])
+    values = _float_cells(stacked).reshape(stacked.shape + (4,))
+    values[:-1, ..., -1] |= _COMMA
     if keep is None:
         columns = [np.expand_dims(a, tuple(j for j in range(len(axes)) if j != k))
                    for k, a in enumerate(axes)]
-        columns += [cells.reshape(g.shape + (4,)) for cells, g in zip(values, grids)]
+        columns += list(values)
     else:
-        columns = [a[i] for a, i in zip(axes, np.nonzero(keep))] + values
+        columns = [a[i] for a, i in zip(axes, np.nonzero(keep))] + list(values)
     # the cells of each line in column order
     shape = np.broadcast_shapes(*(c.shape[:-1] for c in columns))
     out = np.empty(shape + (sum(c.shape[-1] for c in columns),), dtype=_CELL)

@@ -207,10 +207,11 @@ def _cmd_spectrum(args) -> int:
         raise ValueError(f"--grid must be at least 1, got {n}")
     spec = _resolve_spec(args)
     ks = -math.pi + 2.0 * math.pi * (np.arange(n) + 0.5) / n
-    kx, ky = (k.ravel() for k in np.meshgrid(ks, ks, indexing="ij"))
-    grids = [c.reshape(n, n) for c in (
-        _spectral.omega(spec, kx, ky), *_spectral.group_velocity(spec, kx, ky),
-        _spectral.hessian_det(spec, kx, ky))]
+    # one cosine or sine per axis value, broadcast to the (n, n) grids: each
+    # grid value is the same operation on the same inputs as on a meshgrid
+    kx, ky = ks[:, None], ks[None, :]
+    grids = [_spectral.omega(spec, kx, ky), *_spectral.group_velocity(spec, kx, ky),
+             _spectral.hessian_det(spec, kx, ky)]
     _emit(_text.csv_lines("kx,ky,omega,vx,vy,detH", (ks, ks), grids, "\n"), args.output)
     return 0
 

@@ -268,9 +268,10 @@ class LaurentPoly:
         return f"LaurentPoly({terms})"
 
     def __eq__(self, other):
-        if not isinstance(other, LaurentPoly):
+        o = self._coerce(other)
+        if o is NotImplemented:
             return NotImplemented
-        return (self - other).is_identically_zero()
+        return (self - o).is_identically_zero()
 
     def _coerce(self, other) -> "LaurentPoly":
         if isinstance(other, LaurentPoly):

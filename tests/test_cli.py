@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from trapwalk import _text, classify, cli, coins, spectral
+from trapwalk import _text, classify, cli, coins, spectral, walk
 
 from conftest import DRAWERS, draw_type_i, draw_type_iia, draw_type_iib, perturbed
 
@@ -300,6 +300,47 @@ def test_spectrum_matches_row_by_row_text(tmp_path, capsys, monkeypatch, name, g
     assert run("spectrum", "-i", str(coin_path), "--grid", str(grid)) == 0
     assert capsys.readouterr().out.encode() == expected
     assert _stdout_text("spectrum", "-i", str(coin_path), "--grid", str(grid)).encode() == expected
+
+
+def _recorded_sizes(monkeypatch, name, size) -> list[int]:
+    """``size`` of the arguments of each later call of ``_text.<name>``, in order."""
+    sizes, original = [], getattr(_text, name)
+
+    def recording(*args):
+        sizes.append(size(*args))
+        return original(*args)
+
+    monkeypatch.setattr(_text, name, recording)
+    return sizes
+
+
+def test_csv_blocks_hold_about_block_values_values(tmp_path, monkeypatch):
+    sizes = _recorded_sizes(monkeypatch, "_block_lines",
+                            lambda axes, grids, keep: sum(g.size for g in grids))
+    formatted = _recorded_sizes(monkeypatch, "_float_cells", np.size)
+    coin_path = tmp_path / "coin.json"
+    coins.write_coin_json(coin_path, coins.grover_coin(), family="TypeIIa")
+    spectrum = ["spectrum", "-i", str(coin_path), "-o", str(tmp_path / "spectrum.csv")]
+    # four values per grid point: 16 rows of 128 points a block, not 64, and
+    # each block's values formatted in one call after the two label axes
+    assert run(*spectrum, "--grid", "128") == 0
+    assert sizes == [16 * 128 * 4] * 8 and max(sizes) <= _text._BLOCK_VALUES
+    assert formatted == [128, 128] + sizes
+    # one value per point: a block is _BLOCK_VALUES // 123 rows of the t = 60
+    # window, and the 61 rows of the trajectory are one block
+    sizes.clear()
+    traj = walk.simulate(coins.grover_coin(), walk.initial_state([0.5, 0.5j, 0.5j, 0.5]), 60,
+                         snapshot_times=(60,))
+    n = len(traj.snapshots[60].prob)
+    step = _text._BLOCK_VALUES // n
+    walk.write_distribution_csv(tmp_path / "dist.csv", traj.snapshots[60])
+    walk.write_trajectory_csv(tmp_path / "traj.csv", traj)
+    assert n == 123 and sizes == [min(step, n - i) * n for i in range(0, n, step)] + [61]
+    # blocks smaller than a row hold one row each
+    sizes.clear()
+    monkeypatch.setattr(_text, "_BLOCK_VALUES", 7)
+    assert run(*spectrum, "--grid", "7") == 0
+    assert sizes == [7 * 4] * 7
 
 
 # blocks of 7 values put each row of n = 7 in a block of its own, so the

@@ -135,8 +135,11 @@ def test_poly_repr_and_equality():
     assert repr(p) == "LaurentPoly((0,0): 0+0.5j, (1,-1): 2+0j)"
     assert p == LaurentPoly({(1, -1): 2.0, (0, 0): 0.5j}, window=(-3, 3, -3, 3))
     assert p != LaurentPoly.monomial(1, -1, 2.0)
-    # a number is no polynomial: __eq__ defers, and Python falls back to identity
-    assert LaurentPoly.constant(3.0) != 3.0 and not LaurentPoly.zero() == 0
+    # a number compares as the constant polynomial, as +, - and * take it
+    assert LaurentPoly.constant(3.0) == 3.0 and LaurentPoly.zero() == 0
+    assert 0.5j == LaurentPoly.constant(0.5j) and LaurentPoly.monomial(1, 0) != 1.0
+    # anything else is no polynomial: __eq__ defers, and Python falls back to identity
+    assert not LaurentPoly.monomial(1, 0) == "x" and LaurentPoly.zero() != "x"
 
 
 @pytest.mark.parametrize("op", ["+", "-", "*"])

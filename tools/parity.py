@@ -44,7 +44,9 @@ DIR receives
   commands of ``text_commands`` write: the benchmark's long walk (Grover, 500
   steps, snapshots at 250 and 500), ``figure fig2|fig4|fig6``, ``figure fig2
   --floor 1e-9`` (the distribution's floor path), ``spectrum --grid 128`` and
-  ``region`` for the Grover and fig2 coins, and ``areasweep --n 50``.
+  ``region`` for the Grover, fig2, fig4 (Type IIa) and fig6 (Type IIb, rho_y
+  = 0) coins and for ``PHASED_TYPE_I``, a Type I coin with nonzero phases,
+  and ``areasweep --n 50``.
 
 ``--diff`` compares two snapshots: the JSON files byte for byte, the cells,
 operators, stationary cells and walks bit for bit (with the number of rows
@@ -150,16 +152,26 @@ def boundary_coins():
             yield (family, name, float(end), k), coins.coin_for(params)
 
 
+# TypeIParams (delta1, delta2, phi_d .. phi_h) of the phased Type I spectrum coin
+PHASED_TYPE_I = (1.0, 0.4, 0.3, 1.1, 2.0, 0.7, 1.9)
+
+
 def text_commands(inputs: Path) -> dict[str, list[str]]:
     """CLI argument lists by name; each writes into the directory ``{out}``.
 
-    The Grover and fig2 coin JSON files are written to ``inputs`` first.
+    The coin JSON files of the spectra (Grover, the fig2, fig4 and fig6 coins
+    and ``PHASED_TYPE_I``) are written to ``inputs`` first.
     """
     from trapwalk import cli, coins
 
-    paths = {name: str(inputs / f"{name}.json") for name in ("grover", "fig2")}
-    coins.write_coin_json(paths["grover"], coins.grover_coin(), family="TypeIIa")
-    coins.write_coin_json(paths["fig2"], coins.coin_for(cli._figure_configs()["fig2"]["params"]))
+    configs = cli._figure_configs()
+    spectrum_coins = {"grover": coins.grover_coin()}
+    spectrum_coins.update((name, coins.coin_for(configs[name]["params"]))
+                          for name in ("fig2", "fig4", "fig6"))
+    spectrum_coins["phased_type_i"] = coins.coin_for(coins.TypeIParams(*PHASED_TYPE_I))
+    paths = {name: str(inputs / f"{name}.json") for name in spectrum_coins}
+    for name, coin in spectrum_coins.items():
+        coins.write_coin_json(paths[name], coin, family="TypeIIa" if name == "grover" else None)
     commands = {"walk_long": ["simulate", "-i", paths["grover"], "--initial",
                               "[[0.5, 0], [0, 0.5], [0, 0.5], [0.5, 0]]", "--steps", "500",
                               "--snapshots", "250,500", "--outdir", "{out}"]}
